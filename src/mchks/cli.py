@@ -303,23 +303,32 @@ def twin_perturbation(state: State, amplitude: float) -> State:
     """Deterministic band-limited perturbation of all four evolved fields.
 
     The patterns carry both a mean shift and low-mode structure so every
-    norm group of the continuous-dependence estimate is exercised.  The
-    nutrient pattern is nonpositive, keeping n0 <= 1 admissible.
+    norm group of the continuous-dependence estimate is exercised.  Any
+    admissible base stays admissible for 0 <= amplitude <= 1: the phi_a
+    pattern is nonnegative and the n pattern nonpositive, and c is pulled
+    by the fraction ``amplitude`` toward a target inside [0, 1], so c stays
+    in [0, 1] even where the base sits on a bound.
     """
+    if not 0.0 <= amplitude <= 1.0:
+        raise ValidationError(
+            f"twin perturbation amplitude {amplitude} outside [0, 1]"
+        )
     grid = state.grid
     x, y = grid.centers()
     cx = np.cos(np.pi * x / grid.lx)
     cy = np.cos(np.pi * y / grid.ly)
     c2x = np.cos(2.0 * np.pi * x / grid.lx)
     pat_phi = 0.3 + 0.5 * cx * cy + 0.2 * c2x
-    pat_phia = 0.4 + 0.6 * cy
+    pat_phia = 0.4 + 0.4 * cy  # >= 0 pointwise
     pat_n = -(0.3 + 0.35 * cx * cy + 0.2 * c2x)  # <= 0 pointwise
-    pat_c = 0.2 + 0.4 * cx * cy
+    target_c = 0.5 + 0.4 * cx * cy  # in [0.1, 0.9]
     out = state.copy()
     out.phi = ScalarField(grid, state.phi.values + amplitude * pat_phi)
     out.phi_a = ScalarField(grid, state.phi_a.values + amplitude * pat_phia)
     out.n = ScalarField(grid, state.n.values + amplitude * pat_n)
-    out.c = ScalarField(grid, state.c.values + amplitude * pat_c)
+    out.c = ScalarField(
+        grid, state.c.values + amplitude * (target_c - state.c.values)
+    )
     return out
 
 

@@ -61,14 +61,18 @@ def entropy_integral(state, params: ModelParams) -> float:
     return float(np.sum(vals)) * state.grid.cell_area
 
 
-def energy(state, params: ModelParams) -> float:
+def energy(state, params: ModelParams, *, f_density=None) -> float:
     """Free energy with the regularized potential and entropy accounting.
 
     E = int F_eps(phi) + E_eps(phi_a) + |grad phi|^2/2 + |grad n|^2/2
         - chi_phi n phi + |grad c|^2/2 - chi_a phi_a c
+
+    ``f_density`` is regularized_potential_density(params, phi) when the
+    caller already has it.
     """
     g = state.grid
-    f_density = regularized_potential_density(params, state.phi.values)
+    if f_density is None:
+        f_density = regularized_potential_density(params, state.phi.values)
     e = float(np.sum(f_density)) * g.cell_area
     e += entropy_integral(state, params)
     e += 0.5 * grad_sq_integral(state.phi)
@@ -207,7 +211,7 @@ class DiagnosticsTracker:
 
         return DiagnosticsRecord(
             t=state.t,
-            energy=energy(state, params),
+            energy=energy(state, params, f_density=f_density),
             phi_mean=y,
             phi_a_mean=mean(state.phi_a),
             n_mean=mean(state.n),

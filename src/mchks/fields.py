@@ -6,16 +6,21 @@ cells, which makes the boundary fluxes exactly zero and the operator
 symmetric; all summation-by-parts identities the energy diagnostics rely on
 then hold to round-off.  Mobility-weighted divergences are assembled in face
 flux form (arithmetic face means by default) so that their integral vanishes
-exactly.  The inverse Neumann Laplacian is a matrix-free conjugate gradient
-solve on the zero-mean subspace, and the dual norm is built on top of it.
+exactly.  The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
+exactly; its eigenvalues live in one cached table per grid, which the
+Cahn-Hilliard preconditioner shares.  The inverse Neumann Laplacian is an
+exact DCT solve of that same discrete operator on the zero-mean subspace,
+and the dual norm is built on top of it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
 from .errors import ConvergenceError, MeanError
 
@@ -101,11 +106,24 @@ def cosine_mode(grid: Grid2D, i: int, j: int, normalized: bool = False):
     return ScalarField(grid, vals)
 
 
+@lru_cache(maxsize=8)
+def neumann_eigenvalues(grid: Grid2D) -> np.ndarray:
+    """Eigenvalues of the discrete -Laplacian in the cosine basis, (nx, ny).
+
+    Entry (i, j) belongs to the mode cos(i pi x / lx) cos(j pi y / ly), which
+    is coefficient (i, j) of the orthonormal DCT-II.  The table is shared
+    between callers, so it is read-only.
+    """
+    lam_x = 2.0 / grid.dx**2 * (1.0 - np.cos(np.pi * np.arange(grid.nx) / grid.nx))
+    lam_y = 2.0 / grid.dy**2 * (1.0 - np.cos(np.pi * np.arange(grid.ny) / grid.ny))
+    lam = lam_x[:, None] + lam_y[None, :]
+    lam.flags.writeable = False
+    return lam
+
+
 def discrete_neumann_eigenvalue(grid: Grid2D, i: int, j: int) -> float:
     """Eigenvalue of the discrete -Laplacian on the (i, j) cosine mode."""
-    lam_x = 2.0 / grid.dx**2 * (1.0 - np.cos(i * np.pi / grid.nx))
-    lam_y = 2.0 / grid.dy**2 * (1.0 - np.cos(j * np.pi / grid.ny))
-    return float(lam_x + lam_y)
+    return float(neumann_eigenvalues(grid)[i, j])
 
 
 # ------------------------------------------------------------- operators
@@ -227,8 +245,11 @@ def cg_solve(apply_op, b, x0=None, rel_tol=1e-10, max_iter=None):
     )
 
 
-def inv_neumann_laplacian(f: ScalarField, rel_tol=1e-10) -> ScalarField:
-    """Solve -lap(u) = f with zero-mean u; f must have (numerically) zero mean."""
+def inv_neumann_laplacian(f: ScalarField) -> ScalarField:
+    """Solve -lap(u) = f with zero-mean u; f must have (numerically) zero mean.
+
+    The solve is exact: DCT-II, divide by the eigenvalue table, inverse DCT.
+    """
     g = f.grid
     fnorm = norm_l2(f)
     if abs(mean(f)) * np.sqrt(g.area) > 1e-12 * max(fnorm, 1e-300):
@@ -237,19 +258,15 @@ def inv_neumann_laplacian(f: ScalarField, rel_tol=1e-10) -> ScalarField:
         )
     if fnorm == 0.0:
         return ScalarField.constant(g, 0.0)
-    b = f.values - np.mean(f.values)
-
-    def apply_op(v):
-        return -lap_array(v, g.dx, g.dy)
-
-    u, _ = cg_solve(apply_op, b, rel_tol=rel_tol)
-    u -= np.mean(u)
-    return ScalarField(g, u)
+    coef = dctn(f.values, norm="ortho").ravel()
+    coef[0] = 0.0  # the (0, 0) mode is the mean, which u does not carry
+    coef[1:] /= neumann_eigenvalues(g).ravel()[1:]
+    return ScalarField(g, idctn(coef.reshape(g.nx, g.ny), norm="ortho"))
 
 
-def dual_norm(f: ScalarField, rel_tol=1e-10) -> float:
+def dual_norm(f: ScalarField) -> float:
     """H^-1-type norm sqrt(<f, inv_neumann_laplacian(f)>) of zero-mean f."""
-    u = inv_neumann_laplacian(f, rel_tol=rel_tol)
+    u = inv_neumann_laplacian(f)
     return float(np.sqrt(max(inner(f, u), 0.0)))
 
 

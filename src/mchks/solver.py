@@ -41,6 +41,7 @@ from .fields import (
     cg_solve,
     div_mob_grad_array,
     lap_array,
+    neumann_eigenvalues,
 )
 from .potentials import YosidaRegularization
 from .sources import (
@@ -160,14 +161,6 @@ class RunResult:
 
 
 # ------------------------------------------------------------- utilities
-
-
-@lru_cache(maxsize=8)
-def _dct_sym(nx, ny, dx, dy):
-    """Eigenvalues of the discrete -Laplacian in the cosine basis."""
-    lx = 2.0 / dx**2 * (1.0 - np.cos(np.pi * np.arange(nx) / nx))
-    ly = 2.0 / dy**2 * (1.0 - np.cos(np.pi * np.arange(ny) / ny))
-    return lx[:, None] + ly[None, :]
 
 
 @lru_cache(maxsize=8)
@@ -352,7 +345,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             break
         curv = convex_curv(phi) + s
         delta = _solve_ch_jacobian(
-            grid, mob_m_o, curv, 1.0 / dt + params.m, -res, cfg, report
+            grid, mob_m_o, curv, 1.0 / dt + params.m, -res, cfg, report, t_new
         )
         phi = phi + delta
         res = residual(phi)
@@ -396,13 +389,17 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     return new_state, report
 
 
-def _solve_ch_jacobian(grid, mob, curv, diag0, rhs, cfg, report):
-    """Solve J delta = rhs with J v = diag0 v - div(mob grad(-lap v + curv v))."""
+def _solve_ch_jacobian(grid, mob, curv, diag0, rhs, cfg, report, t):
+    """Solve J delta = rhs with J v = diag0 v - div(mob grad(-lap v + curv v)).
+
+    BiCGStab iterations add to ``report.linear_iters["ch"]``; a BiCGStab
+    failure falls back to sparse LU with a warning naming the time t.
+    """
     if cfg.linear_solver == "direct":
         report.used_direct = True
         return _solve_ch_direct(grid, mob, curv, diag0, rhs)
 
-    lam = _dct_sym(grid.nx, grid.ny, grid.dx, grid.dy)
+    lam = neumann_eigenvalues(grid)
     mob_bar = float(np.mean(mob))
     curv_bar = float(np.mean(curv))
     denom = diag0 + mob_bar * lam * (lam + curv_bar)
@@ -420,17 +417,29 @@ def _solve_ch_jacobian(grid, mob, curv, diag0, rhs, cfg, report):
         sol = idctn(dctn(v2, norm="ortho") / denom, norm="ortho")
         return sol.ravel()
 
+    iters = 0
+
+    def count_iteration(_xk):
+        nonlocal iters
+        iters += 1
+
     n = grid.nx * grid.ny
     op = spla.LinearOperator((n, n), matvec=apply_j, dtype=np.float64)
     pre = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=np.float64)
     sol, info = spla.bicgstab(
         op, rhs.ravel(), rtol=cfg.linear_tol, atol=0.0, M=pre,
-        maxiter=400,
+        maxiter=400, callback=count_iteration,
     )
+    report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + iters
     if info != 0:
+        warnings.warn(
+            f"Cahn-Hilliard BiCGStab failed at t={t:.6g} (info={info}); "
+            "falling back to sparse LU",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         report.used_direct = True
         return _solve_ch_direct(grid, mob, curv, diag0, rhs)
-    report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + 1
     return sol.reshape(grid.nx, grid.ny)
 
 

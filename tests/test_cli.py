@@ -125,6 +125,22 @@ def test_twin_perturbation_keeps_admissibility():
     assert not np.array_equal(pert.phi.values, base.phi.values)
 
 
+@pytest.mark.parametrize("c0", [0.0, 1.0])
+def test_twin_perturbation_keeps_bounds_admissible(c0):
+    config = parse_config(
+        TINY + f"\n[initial]\nphi_a0 = 0.0\nn0 = 1.0\nc0 = {c0}\n"
+    )
+    base = build_initial_state(config)
+    for amp in (1e-3, 0.5, 1.0):
+        pert = twin_perturbation(base, amp)
+        assert np.all(pert.n.values <= 1.0)
+        assert np.all(pert.c.values >= 0.0) and np.all(pert.c.values <= 1.0)
+        assert np.all(pert.phi_a.values >= 0.0)
+        assert not np.array_equal(pert.c.values, base.c.values)
+    with pytest.raises(ValidationError):
+        twin_perturbation(base, -1e-3)
+
+
 def test_band_limited_initial_shares_data():
     config = parse_config(TINY)
     fd0, g0, basis = band_limited_initial(config, k=4)
@@ -190,6 +206,13 @@ def test_twin_subcommand(tmp_path):
         "[initial]\nn0 = 0.95\nc0 = 0.3\n"
     )
     assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-3"]) == 0
+
+
+def test_twin_subcommand_default_config(tmp_path):
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    assert main(["twin", "-c", str(cfg_path), "--set", "grid.nx=12",
+                 "--set", "grid.ny=12", "--set", "solver.t_end=1e-2"]) == 0
 
 
 def test_main_error_exit_codes(tmp_path):

@@ -7,6 +7,7 @@ from mchks.errors import MeanError
 from mchks.fields import (
     Grid2D,
     ScalarField,
+    cg_solve,
     cosine_mode,
     discrete_neumann_eigenvalue,
     div_mob_grad,
@@ -15,8 +16,10 @@ from mchks.fields import (
     inner,
     integrate,
     inv_neumann_laplacian,
+    lap_array,
     laplacian,
     mean,
+    neumann_eigenvalues,
     norm_l2,
     read_snapshot,
     write_snapshot,
@@ -122,7 +125,7 @@ def test_cosine_mode_integrates_to_zero():
 def test_inverse_laplacian_identity():
     v = random_field(GRID, seed=13)
     f = laplacian(v)
-    u = inv_neumann_laplacian(ScalarField(GRID, -f.values), rel_tol=1e-12)
+    u = inv_neumann_laplacian(ScalarField(GRID, -f.values))
     expected = v.values - np.mean(v.values)
     assert np.max(np.abs(u.values - expected)) < 1e-8 * np.max(np.abs(expected))
 
@@ -135,7 +138,7 @@ def test_inverse_laplacian_zero():
 def test_inverse_laplacian_eigenmode():
     f = cosine_mode(GRID, 1, 0)
     lam = discrete_neumann_eigenvalue(GRID, 1, 0)
-    u = inv_neumann_laplacian(f, rel_tol=1e-12)
+    u = inv_neumann_laplacian(f)
     assert np.allclose(u.values, f.values / lam, atol=1e-10)
 
 
@@ -162,9 +165,37 @@ def test_dual_norm_time_derivative_identity():
     v0 = ScalarField(GRID, base + 0.3 * bump)
     v1 = ScalarField(GRID, base + (0.3 + dt) * bump)
     vdot = ScalarField(GRID, (v1.values - v0.values) / dt)
-    lhs = inner(vdot, inv_neumann_laplacian(v0, rel_tol=1e-12))
-    rhs = (dual_norm(v1, 1e-12) ** 2 - dual_norm(v0, 1e-12) ** 2) / (2 * dt)
+    lhs = inner(vdot, inv_neumann_laplacian(v0))
+    rhs = (dual_norm(v1) ** 2 - dual_norm(v0) ** 2) / (2 * dt)
     assert lhs == pytest.approx(rhs, rel=5e-3)
+
+
+def cg_inverse_laplacian(f):
+    """Reference solve of -lap(u) = f by unpreconditioned CG, zero-mean u."""
+    g = f.grid
+    u, _ = cg_solve(lambda v: -lap_array(v, g.dx, g.dy), f.values, rel_tol=1e-12)
+    return u - np.mean(u)
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid2D(128, 128, 12.8, 12.8)],
+                         ids=["24x20", "128x128"])
+def test_inverse_laplacian_matches_cg_reference(grid):
+    v = random_field(grid, seed=15).values
+    f = ScalarField(grid, v - np.mean(v))
+    ref = cg_inverse_laplacian(f)
+    u = inv_neumann_laplacian(f)
+    assert np.linalg.norm(u.values - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert dual_norm(f) == pytest.approx(
+        np.sqrt(inner(f, ScalarField(grid, ref))), rel=1e-9
+    )
+
+
+def test_eigenvalue_reads_the_table():
+    lam = neumann_eigenvalues(GRID)
+    assert lam.shape == (GRID.nx, GRID.ny)
+    assert lam[0, 0] == 0.0
+    for i, j in ((0, 0), (1, 0), (0, 1), (3, 2), (GRID.nx - 1, GRID.ny - 1)):
+        assert discrete_neumann_eigenvalue(GRID, i, j) == lam[i, j]
 
 
 def test_snapshot_roundtrip(tmp_path):

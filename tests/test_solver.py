@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from _mms import Manufactured
 from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
@@ -116,6 +117,41 @@ def test_direct_and_krylov_linear_solvers_agree():
     s_k, _ = step(st, FH, cfg_k)
     s_d, _ = step(st, FH, cfg_d)
     assert np.max(np.abs(s_k.phi.values - s_d.phi.values)) < 1e-9
+
+
+def test_report_counts_ch_krylov_iterations(monkeypatch):
+    seen = {"calls": 0, "iters": 0}
+    real = spla.bicgstab
+
+    def counted(*args, callback=None, **kwargs):
+        seen["calls"] += 1
+
+        def count(xk):
+            seen["iters"] += 1
+            callback(xk)
+
+        return real(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(spla, "bicgstab", counted)
+    grid = Grid2D(16, 16, 12.8, 12.8)
+    _, rep = step(spheroid_state(grid), FH, SolverConfig(dt=1e-3, t_end=1e-3))
+    assert rep.linear_iters["ch"] == seen["iters"] > seen["calls"] > 0
+
+
+def test_ch_krylov_failure_warns_and_falls_back(monkeypatch):
+    real = spla.bicgstab
+    monkeypatch.setattr(
+        spla, "bicgstab", lambda *a, **k: real(*a, **{**k, "maxiter": 1})
+    )
+    grid = Grid2D(16, 16, 12.8, 12.8)
+    st = spheroid_state(grid)
+    cfg = SolverConfig(dt=1e-3, t_end=1e-3)
+    with pytest.warns(RuntimeWarning, match=r"t=0\.001 \(info=1\)"):
+        s_f, rep = step(st, FH, cfg)
+    assert rep.used_direct
+    s_d, _ = step(st, FH, SolverConfig(dt=1e-3, t_end=1e-3,
+                                       linear_solver="direct"))
+    assert np.max(np.abs(s_f.phi.values - s_d.phi.values)) < 1e-9
 
 
 def test_manufactured_spatial_convergence_quick():
