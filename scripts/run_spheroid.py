@@ -1,24 +1,18 @@
 #!/usr/bin/env python3
 """Run the default singular spheroid scenario and print milestone records.
 
-Writes the diagnostics CSV, snapshots and manifest under --out, then prints
-a compact table (every tenth of the horizon) with confinement extrema, the
-mass-corridor position and the separation margins.
+Writes the manifest, the diagnostics CSV and the field snapshots under --out
+(the same files as `mchks run`; snapshots every `output.snapshot_every`
+steps, or every tenth of the horizon when the config leaves that at 0), then
+prints a compact table (every tenth of the horizon) with confinement
+extrema, the mass-corridor position and the separation margins.
 """
 
 import argparse
-import os
 import sys
 
-from mchks.cli import (
-    CSV_COLUMNS,
-    build_initial_state,
-    parse_config,
-    record_to_row,
-    serialize_config,
-)
+from mchks.cli import parse_config, write_run
 from mchks.diagnostics import separation_margins
-from mchks.solver import RunSinks, run
 
 
 def main():
@@ -29,22 +23,18 @@ def main():
                     metavar="SECTION.KEY=VALUE")
     args = ap.parse_args()
 
+    text = ""
     if args.config:
         with open(args.config) as fh:
-            config = parse_config(fh.read(), overrides=args.set)
-    else:
-        config = parse_config("", overrides=args.set)
+            text = fh.read()
+    overrides = [f"output.dir={args.out}", *args.set]
+    config = parse_config(text, overrides=overrides)
+    if not config.output["snapshot_every"]:
+        steps = round(config.solver.t_end / config.solver.dt)
+        overrides.append(f"output.snapshot_every={max(1, steps // 10)}")
+        config = parse_config(text, overrides=overrides)
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
-        fh.write(serialize_config(config))
-
-    state0 = build_initial_state(config)
-    csv_path = os.path.join(args.out, "diagnostics.csv")
-    with open(csv_path, "w") as csv_fh:
-        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
-        sinks = RunSinks(on_record=lambda r: csv_fh.write(record_to_row(r) + "\n"))
-        result = run(state0, config.params, config.solver, sinks=sinks)
+    result, csv_path = write_run(config)
 
     stride = max(1, (len(result.records) - 1) // 10)
     print(f"{'t':>6} {'energy':>12} {'mean phi':>9} {'phi range':>19} "

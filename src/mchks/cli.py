@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ _SCHEMA = {
         "newton_tol": (float, 1e-10),
         "newton_max": (int, 50),
         "linear_tol": (float, 1e-10),
-        "mode": (str, "auto"),
         "stabilization": (float, 0.0),
         "sources_off": (bool, False),
         "linear_solver": (str, "krylov"),
@@ -118,8 +116,15 @@ class RunConfig:
     grid: Grid2D
     params: ModelParams
     solver: SolverConfig
-    initial: dict
-    output: dict
+    values: dict  # resolved schema values, section -> key -> value
+
+    @property
+    def initial(self):
+        return self.values["initial"]
+
+    @property
+    def output(self):
+        return self.values["output"]
 
     @property
     def seed(self):
@@ -221,19 +226,17 @@ def _build_config(values) -> RunConfig:
             newton_tol=s["newton_tol"],
             newton_max=s["newton_max"],
             linear_tol=s["linear_tol"],
-            mode=s["mode"],
             stabilization=s["stabilization"],
             sources_off=s["sources_off"],
             linear_solver=s["linear_solver"],
         )
-        solver.resolved_mode(params)
     except ValueError as exc:
         raise ValidationError(str(exc))
 
-    init = dict(values["initial"])
-    if init["preset"] not in ("spheroid", "uniform", "random-perturbation"):
-        raise ValidationError(f"unknown initial preset {init['preset']!r}")
-    return RunConfig(grid, params, solver, init, dict(values["output"]))
+    preset = values["initial"]["preset"]
+    if preset not in ("spheroid", "uniform", "random-perturbation"):
+        raise ValidationError(f"unknown initial preset {preset!r}")
+    return RunConfig(grid, params, solver, values)
 
 
 def _build_potential(p):
@@ -389,68 +392,25 @@ def record_to_row(rec: diagnostics.DiagnosticsRecord) -> str:
     return ",".join(_fmt(c) for c in cells)
 
 
+def _manifest_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # str of a float is its shortest round-trip form
+
+
 def serialize_config(config: RunConfig) -> str:
-    """Deterministic echo of the resolved configuration (the run manifest)."""
-    p = config.params
-    pot = p.potential
-    pot_name = {
-        RegularQuartic: "quartic",
-        FloryHuggins: "flory_huggins",
-        DoubleObstacle: "double_obstacle",
-        SingleWellLJ: "single_well",
-    }[type(pot)]
-    lines = ["[grid]"]
-    g = config.grid
-    lines += [f"nx = {g.nx}", f"ny = {g.ny}", f"lx = {_fmt(g.lx)}",
-              f"ly = {_fmt(g.ly)}", "", "[params]"]
-    lines += [
-        f"chi_phi = {_fmt(p.chi_phi)}",
-        f"chi_a = {_fmt(p.chi_a)}",
-        f"m = {_fmt(p.m)}",
-        f"kappa0 = {_fmt(p.kappa0)}",
-        f"kappa_inf = {_fmt(p.kappa_inf)}",
-        f"zeta = {_fmt(p.zeta)}",
-        f"delta_n = {_fmt(p.delta_n)}",
-        f"delta_a = {_fmt(p.delta_a)}",
-        f"eps = {_fmt(p.eps)}",
-        f"potential = {pot_name}",
-    ]
-    if isinstance(pot, FloryHuggins):
-        lines += [f"c1 = {_fmt(pot.c1)}", f"c2 = {_fmt(pot.c2)}"]
-    elif isinstance(pot, (RegularQuartic, DoubleObstacle)):
-        lines += [f"c3 = {_fmt(pot.c3)}"]
-    else:
-        lines += [f"r_star = {_fmt(pot.r_star)}", f"lj_shift = {_fmt(pot.kappa)}"]
-    mm, mn = p.mobility_m, p.mobility_n
-    if isinstance(mm, ConstantMobility):
-        lines += ["mobility_m = constant", f"mobility_m_value = {_fmt(mm.value)}"]
-    else:
-        lines += ["mobility_m = kozeny_carman",
-                  f"mobility_m_b = {_fmt(mm.b_phi)}",
-                  f"mobility_m_lambda = {_fmt(mm.lam)}"]
-    if isinstance(mn, ConstantMobility):
-        lines += ["mobility_n = constant", f"mobility_n_value = {_fmt(mn.value)}"]
-    else:
-        lines += ["mobility_n = endothelial",
-                  f"mobility_n_m0 = {_fmt(mn.m0)}",
-                  f"mobility_n_mup = {_fmt(mn.m_up)}"]
-    s = config.solver
-    lines += ["", "[solver]",
-              f"dt = {_fmt(s.dt)}", f"t_end = {_fmt(s.t_end)}",
-              f"newton_tol = {_fmt(s.newton_tol)}",
-              f"newton_max = {s.newton_max}",
-              f"linear_tol = {_fmt(s.linear_tol)}",
-              f"mode = {s.mode}",
-              f"stabilization = {_fmt(s.stabilization)}",
-              f"sources_off = {'true' if s.sources_off else 'false'}",
-              f"linear_solver = {s.linear_solver}"]
-    lines += ["", "[initial]"]
-    for key, (_typ, _default) in _SCHEMA["initial"].items():
-        lines.append(f"{key} = {config.initial[key]}")
-    lines += ["", "[output]"]
-    for key, (_typ, _default) in _SCHEMA["output"].items():
-        lines.append(f"{key} = {config.output[key]}")
-    return "\n".join(lines) + "\n"
+    """Deterministic echo of the resolved configuration (the run manifest).
+
+    Every schema key is written with its resolved value, in schema order, so
+    the manifest is itself a config that parses back to the same run.
+    """
+    sections = []
+    for sec, keys in _SCHEMA.items():
+        lines = [f"[{sec}]"]
+        lines += [f"{key} = {_manifest_value(config.values[sec][key])}"
+                  for key in keys]
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"
 
 
 # ------------------------------------------------------------ subcommands
@@ -461,8 +421,13 @@ def _load_config(args) -> RunConfig:
         return parse_config(fh.read(), overrides=args.set or [])
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args)
+def write_run(config: RunConfig):
+    """Run the configured scenario and write its output under output.dir.
+
+    Writes manifest.txt, diagnostics.csv (a row every
+    output.diagnostics_every steps) and the five field snapshots every
+    output.snapshot_every steps (none when 0); returns (RunResult, csv path).
+    """
     out_dir = config.output["dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
@@ -496,7 +461,11 @@ def cmd_run(args) -> int:
             sinks=sinks,
             record_every=config.output["diagnostics_every"],
         )
+    return result, csv_path
 
+
+def cmd_run(args) -> int:
+    result, csv_path = write_run(_load_config(args))
     violations = sum(r.any_violation for r in result.records)
     print(f"completed {len(result.records)} records -> {csv_path}")
     print(f"records with violation flags: {violations}")
@@ -512,14 +481,6 @@ def cmd_verify(_args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _max_workers():
-    raw = os.environ.get("MCHKS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_compare(args) -> int:
     config = _load_config(args)
     k = args.modes
@@ -530,20 +491,8 @@ def cmd_compare(args) -> int:
             "compare needs eps >= 1e-2 in singular mode (spectral oracle)"
         )
 
-    def fd_job():
-        return run(fd0, params, solver, record_every=10**9).final_state
-
-    def spectral_job():
-        return integrate_galerkin(g0, params, basis, solver.t_end)[-1]
-
-    if _max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fd_future = pool.submit(fd_job)
-            gs = spectral_job()
-            fd = fd_future.result()
-    else:
-        fd = fd_job()
-        gs = spectral_job()
+    fd = run(fd0, params, solver, record_every=10**9).final_state
+    gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]
 
     worst = 0.0
     for name, coeffs in (("phi", gs.phi), ("phi_a", gs.phi_a), ("n", gs.n),
@@ -568,14 +517,8 @@ def cmd_twin(args) -> int:
         return run(state0, params, solver, record_every=10**9,
                    keep_states=every).states
 
-    if _max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f1 = pool.submit(job, base0)
-            states2 = job(pert0)
-            states1 = f1.result()
-    else:
-        states1 = job(base0)
-        states2 = job(pert0)
+    states1 = job(base0)
+    states2 = job(pert0)
 
     dist = diagnostics.twin_run_distance(states1, states2, params)
     for name, val in dist.components_lhs.items():

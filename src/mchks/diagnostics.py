@@ -28,7 +28,6 @@ from .fields import (
     mean,
     norm_l2,
 )
-from .potentials import YosidaRegularization
 from .regularize import TruncationPair
 from .sources import (
     ModelParams,
@@ -47,14 +46,6 @@ MINMAX_TOL = 1e-10
 PHIA_NEG_TOL_PER_EPS = 1e-5
 
 
-def regularized_potential_density(params: ModelParams, phi_values):
-    """Pointwise regularized potential F_eps (Moreau envelope + perturbation)."""
-    if params.singular:
-        reg = YosidaRegularization(params.potential, params.eps)
-        return reg.envelope(phi_values) + params.potential.concave_value(phi_values)
-    return params.potential.value(phi_values)
-
-
 def entropy_integral(state, params: ModelParams) -> float:
     tp = TruncationPair.entropy_pair(params.eps)
     vals = tp.entropy(state.phi_a.values)
@@ -67,12 +58,11 @@ def energy(state, params: ModelParams, *, f_density=None) -> float:
     E = int F_eps(phi) + E_eps(phi_a) + |grad phi|^2/2 + |grad n|^2/2
         - chi_phi n phi + |grad c|^2/2 - chi_a phi_a c
 
-    ``f_density`` is regularized_potential_density(params, phi) when the
-    caller already has it.
+    ``f_density`` is params.f_density(phi) when the caller already has it.
     """
     g = state.grid
     if f_density is None:
-        f_density = regularized_potential_density(params, state.phi.values)
+        f_density = params.f_density(state.phi.values)
     e = float(np.sum(f_density)) * g.cell_area
     e += entropy_integral(state, params)
     e += 0.5 * grad_sq_integral(state.phi)
@@ -207,7 +197,7 @@ class DiagnosticsTracker:
             phi_dual = 0.0
         else:
             phi_dual = dual_norm(zero_mean_phi)
-        f_density = regularized_potential_density(params, state.phi.values)
+        f_density = params.f_density(state.phi.values)
 
         return DiagnosticsRecord(
             t=state.t,
@@ -280,14 +270,6 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
     grid = states[0].grid
     if battery is None:
         battery = default_test_battery(grid)
-    if params.singular:
-        reg = YosidaRegularization(params.potential, params.eps)
-
-        def f_prime(phi):
-            return reg.yosida(phi) + params.potential.concave_slope(phi)
-
-    else:
-        f_prime = params.potential.derivative
 
     def pair_with_grad(coef, u_vals, v: ScalarField):
         # int coef grad(u) . grad(v), conservative assembly
@@ -311,6 +293,7 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
         dphia = (phia1 - s0.phi_a.values) / dt
         dn = (n1 - s0.n.values) / dt
         dc = (c1 - s0.c.values) / dt
+        mu_defect = mu1 - params.f_prime(phi1)
 
         res = {name: [] for name in ("phi", "mu", "phi_a", "n", "c")}
         for v in battery:
@@ -321,7 +304,7 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
             w -= float(np.sum(source_phi(params, phi1, n1) * vv)) * grid.cell_area
             res["phi"].append(w)
 
-            w = float(np.sum((mu1 - f_prime(phi1)) * vv)) * grid.cell_area
+            w = float(np.sum(mu_defect * vv)) * grid.cell_area
             w -= pair_with_grad(ones, phi1, v)
             res["mu"].append(w)
 

@@ -5,7 +5,7 @@ arrays.  The Laplacian uses the 5-point stencil closed with mirror ghost
 cells, which makes the boundary fluxes exactly zero and the operator
 symmetric; all summation-by-parts identities the energy diagnostics rely on
 then hold to round-off.  Mobility-weighted divergences are assembled in face
-flux form (arithmetic face means by default) so that their integral vanishes
+flux form (arithmetic face means) so that their integral vanishes
 exactly.  The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
 exactly; its eigenvalues live in one cached table per grid, which the
 Cahn-Hilliard preconditioner shares.  The inverse Neumann Laplacian is an
@@ -141,22 +141,13 @@ def lap_array(v: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return out
 
 
-def div_mob_grad_array(
-    mob: np.ndarray, v: np.ndarray, dx: float, dy: float, face_mean="arithmetic"
-) -> np.ndarray:
-    """div(mob * grad v) in conservative face-flux form, zero boundary flux."""
-    if face_mean == "arithmetic":
-        mx = 0.5 * (mob[1:, :] + mob[:-1, :])
-        my = 0.5 * (mob[:, 1:] + mob[:, :-1])
-    elif face_mean == "harmonic":
-        # degrades gracefully to 0 on degenerate faces
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mx = 2.0 * mob[1:, :] * mob[:-1, :] / (mob[1:, :] + mob[:-1, :])
-            my = 2.0 * mob[:, 1:] * mob[:, :-1] / (mob[:, 1:] + mob[:, :-1])
-        mx = np.nan_to_num(mx, nan=0.0)
-        my = np.nan_to_num(my, nan=0.0)
-    else:
-        raise ValueError(f"unknown face mean {face_mean!r}")
+def div_mob_grad_array(mob: np.ndarray, v: np.ndarray, dx: float, dy: float):
+    """div(mob * grad v) in conservative face-flux form, zero boundary flux.
+
+    Face mobilities are arithmetic means of the two adjacent cells.
+    """
+    mx = 0.5 * (mob[1:, :] + mob[:-1, :])
+    my = 0.5 * (mob[:, 1:] + mob[:, :-1])
     fx = mx * (v[1:, :] - v[:-1, :]) / dx
     fy = my * (v[:, 1:] - v[:, :-1]) / dy
     out = np.zeros_like(v)
@@ -182,12 +173,11 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, lap_array(f.values, f.grid.dx, f.grid.dy))
 
 
-def div_mob_grad(mob: ScalarField, f: ScalarField, face_mean="arithmetic"):
+def div_mob_grad(mob: ScalarField, f: ScalarField):
     if mob.grid != f.grid:
         raise ValueError("mobility and field must share a grid")
     return ScalarField(
-        f.grid,
-        div_mob_grad_array(mob.values, f.values, f.grid.dx, f.grid.dy, face_mean),
+        f.grid, div_mob_grad_array(mob.values, f.values, f.grid.dx, f.grid.dy)
     )
 
 

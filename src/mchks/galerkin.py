@@ -23,7 +23,6 @@ from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow
 from .fields import Grid2D, ScalarField
-from .potentials import YosidaRegularization
 from .regularize import TruncationPair
 from .sources import (
     ModelParams,
@@ -172,18 +171,7 @@ class GalerkinState:
 def mu_coefficients(basis: EigenBasis, params: ModelParams, phi_coeffs):
     """Eliminate the chemical potential: mu_ij = alpha_ij a_ij + <F_eps'(phi), psi>."""
     phi_q = reconstruct(basis, phi_coeffs)
-    return basis.alpha * phi_coeffs + project_values(
-        basis, _f_prime(params, phi_q)
-    )
-
-
-def _f_prime(params: ModelParams, phi_q):
-    if params.singular:
-        reg = YosidaRegularization(params.potential, params.eps)
-        return reg.yosida(phi_q) + params.potential.concave_slope(phi_q)
-    return params.potential.convex_slope(phi_q) + params.potential.concave_slope(
-        phi_q
-    )
+    return basis.alpha * phi_coeffs + project_values(basis, params.f_prime(phi_q))
 
 
 def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
@@ -194,7 +182,7 @@ def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
     n_q = reconstruct(basis, d)
     c_q = reconstruct(basis, e)
 
-    b = basis.alpha * a + project_values(basis, _f_prime(params, phi_q))
+    b = basis.alpha * a + project_values(basis, params.f_prime(phi_q))
 
     mu_x, mu_y = gradient(basis, b)
     n_x, n_y = gradient(basis, d)
@@ -239,13 +227,8 @@ def galerkin_energy(basis: EigenBasis, gstate: GalerkinState, params: ModelParam
     phia_q = reconstruct(basis, gstate.phi_a)
     n_q = reconstruct(basis, gstate.n)
     c_q = reconstruct(basis, gstate.c)
-    if params.singular:
-        reg = YosidaRegularization(params.potential, params.eps)
-        f_density = reg.envelope(phi_q) + params.potential.concave_value(phi_q)
-    else:
-        f_density = params.potential.value(phi_q)
     tp = TruncationPair.entropy_pair(params.eps)
-    e = float(np.sum(f_density + tp.entropy(phia_q))) * w
+    e = float(np.sum(params.f_density(phi_q) + tp.entropy(phia_q))) * w
     for coeffs in (gstate.phi, gstate.n, gstate.c):
         gx, gy = gradient(basis, coeffs)
         e += 0.5 * float(np.sum(gx * gx + gy * gy)) * w

@@ -10,8 +10,10 @@ where the convex part may be singular (finite only on a bounded interval) and
 the perturbation always has a Lipschitz derivative.  The implicit phase-field
 solver never evaluates the singular slope directly; it goes through the
 Yosida approximation of the convex slope, which is Lipschitz on the whole
-line.  ``YosidaRegularization`` provides the resolvent, the Yosida
-approximation and the Moreau envelope for all four variants.
+line.  Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
+the slope of its Yosida approximation (the graph corners of the obstacle and
+single-well variants included); ``YosidaRegularization`` builds the Yosida
+approximation, its derivative and the Moreau envelope on top of them.
 """
 
 from __future__ import annotations
@@ -121,6 +123,23 @@ class Potential:
         """Lipschitz constant of the perturbation slope (for stabilized splits)."""
         raise NotImplementedError
 
+    def convex_slope_and_curvature(self, r):
+        return self.convex_slope(r), self.convex_curvature(r)
+
+    def resolvent(self, r, eps):
+        """J(r) = (I + eps * convex slope)^-1 (r), elementwise on an array."""
+        raise NotImplementedError
+
+    def yosida_slope(self, r, j, eps):
+        """Derivative of the Yosida approximation at r, given j = J(r).
+
+        Where the curvature at j overflows, the slope takes its cap 1/eps.
+        """
+        curv = self.convex_curvature(j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = curv / (1.0 + eps * curv)
+        return np.where(np.isfinite(out), out, 1.0 / eps)
+
 
 @dataclass(frozen=True)
 class RegularQuartic(Potential):
@@ -172,6 +191,27 @@ class RegularQuartic(Potential):
 
     def perturbation_lipschitz(self):
         return 0.25 * self.c3
+
+    def resolvent(self, r, eps):
+        # Smooth monotone slope on the whole line: g(x) = x + eps*slope(x) - r
+        # has g' >= 1, bracketed by [min(0,r), max(0,r)].  Safeguarded Newton.
+        lo = np.minimum(0.0, r)
+        hi = np.maximum(0.0, r)
+        x = r.copy()
+        for _ in range(_RESOLVENT_MAXIT):
+            g = x + eps * self.convex_slope(x) - r
+            done = np.abs(g) <= _RESOLVENT_TOL
+            if done.all():
+                break
+            hi = np.where(g > 0.0, x, hi)
+            lo = np.where(g < 0.0, x, lo)
+            step = g / (1.0 + eps * self.convex_curvature(x))
+            cand = x - step
+            bad = (cand < lo) | (cand > hi) | ~np.isfinite(cand)
+            x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), cand))
+        else:
+            raise ConvergenceError("quartic resolvent stalled")
+        return x
 
 
 @dataclass(frozen=True)
@@ -238,6 +278,39 @@ class FloryHuggins(Potential):
     def perturbation_lipschitz(self):
         return self.c2
 
+    def resolvent(self, r, eps):
+        # Solve in logit coordinates: with u = log(x/(1-x)) the inclusion
+        # becomes sigmoid(u) + a u = r, a = eps*c1/2, whose left side has
+        # derivative bounded below by a.  Safeguarded Newton on a bracket:
+        # bisect where the Newton candidate leaves the bracket, and where
+        # |g| did not halve since the previous iterate (Newton swinging
+        # between the two flat tails of the sigmoid).
+        a = 0.5 * eps * self.c1
+        lo = (r - 1.0) / a
+        hi = r / a
+        u = 0.5 * (lo + hi)
+        g_prev = np.full(r.shape, np.inf)
+        for _ in range(_RESOLVENT_MAXIT):
+            x = expit(u)
+            g = x + a * u - r
+            done = np.abs(g) <= _RESOLVENT_TOL
+            if done.all():
+                break
+            hi = np.where(g > 0.0, u, hi)
+            lo = np.where(g < 0.0, u, lo)
+            step = g / (x * (1.0 - x) + a)
+            cand = u - step
+            bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
+            bad |= np.abs(g) > 0.5 * g_prev
+            g_prev = np.abs(g)
+            u = np.where(done, u, np.where(bad, 0.5 * (lo + hi), cand))
+        else:
+            raise ConvergenceError(
+                f"Flory-Huggins resolvent stalled, worst residual "
+                f"{np.abs(expit(u) + a * u - r).max():.3e}"
+            )
+        return expit(u)
+
 
 @dataclass(frozen=True)
 class DoubleObstacle(Potential):
@@ -292,6 +365,13 @@ class DoubleObstacle(Potential):
 
     def perturbation_lipschitz(self):
         return 2.0 * self.c3
+
+    def resolvent(self, r, eps):
+        # Yosida resolvent of the indicator subdifferential = projection.
+        return np.clip(r, 0.0, 1.0)
+
+    def yosida_slope(self, r, j, eps):
+        return np.where((r < 0.0) | (r > 1.0), 1.0 / eps, 0.0)
 
 
 @dataclass(frozen=True)
@@ -382,6 +462,19 @@ class SingleWellLJ(Potential):
     def perturbation_lipschitz(self):
         return 2.0 + self._b
 
+    def resolvent(self, r, eps):
+        # Closed form: x + eps*b/(1-x) = r reduces to a quadratic in 1-x;
+        # below the graph corner eps*b the resolvent sticks at 0.
+        b = self._b
+        t = r - 1.0
+        disc = np.sqrt(t * t + 4.0 * eps * b)
+        v = np.where(t < 0.0, 0.5 * (disc - t), 2.0 * eps * b / (t + disc))
+        return np.where(r <= eps * b, 0.0, 1.0 - v)
+
+    def yosida_slope(self, r, j, eps):
+        curv = self.convex_curvature(j)
+        return np.where(j <= 0.0, 1.0 / eps, curv / (1.0 + eps * curv))
+
 
 @dataclass(frozen=True)
 class YosidaRegularization:
@@ -393,6 +486,10 @@ class YosidaRegularization:
     the envelope is evaluated through the identity
 
         envelope(r) = eps/2 * yosida(r)^2 + convex_value(J(r)).
+
+    The potential supplies J (``Potential.resolvent``) and the derivative
+    of the Yosida approximation (``Potential.yosida_slope``); every solve
+    goes through ``resolvent`` here.
     """
 
     potential: Potential
@@ -405,8 +502,7 @@ class YosidaRegularization:
     def resolvent(self, r):
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        flat = np.atleast_1d(r).ravel().astype(float)
-        out = self._resolvent_flat(flat).reshape(np.atleast_1d(r).shape)
+        out = self.potential.resolvent(np.atleast_1d(r), self.eps)
         return _as_float(out[0] if scalar else out, scalar)
 
     def yosida(self, r):
@@ -418,23 +514,19 @@ class YosidaRegularization:
 
     def yosida_derivative(self, r):
         """Derivative of the Yosida approximation (piecewise for graph corners)."""
-        pot, eps = self.potential, self.eps
+        return self.slope_and_curvature(r)[1]
+
+    def slope_and_curvature(self, r):
+        """(yosida(r), yosida_derivative(r)) from one resolvent solve."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         rr = np.atleast_1d(r)
-        if isinstance(pot, DoubleObstacle):
-            out = np.where((rr < 0.0) | (rr > 1.0), 1.0 / eps, 0.0)
-        elif isinstance(pot, SingleWellLJ):
-            j = np.atleast_1d(self.resolvent(rr))
-            curv = pot.convex_curvature(j)
-            out = np.where(j <= 0.0, 1.0 / eps, curv / (1.0 + eps * curv))
-        else:
-            j = np.atleast_1d(self.resolvent(rr))
-            curv = pot.convex_curvature(j)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = curv / (1.0 + eps * curv)
-            out = np.where(np.isfinite(out), out, 1.0 / eps)
-        return _as_float(out[0] if scalar else out, scalar)
+        j = np.atleast_1d(self.resolvent(rr))
+        slope = (rr - j) / self.eps
+        curv = self.potential.yosida_slope(rr, j, self.eps)
+        if scalar:
+            return float(slope[0]), float(curv[0])
+        return slope, curv
 
     def envelope(self, r):
         r = np.asarray(r, dtype=float)
@@ -444,80 +536,6 @@ class YosidaRegularization:
         y = (rr - j) / self.eps
         out = 0.5 * self.eps * y * y + self.potential.convex_value(j)
         return _as_float(out[0] if scalar else out, scalar)
-
-    # -- per-variant resolvent solves ------------------------------------
-
-    def _resolvent_flat(self, r):
-        pot, eps = self.potential, self.eps
-        if isinstance(pot, DoubleObstacle):
-            # Yosida resolvent of the indicator subdifferential = projection.
-            return np.clip(r, 0.0, 1.0)
-        if isinstance(pot, SingleWellLJ):
-            return self._resolvent_lj(r)
-        if isinstance(pot, FloryHuggins):
-            return self._resolvent_fh(r)
-        if isinstance(pot, RegularQuartic):
-            return self._resolvent_newton(r)
-        raise TypeError(f"unsupported potential {type(pot).__name__}")
-
-    def _resolvent_lj(self, r):
-        # Closed form: x + eps*b/(1-x) = r reduces to a quadratic in 1-x;
-        # below the graph corner eps*b the resolvent sticks at 0.
-        eps, b = self.eps, self.potential._b
-        t = r - 1.0
-        disc = np.sqrt(t * t + 4.0 * eps * b)
-        v = np.where(t < 0.0, 0.5 * (disc - t), 2.0 * eps * b / (t + disc))
-        return np.where(r <= eps * b, 0.0, 1.0 - v)
-
-    def _resolvent_fh(self, r):
-        # Solve in logit coordinates: with u = log(x/(1-x)) the inclusion
-        # becomes sigmoid(u) + a u = r, a = eps*c1/2, whose left side has
-        # derivative bounded below by a.  Safeguarded Newton on a bracket.
-        a = 0.5 * self.eps * self.potential.c1
-        lo = (r - 1.0) / a
-        hi = r / a
-        u = 0.5 * (lo + hi)
-        done = np.zeros(r.shape, dtype=bool)
-        for _ in range(_RESOLVENT_MAXIT):
-            x = expit(u)
-            g = x + a * u - r
-            done = np.abs(g) <= _RESOLVENT_TOL
-            if done.all():
-                break
-            hi = np.where(g > 0.0, u, hi)
-            lo = np.where(g < 0.0, u, lo)
-            step = g / (x * (1.0 - x) + a)
-            cand = u - step
-            bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-            u = np.where(done, u, np.where(bad, 0.5 * (lo + hi), cand))
-        else:
-            raise ConvergenceError(
-                f"Flory-Huggins resolvent stalled, worst residual "
-                f"{np.abs(expit(u) + a * u - r).max():.3e}"
-            )
-        return expit(u)
-
-    def _resolvent_newton(self, r):
-        # Smooth monotone slope on the whole line (quartic variant):
-        # g(x) = x + eps*slope(x) - r has g' >= 1, bracketed by [min(0,r), max(0,r)].
-        pot, eps = self.potential, self.eps
-        lo = np.minimum(0.0, r)
-        hi = np.maximum(0.0, r)
-        x = r.copy()
-        for _ in range(_RESOLVENT_MAXIT):
-            g = x + eps * pot.convex_slope(x) - r
-            done = np.abs(g) <= _RESOLVENT_TOL
-            if done.all():
-                break
-            hi = np.where(g > 0.0, x, hi)
-            lo = np.where(g < 0.0, x, lo)
-            step = g / (1.0 + eps * pot.convex_curvature(x))
-            cand = x - step
-            bad = (cand < lo) | (cand > hi) | ~np.isfinite(cand)
-            x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), cand))
-        else:
-            raise ConvergenceError("quartic resolvent stalled")
-        return x
 
 
 def growth_constant(potential, lo=-10.0, hi=10.0, n=20001):

@@ -12,7 +12,10 @@ One time step advances the five fields in four substeps:
 4. the Cahn-Hilliard pair (phi, mu): coupled Newton solve with the convex
    part of the potential implicit (through its Yosida approximation in
    singular mode) and the concave perturbation explicit, optionally
-   stabilized.
+   stabilized.  Each Newton iterate evaluates the convex part once
+   (``ModelParams.convex_slope_and_curvature``): the residual, the Jacobian
+   and the new chemical potential share that evaluation, so a step with k
+   Newton iterations solves the resolvent k + 1 times.
 
 Each substep is an implicit (proximal) step of the shared free energy in its
 own variable with the others frozen at their most recent values, so with the
@@ -43,7 +46,6 @@ from .fields import (
     lap_array,
     neumann_eigenvalues,
 )
-from .potentials import YosidaRegularization
 from .sources import (
     ModelParams,
     h,
@@ -107,31 +109,18 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max: int = 50
     linear_tol: float = 1e-10
-    mode: str = "auto"  # smooth | singular | auto (derived from the potential)
     stabilization: float = 0.0
     sources_off: bool = False  # disables the n and c reaction sources
     linear_solver: str = "krylov"  # krylov | direct (Cahn-Hilliard block)
-    face_mean: str = "arithmetic"
     forcing: Forcing | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.mode not in ("auto", "smooth", "singular"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.linear_solver not in ("krylov", "direct"):
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.stabilization < 0:
             raise ValueError("stabilization must be nonnegative")
-
-    def resolved_mode(self, params: ModelParams) -> str:
-        derived = "singular" if params.singular else "smooth"
-        if self.mode != "auto" and self.mode != derived:
-            raise ValueError(
-                f"config mode {self.mode!r} conflicts with the "
-                f"{derived} potential"
-            )
-        return derived
 
 
 @dataclass
@@ -198,11 +187,6 @@ def _clamp_pair(eps):
     return eps, 1.0 / eps
 
 
-@lru_cache(maxsize=8)
-def _yosida_cached(potential, eps):
-    return YosidaRegularization(potential, eps)
-
-
 def _helmholtz_solve(grid, diag_coef, rhs, rel_tol):
     """CG solve of (diag_coef - lap) u = rhs; diag_coef > 0 cellwise."""
 
@@ -219,8 +203,6 @@ def _helmholtz_solve(grid, diag_coef, rhs, rel_tol):
 def step(state: State, params: ModelParams, cfg: SolverConfig):
     """Advance the state by one time step; returns (new_state, report)."""
     t0 = time.perf_counter()
-    mode = cfg.resolved_mode(params)
-    singular = mode == "singular"
     grid = state.grid
     dt = cfg.dt
     t_new = state.t + dt
@@ -245,7 +227,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     # 1. nutrient --------------------------------------------------------
     g_n = forcing.eval("n", grid, t_new)
-    if singular:
+    if params.singular:
         growth = 1.0 - h_phi_o + phia_pos_o
         phi_pos_o = positive_part(phi_o)
         if cfg.sources_off:
@@ -279,7 +261,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     g_a = forcing.eval("phi_a", grid, t_new)
     lo, hi = _clamp_pair(params.eps)
     chem_coef = np.clip(phia_o, lo, hi) * mob_n_o
-    chem = div_mob_grad_array(chem_coef, c_new, grid.dx, grid.dy, cfg.face_mean)
+    chem = div_mob_grad_array(chem_coef, c_new, grid.dx, grid.dy)
     theta_o = theta(params, phi_o, c_o)
     decay = theta_o * (params.kappa_inf * phia_pos_o - params.kappa0)
 
@@ -287,7 +269,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         return (
             v / dt
             + decay * v
-            - div_mob_grad_array(mob_n_o, v, grid.dx, grid.dy, cfg.face_mean)
+            - div_mob_grad_array(mob_n_o, v, grid.dx, grid.dy)
         )
 
     rhs_a = phia_o / dt - params.chi_a * chem + g_a
@@ -302,53 +284,36 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     )
     pi_o = params.potential.concave_slope(phi_o)
     s = cfg.stabilization
-
-    if singular:
-        reg = _yosida_cached(params.potential, params.eps)
-        convex_slope = reg.yosida
-        convex_curv = reg.yosida_derivative
-    else:
-        convex_slope = params.potential.convex_slope
-        convex_curv = params.potential.convex_curvature
-
     chi_n_term = params.chi_phi * n_new
 
-    def chemical_potential(phi):
-        return (
-            -lap_array(phi, grid.dx, grid.dy)
-            + convex_slope(phi)
-            + s * (phi - phi_o)
-            + pi_o
-        )
-
     def residual(phi):
-        mu = chemical_potential(phi)
-        return (
+        """(residual, chemical potential, convex curvature) at phi."""
+        slope, curv = params.convex_slope_and_curvature(phi)
+        mu = -lap_array(phi, grid.dx, grid.dy) + slope + s * (phi - phi_o) + pi_o
+        res = (
             (phi - phi_o) / dt
-            - div_mob_grad_array(
-                mob_m_o, mu - chi_n_term, grid.dx, grid.dy, cfg.face_mean
-            )
+            - div_mob_grad_array(mob_m_o, mu - chi_n_term, grid.dx, grid.dy)
             - prolif
             + params.m * phi
             - g_phi
         )
+        return res, mu, curv
 
     phi = phi_o.copy()
     scale = max(1.0, float(np.sqrt(np.mean((phi_o / dt) ** 2))))
     newton_ok = False
-    res = residual(phi)
+    res, mu_new, curv = residual(phi)
     for it in range(1, cfg.newton_max + 1):
         rms = float(np.sqrt(np.mean(res**2)))
         if rms <= cfg.newton_tol * scale:
             newton_ok = True
             report.newton_iters = it - 1
             break
-        curv = convex_curv(phi) + s
         delta = _solve_ch_jacobian(
-            grid, mob_m_o, curv, 1.0 / dt + params.m, -res, cfg, report, t_new
+            grid, mob_m_o, curv + s, 1.0 / dt + params.m, -res, cfg, report, t_new
         )
         phi = phi + delta
-        res = residual(phi)
+        res, mu_new, curv = residual(phi)
     else:
         rms = float(np.sqrt(np.mean(res**2)))
         if rms <= cfg.newton_tol * scale:
@@ -361,7 +326,6 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             f"residual {report.newton_residual:.3e}",
             residual=report.newton_residual,
         )
-    mu_new = chemical_potential(phi)
 
     report.dt_explicit_lipschitz = dt * (
         params.potential.perturbation_lipschitz()
@@ -407,9 +371,7 @@ def _solve_ch_jacobian(grid, mob, curv, diag0, rhs, cfg, report, t):
     def apply_j(v):
         v2 = np.asarray(v, dtype=float).reshape(grid.nx, grid.ny)
         inner = -lap_array(v2, grid.dx, grid.dy) + curv * v2
-        out = diag0 * v2 - div_mob_grad_array(
-            mob, inner, grid.dx, grid.dy, cfg.face_mean
-        )
+        out = diag0 * v2 - div_mob_grad_array(mob, inner, grid.dx, grid.dy)
         return out.ravel()
 
     def apply_pinv(v):
@@ -504,12 +466,12 @@ def initialize_mu(state: State, params: ModelParams) -> State:
     """Fill mu from phi via the regularized chemical potential relation."""
     grid = state.grid
     phi = state.phi.values
-    if params.singular:
-        reg = _yosida_cached(params.potential, params.eps)
-        slope = reg.yosida(phi)
-    else:
-        slope = params.potential.convex_slope(phi)
-    mu = -lap_array(phi, grid.dx, grid.dy) + slope + params.potential.concave_slope(phi)
+    # (-lap + convex) + concave, the summation order the step uses
+    mu = (
+        -lap_array(phi, grid.dx, grid.dy)
+        + params.convex_slope(phi)
+        + params.potential.concave_slope(phi)
+    )
     return replace(state, mu=ScalarField(grid, mu))
 
 
@@ -525,7 +487,6 @@ def run(
     validate_initial_data(initial, params)
     state = initialize_mu(initial.copy(), params)
     tracker = diagnostics.DiagnosticsTracker(params, state)
-    cfg.resolved_mode(params)  # validate mode/potential agreement up front
 
     records = [tracker.observe(state, cfg.dt)]
     states = [state.copy()] if keep_states else []

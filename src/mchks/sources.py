@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BoundsViolation, ValidationError
-from .potentials import FloryHuggins, Potential
+from .potentials import FloryHuggins, Potential, YosidaRegularization
 
 
 def h(r):
@@ -127,6 +129,14 @@ class EndothelialProduct:
 # ---------------------------------------------------------------- params
 
 
+class ConvexPart(NamedTuple):
+    """Slope, (slope, curvature) and density of the convex part in use."""
+
+    slope: Callable
+    slope_and_curvature: Callable
+    density: Callable
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Adimensional model constants plus the potential and mobility laws.
@@ -134,7 +144,10 @@ class ModelParams:
     The smooth/singular mode of the whole scheme is derived from the
     potential variant.  Chemotaxis sensitivities must satisfy chi_a in (0,1)
     always, and chi_phi in (0,1) in the singular mode (chi_phi >= 0 suffices
-    for a smooth potential).
+    for a smooth potential).  The solver, the diagnostics and the spectral
+    oracle evaluate the convex part only through ``convex_slope``,
+    ``convex_slope_and_curvature``, ``f_prime`` and ``f_density``, which
+    all read ``convex_part``.
     """
 
     chi_phi: float = 0.01
@@ -176,6 +189,36 @@ class ModelParams:
     @property
     def singular(self) -> bool:
         return self.potential.singular
+
+    @cached_property
+    def convex_part(self) -> ConvexPart:
+        """The convex part the scheme evaluates: the Moreau-Yosida
+        regularization of a singular potential, the exact convex part of a
+        smooth one."""
+        if self.singular:
+            reg = YosidaRegularization(self.potential, self.eps)
+            return ConvexPart(reg.yosida, reg.slope_and_curvature, reg.envelope)
+        pot = self.potential
+        return ConvexPart(
+            pot.convex_slope, pot.convex_slope_and_curvature, pot.convex_value
+        )
+
+    def convex_slope(self, phi):
+        return self.convex_part.slope(phi)
+
+    def convex_slope_and_curvature(self, phi):
+        """Convex slope and its derivative from one evaluation (one resolvent
+        solve in singular mode)."""
+        return self.convex_part.slope_and_curvature(phi)
+
+    def f_prime(self, phi):
+        """Regularized F'(phi): convex slope in use plus perturbation slope."""
+        return self.convex_part.slope(phi) + self.potential.concave_slope(phi)
+
+    def f_density(self, phi):
+        """Pointwise regularized potential F_eps(phi) (Moreau envelope of the
+        convex part in singular mode) plus the perturbation."""
+        return self.convex_part.density(phi) + self.potential.concave_value(phi)
 
     @property
     def wide_clamp(self):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mchks
 from mchks.cli import (
     CSV_COLUMNS,
     band_limited_initial,
@@ -81,6 +87,31 @@ def test_single_well_round_trip():
     assert pot.r_star == 0.7 and pot.kappa == 0.2
     again = parse_config(serialize_config(config))
     assert again.params.potential == pot
+
+
+@pytest.mark.parametrize(
+    "mobilities",
+    ["", "mobility_m = kozeny_carman\nmobility_n = endothelial\n"],
+    ids=["constant", "kozeny_carman-endothelial"],
+)
+@pytest.mark.parametrize(
+    "potential", ["quartic", "flory_huggins", "double_obstacle", "single_well"]
+)
+def test_manifest_round_trip(potential, mobilities):
+    config = parse_config(
+        f"[params]\npotential = {potential}\nc3 = 2.5\n{mobilities}"
+        "[solver]\ndt = 2e-3\nsources_off = true\n"
+        "[initial]\npreset = uniform\nphi0 = 0.3\n",
+        overrides=["grid.lx=3.3", "output.snapshot_every=7"],
+    )
+    text = serialize_config(config)
+    again = parse_config(text)
+    assert again.grid == config.grid
+    assert again.params == config.params
+    assert again.solver == config.solver
+    assert again.initial == config.initial
+    assert again.output == config.output
+    assert serialize_config(again) == text
 
 
 def test_overrides():
@@ -179,6 +210,31 @@ def test_run_determinism_bitwise(tmp_path):
         assert main(["run", "-c", str(cfg_path)]) == 0
         csvs.append((out_dir / "diagnostics.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_run_spheroid_script_writes_snapshots(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_spheroid.py"
+    out_dir = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(mchks.__file__).resolve().parents[1]),
+         env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out", str(out_dir),
+         "--set", "grid.nx=8", "--set", "grid.ny=8",
+         "--set", "solver.dt=1e-2", "--set", "solver.t_end=0.1"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert "separation margin" in proc.stdout
+    csv_lines = (out_dir / "diagnostics.csv").read_text().splitlines()
+    assert len(csv_lines) == 12  # header + t=0 + 10 steps
+    manifest = parse_config((out_dir / "manifest.txt").read_text())
+    assert manifest.output["dir"] == str(out_dir)
+    assert manifest.output["snapshot_every"] == 1
+    _, name, t = read_snapshot(out_dir / "snap_00000010_phi.bin")
+    assert name == "phi"
+    assert t == pytest.approx(0.1)
 
 
 def test_verify_subcommand():

@@ -243,8 +243,7 @@ def test_tracker_running_extremes_and_h():
     assert rec.entropy >= 0.0
     assert rec.phi_dual_norm >= 0.0
     assert rec.f_integral == pytest.approx(
-        float(np.sum(diagnostics.regularized_potential_density(
-            FH, st.phi.values))) * grid.cell_area)
+        float(np.sum(FH.f_density(st.phi.values))) * grid.cell_area)
 
 
 def test_separation_margins_monitor():

@@ -100,14 +100,6 @@ def test_div_mob_grad_adjointness():
     )
 
 
-def test_harmonic_face_mean_handles_degenerate_cells():
-    vals = np.ones((GRID.nx, GRID.ny))
-    vals[3, 4] = 0.0
-    mob = ScalarField(GRID, vals)
-    out = div_mob_grad(mob, random_field(GRID, 11), face_mean="harmonic")
-    assert np.all(np.isfinite(out.values))
-
-
 def test_mean_and_integral():
     f = ScalarField.constant(GRID, 2.5)
     assert mean(f) == pytest.approx(2.5)

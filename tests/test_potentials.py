@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from mchks.errors import DomainError
 from mchks.potentials import (
@@ -293,6 +294,36 @@ def test_yosida_envelope_bound_constant_is_finite():
             c_fit = np.max(eps * np.abs(reg.yosida(r)) / (reg.envelope(r) + 1.0))
             assert np.isfinite(c_fit)
             assert c_fit <= 10.0
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("pot", ALL_VARIANTS, ids=lambda p: type(p).__name__)
+def test_slope_and_curvature_matches_separate_calls(pot, eps):
+    reg = YosidaRegularization(pot, eps=eps)
+    r = np.linspace(-2.0, 3.0, 2001)
+    slope, curv = reg.slope_and_curvature(r)
+    assert np.array_equal(slope, reg.yosida(r))
+    assert np.array_equal(curv, reg.yosida_derivative(r))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.02, 0.01, 1e-3])
+def test_flory_huggins_resolvent_converges_on_dense_sweep(eps):
+    # Plain Newton in logit coordinates swings between the flat tails of the
+    # sigmoid at some of these points; every one must converge.
+    pot = FloryHuggins(c1=1.0, c2=3.0)
+    r = np.linspace(-0.5, 1.5, 400001)
+    j = YosidaRegularization(pot, eps=eps).resolvent(r)
+    assert np.all((j >= 0.0) & (j <= 1.0))
+    # bisection reference on sigmoid(u) + a u = r, to round-off
+    a = 0.5 * eps * pot.c1
+    rs = r[::10]
+    lo, hi = (rs - 1.0) / a, rs / a
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        above = expit(mid) + a * mid - rs > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    assert np.max(np.abs(j[::10] - expit(0.5 * (lo + hi)))) <= 1e-11
 
 
 # ------------------------------------------------------ property sampling

@@ -6,7 +6,7 @@ from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
 from mchks.errors import InitialDataError
 from mchks.fields import Grid2D, ScalarField, integrate
-from mchks.potentials import FloryHuggins, RegularQuartic
+from mchks.potentials import FloryHuggins, RegularQuartic, YosidaRegularization
 from mchks.solver import (
     SolverConfig,
     State,
@@ -204,10 +204,19 @@ def test_run_rejects_fractional_step_count():
         run(st, FH, SolverConfig(dt=3e-3, t_end=1e-2))
 
 
-def test_mode_mismatch_rejected():
-    cfg = SolverConfig(dt=1e-3, t_end=1e-3, mode="smooth")
-    with pytest.raises(ValueError):
-        cfg.resolved_mode(FH)
+def test_step_solves_resolvent_once_per_newton_iterate(monkeypatch):
+    calls = []
+    resolvent = YosidaRegularization.resolvent
+
+    def counted(self, r):
+        calls.append(np.shape(r))
+        return resolvent(self, r)
+
+    monkeypatch.setattr(YosidaRegularization, "resolvent", counted)
+    st0 = spheroid_state(Grid2D(16, 16, 12.8, 12.8))
+    _, report = step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
+    assert report.newton_iters >= 2
+    assert len(calls) == report.newton_iters + 1
 
 
 def test_run_determinism():
