@@ -15,7 +15,7 @@ import numpy as np
 from mchks.fields import Grid2D, ScalarField
 from mchks.galerkin import (
     EigenBasis,
-    evaluate_on_grid,
+    cross_errors,
     initial_galerkin_state,
     integrate_galerkin,
 )
@@ -70,12 +70,7 @@ def main():
         basis = EigenBasis(L, L, k)
         g0 = initial_galerkin_state(basis, params, ic)
         gs = integrate_galerkin(g0, params, basis, args.t_end)[-1]
-        errs = []
-        for name, coeffs in (("phi", gs.phi), ("phi_a", gs.phi_a),
-                             ("n", gs.n), ("c", gs.c)):
-            spec = evaluate_on_grid(basis, coeffs, grid)
-            errs.append(np.sqrt(np.mean(
-                (getattr(fd, name).values - spec.values) ** 2)))
+        errs = list(cross_errors(fd, gs, basis).values())
         print(f"{nx:4d} {k:3d} {dt:9.1e} "
               + " ".join(f"{e:10.3e}" for e in errs)
               + f" {time.perf_counter() - tic:8.1f}")

@@ -11,6 +11,7 @@ override config keys, so a config plus a seed fully determines a run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -23,6 +24,7 @@ from .errors import ParseError, ValidationError
 from .fields import Grid2D, ScalarField, write_snapshot
 from .galerkin import (
     EigenBasis,
+    cross_errors,
     evaluate_on_grid,
     initial_galerkin_state,
     integrate_galerkin,
@@ -36,8 +38,21 @@ from .potentials import (
 from .solver import RunSinks, SolverConfig, State, run
 from .sources import ConstantMobility, EndothelialProduct, KozenyCarman, ModelParams
 
-# schema: section -> key -> (type, default); chemotaxis defaults follow the
-# parameter-regime magnitudes 0.01 and 0.001
+
+def _scalar_fields(cls):
+    """Schema entries (type, default) of a config dataclass's scalar fields,
+    in field order; fields without a scalar default are left out."""
+    return {
+        f.name: (type(f.default), f.default)
+        for f in dataclasses.fields(cls)
+        if isinstance(f.default, (bool, int, float, str))
+    }
+
+
+_PARAM_SCALARS = _scalar_fields(ModelParams)
+
+# schema: section -> key -> (type, default); the scalar model and solver
+# defaults live on ModelParams and SolverConfig
 _SCHEMA = {
     "grid": {
         "nx": (int, 64),
@@ -46,15 +61,7 @@ _SCHEMA = {
         "ly": (float, 12.8),
     },
     "params": {
-        "chi_phi": (float, 0.01),
-        "chi_a": (float, 0.001),
-        "m": (float, 0.5),
-        "kappa0": (float, 1.0),
-        "kappa_inf": (float, 1.0),
-        "zeta": (float, 0.1),
-        "delta_n": (float, 0.2),
-        "delta_a": (float, 0.1),
-        "eps": (float, 1e-3),
+        **_PARAM_SCALARS,
         "potential": (str, "flory_huggins"),
         "c1": (float, 1.0),
         "c2": (float, 3.0),
@@ -70,16 +77,7 @@ _SCHEMA = {
         "mobility_n_m0": (float, 0.5),
         "mobility_n_mup": (float, 1.0),
     },
-    "solver": {
-        "dt": (float, 1e-3),
-        "t_end": (float, 1.0),
-        "newton_tol": (float, 1e-10),
-        "newton_max": (int, 50),
-        "linear_tol": (float, 1e-10),
-        "stabilization": (float, 0.0),
-        "sources_off": (bool, False),
-        "linear_solver": (str, "krylov"),
-    },
+    "solver": _scalar_fields(SolverConfig),
     "initial": {
         "preset": (str, "spheroid"),
         "phi0": (float, 0.3),
@@ -204,32 +202,14 @@ def _build_config(values) -> RunConfig:
     except ValueError as exc:
         raise ValidationError(str(exc))
     params = ModelParams(
-        chi_phi=p["chi_phi"],
-        chi_a=p["chi_a"],
-        m=p["m"],
-        kappa0=p["kappa0"],
-        kappa_inf=p["kappa_inf"],
-        zeta=p["zeta"],
-        delta_n=p["delta_n"],
-        delta_a=p["delta_a"],
-        eps=p["eps"],
+        **{key: p[key] for key in _PARAM_SCALARS},
         potential=potential,
         mobility_m=mobility_m,
         mobility_n=mobility_n,
     )
 
-    s = values["solver"]
     try:
-        solver = SolverConfig(
-            dt=s["dt"],
-            t_end=s["t_end"],
-            newton_tol=s["newton_tol"],
-            newton_max=s["newton_max"],
-            linear_tol=s["linear_tol"],
-            stabilization=s["stabilization"],
-            sources_off=s["sources_off"],
-            linear_solver=s["linear_solver"],
-        )
+        solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         raise ValidationError(str(exc))
 
@@ -495,11 +475,7 @@ def cmd_compare(args) -> int:
     gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]
 
     worst = 0.0
-    for name, coeffs in (("phi", gs.phi), ("phi_a", gs.phi_a), ("n", gs.n),
-                         ("c", gs.c)):
-        spec_field = evaluate_on_grid(basis, coeffs, config.grid)
-        diff = getattr(fd, name).values - spec_field.values
-        err = float(np.sqrt(np.mean(diff**2)))
+    for name, err in cross_errors(fd, gs, basis).items():
         print(f"cross-error {name}: {err:.6e}")
         worst = max(worst, err)
     print(f"cross-error max: {worst:.6e} (threshold {args.threshold:.3e})")

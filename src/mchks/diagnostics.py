@@ -28,17 +28,7 @@ from .fields import (
     mean,
     norm_l2,
 )
-from .regularize import TruncationPair
-from .sources import (
-    ModelParams,
-    positive_part,
-    p_switch,
-    proliferation,
-    source_c,
-    source_n,
-    source_phi,
-    source_phi_a,
-)
+from .sources import ModelParams, proliferation, reaction_rates
 
 # Confinement tolerances: c and n are exact M-matrix solves, phi_a only
 # satisfies an eps-scaled bound on its negative part.
@@ -47,8 +37,7 @@ PHIA_NEG_TOL_PER_EPS = 1e-5
 
 
 def entropy_integral(state, params: ModelParams) -> float:
-    tp = TruncationPair.entropy_pair(params.eps)
-    vals = tp.entropy(state.phi_a.values)
+    vals = params.truncation.entropy(state.phi_a.values)
     return float(np.sum(vals)) * state.grid.cell_area
 
 
@@ -253,13 +242,16 @@ def default_test_battery(grid):
 def weak_residual(states, params: ModelParams, dt: float, battery=None):
     """Weak-formulation residuals over a window of consecutive states.
 
-    For each pair of consecutive states the five weak forms (phi evolution,
-    chemical potential relation, endothelial evolution, nutrient, signal)
-    are assembled against the test battery with a backward difference
-    quotient in time and all nonlinearities at the new state.  Gradient
-    pairings are assembled in the same conservative face form as the
-    solver's operators, so the reported defect measures the time-stepping
-    and lagging error, which is O(dt) on smooth runs.
+    For each pair of consecutive states each of the five equations (phi
+    evolution, chemical potential relation, endothelial evolution, nutrient,
+    signal) is assembled once in strong form, with a backward difference
+    quotient in time and all nonlinearities at the new state, and paired
+    with the whole test battery in one product.  The phi_a equation carries
+    the truncated flux chi_a T_eps(phi_a) b_n grad c of the step and the
+    spectral oracle; the reaction terms come from ``reaction_rates``.
+    Divergences use the solver's conservative face form, so the reported
+    defect measures the time-stepping and lagging error, O(dt) on smooth
+    runs.
 
     Returns a dict mapping equation names to (battery-size,) arrays of
     residuals for the last pair, plus "max" with the overall maximum over
@@ -270,11 +262,10 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
     grid = states[0].grid
     if battery is None:
         battery = default_test_battery(grid)
+    tests = np.stack([v.values.ravel() for v in battery]) * grid.cell_area
 
-    def pair_with_grad(coef, u_vals, v: ScalarField):
-        # int coef grad(u) . grad(v), conservative assembly
-        flux = div_mob_grad_array(coef, u_vals, grid.dx, grid.dy)
-        return -float(np.sum(flux * v.values)) * grid.cell_area
+    def div(coef, u):
+        return div_mob_grad_array(coef, u, grid.dx, grid.dy)
 
     overall = 0.0
     out = {}
@@ -289,68 +280,23 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
             np.asarray(params.mobility_n(phia1, c1), dtype=float), phi1.shape
         )
         ones = np.ones_like(phi1)
-        dphi = (phi1 - s0.phi.values) / dt
-        dphia = (phia1 - s0.phi_a.values) / dt
-        dn = (n1 - s0.n.values) / dt
-        dc = (c1 - s0.c.values) / dt
-        mu_defect = mu1 - params.f_prime(phi1)
-
-        res = {name: [] for name in ("phi", "mu", "phi_a", "n", "c")}
-        for v in battery:
-            vv = v.values
-            w = float(np.sum(dphi * vv)) * grid.cell_area
-            w += pair_with_grad(mob_m, mu1, v)
-            w -= params.chi_phi * pair_with_grad(mob_m, n1, v)
-            w -= float(np.sum(source_phi(params, phi1, n1) * vv)) * grid.cell_area
-            res["phi"].append(w)
-
-            w = float(np.sum(mu_defect * vv)) * grid.cell_area
-            w -= pair_with_grad(ones, phi1, v)
-            res["mu"].append(w)
-
-            w = float(np.sum(dphia * vv)) * grid.cell_area
-            w += pair_with_grad(mob_n, phia1, v)
-            w -= params.chi_a * pair_with_grad(phia1 * mob_n, c1, v)
-            w -= (
-                float(np.sum(source_phi_a(params, phi1, phia1, c1) * vv))
-                * grid.cell_area
-            )
-            res["phi_a"].append(w)
-
-            w = float(np.sum(dn * vv)) * grid.cell_area
-            w += pair_with_grad(ones, n1, v)
-            w -= (
-                float(
-                    np.sum(
-                        (
-                            params.chi_phi * p_switch(params, phi1)
-                            + source_n(params, phi1, phia1, n1)
-                        )
-                        * vv
-                    )
-                )
-                * grid.cell_area
-            )
-            res["n"].append(w)
-
-            w = float(np.sum(dc * vv)) * grid.cell_area
-            w += pair_with_grad(ones, c1, v)
-            w -= (
-                float(
-                    np.sum(
-                        (
-                            params.chi_a * positive_part(phia1)
-                            + source_c(params, phi1, phia1, n1, c1)
-                        )
-                        * vv
-                    )
-                )
-                * grid.cell_area
-            )
-            res["c"].append(w)
-
-        out = {name: np.array(vals) for name, vals in res.items()}
-        overall = max(overall, max(np.max(np.abs(a)) for a in out.values()))
+        chem_coef = params.truncation.truncate(phia1) * mob_n
+        s_phi, s_a, r_n, r_c = reaction_rates(params, phi1, phia1, n1, c1)
+        strong = {
+            "phi": (phi1 - s0.phi.values) / dt
+            - div(mob_m, mu1 - params.chi_phi * n1)
+            - s_phi,
+            "mu": mu1 - params.f_prime(phi1) + div(ones, phi1),
+            "phi_a": (phia1 - s0.phi_a.values) / dt
+            - div(mob_n, phia1)
+            + params.chi_a * div(chem_coef, c1)
+            - s_a,
+            "n": (n1 - s0.n.values) / dt - div(ones, n1) - r_n,
+            "c": (c1 - s0.c.values) / dt - div(ones, c1) - r_c,
+        }
+        paired = tests @ np.stack([f.ravel() for f in strong.values()]).T
+        out = dict(zip(strong, paired.T))
+        overall = max(overall, float(np.max(np.abs(paired))))
     out["max"] = overall
     return out
 
@@ -431,20 +377,14 @@ def twin_run_distance(states1, states2, params: ModelParams) -> TwinDistance:
         ),
     }
 
-    s1, s2 = states1[0], states2[0]
-    d_phi = ScalarField(grid, s1.phi.values - s2.phi.values)
-    d_phia = ScalarField(grid, s1.phi_a.values - s2.phi_a.values)
+    # the initial-data norms are the first samples of the series above
     rhs = {
-        "phi0_dual": dual_norm(_zero_mean(d_phi)),
-        "phi0_mean": abs(mean(d_phi)),
-        "phi_a0_dual": dual_norm(_zero_mean(d_phia)),
-        "phi_a0_mean": abs(mean(d_phia)),
-        "n0_l2": float(
-            np.sqrt(np.sum((s1.n.values - s2.n.values) ** 2) * grid.cell_area)
-        ),
-        "c0_l2": float(
-            np.sqrt(np.sum((s1.c.values - s2.c.values) ** 2) * grid.cell_area)
-        ),
+        "phi0_dual": phi_dual[0],
+        "phi0_mean": phi_mean[0],
+        "phi_a0_dual": phia_dual[0],
+        "phi_a0_mean": phia_mean[0],
+        "n0_l2": n_l2[0],
+        "c0_l2": c_l2[0],
     }
     lhs_total = float(sum(lhs.values()))
     rhs_total = float(sum(rhs.values()))

@@ -11,6 +11,11 @@ terms the aliasing error stays below integrator tolerance at oracle scales.
 Integration is by adaptive explicit embedded Runge-Kutta, so the fourth
 order eigenvalue stiffness limits this solver to small mode counts; it is a
 cross-validation oracle, not a production path.
+
+The projected system is the one the FD step solves: the non-differential
+terms come from ``sources.reaction_rates`` and the chemotactic flux goes
+through ``ModelParams.truncation``.  ``cross_errors`` measures how far an FD
+state lies from a Galerkin state on the FD grid.
 """
 
 from __future__ import annotations
@@ -23,16 +28,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow
 from .fields import Grid2D, ScalarField
-from .regularize import TruncationPair
-from .sources import (
-    ModelParams,
-    p_switch,
-    positive_part,
-    source_c,
-    source_n,
-    source_phi,
-    source_phi_a,
-)
+from .sources import ModelParams, reaction_rates
 
 MAX_MODES_PER_DIM = 16
 
@@ -158,6 +154,18 @@ def evaluate_on_grid(basis: EigenBasis, coeffs, grid: Grid2D) -> ScalarField:
     return ScalarField(grid, cx @ coeffs @ cy.T)
 
 
+def cross_errors(fd_state, gstate, basis: EigenBasis) -> dict:
+    """RMS difference on the FD grid between an FD state and a Galerkin
+    state, per evolved field (phi, phi_a, n, c)."""
+    grid = fd_state.grid
+    errs = {}
+    for name in ("phi", "phi_a", "n", "c"):
+        spec = evaluate_on_grid(basis, getattr(gstate, name), grid)
+        diff = getattr(fd_state, name).values - spec.values
+        errs[name] = float(np.sqrt(np.mean(diff**2)))
+    return errs
+
+
 @dataclass
 class GalerkinState:
     t: float
@@ -183,6 +191,7 @@ def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
     c_q = reconstruct(basis, e)
 
     b = basis.alpha * a + project_values(basis, params.f_prime(phi_q))
+    s_phi, s_a, r_n, r_c = reaction_rates(params, phi_q, phia_q, n_q, c_q)
 
     mu_x, mu_y = gradient(basis, b)
     n_x, n_y = gradient(basis, d)
@@ -191,32 +200,20 @@ def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
     )
     vx = mob_m * (mu_x - params.chi_phi * n_x)
     vy = mob_m * (mu_y - params.chi_phi * n_y)
-    da = -project_flux(basis, vx, vy) + project_values(
-        basis, source_phi(params, phi_q, n_q)
-    )
+    da = -project_flux(basis, vx, vy) + project_values(basis, s_phi)
 
     phia_x, phia_y = gradient(basis, ca)
     c_x, c_y = gradient(basis, e)
     mob_n = np.broadcast_to(
         np.asarray(params.mobility_n(phia_q, c_q), dtype=float), phi_q.shape
     )
-    trunc = np.clip(phia_q, params.eps, 1.0 / params.eps)
+    trunc = params.truncation.truncate(phia_q)
     wx = mob_n * phia_x - params.chi_a * trunc * mob_n * c_x
     wy = mob_n * phia_y - params.chi_a * trunc * mob_n * c_y
-    dca = -project_flux(basis, wx, wy) + project_values(
-        basis, source_phi_a(params, phi_q, phia_q, c_q)
-    )
+    dca = -project_flux(basis, wx, wy) + project_values(basis, s_a)
 
-    dd = -basis.alpha * d + project_values(
-        basis,
-        params.chi_phi * p_switch(params, phi_q)
-        + source_n(params, phi_q, phia_q, n_q),
-    )
-    de = -basis.alpha * e + project_values(
-        basis,
-        params.chi_a * positive_part(phia_q)
-        + source_c(params, phi_q, phia_q, n_q, c_q),
-    )
+    dd = -basis.alpha * d + project_values(basis, r_n)
+    de = -basis.alpha * e + project_values(basis, r_c)
     return (da, dca, dd, de), b
 
 
@@ -227,8 +224,8 @@ def galerkin_energy(basis: EigenBasis, gstate: GalerkinState, params: ModelParam
     phia_q = reconstruct(basis, gstate.phi_a)
     n_q = reconstruct(basis, gstate.n)
     c_q = reconstruct(basis, gstate.c)
-    tp = TruncationPair.entropy_pair(params.eps)
-    e = float(np.sum(params.f_density(phi_q) + tp.entropy(phia_q))) * w
+    entropy = params.truncation.entropy(phia_q)
+    e = float(np.sum(params.f_density(phi_q) + entropy)) * w
     for coeffs in (gstate.phi, gstate.n, gstate.c):
         gx, gy = gradient(basis, coeffs)
         e += 0.5 * float(np.sum(gx * gx + gy * gy)) * w

@@ -7,15 +7,17 @@ One time step advances the five fields in four substeps:
    solve and preserves 0 <= n <= 1 exactly (up to linear-solve tolerance),
 2. signal c: same structure in both modes, preserving 0 <= c <= 1,
 3. endothelial phase phi_a: implicit diffusion with the old-state mobility,
-   explicit truncated chemotaxis flux driven by the fresh signal gradient,
-   and the logistic source split with the decay part implicit,
+   explicit chemotaxis flux chi_a T_eps(phi_a) grad c driven by the fresh
+   signal gradient (``ModelParams.truncation`` is the one T_eps), and the
+   logistic source split with the decay part implicit,
 4. the Cahn-Hilliard pair (phi, mu): coupled Newton solve with the convex
    part of the potential implicit (through its Yosida approximation in
    singular mode) and the concave perturbation explicit, optionally
    stabilized.  Each Newton iterate evaluates the convex part once
    (``ModelParams.convex_slope_and_curvature``): the residual, the Jacobian
    and the new chemical potential share that evaluation, so a step with k
-   Newton iterations solves the resolvent k + 1 times.
+   Newton iterations solves the resolvent k + 1 times.  The proliferation
+   source is ``sources.proliferation`` at the old phi and the fresh n.
 
 Each substep is an implicit (proximal) step of the shared free energy in its
 own variable with the others frozen at their most recent values, so with the
@@ -50,7 +52,7 @@ from .sources import (
     ModelParams,
     h,
     positive_part,
-    q_switch,
+    proliferation,
     source_n,
     theta,
 )
@@ -129,8 +131,6 @@ class StepReport:
     newton_residual: float = 0.0
     linear_iters: dict = field(default_factory=dict)
     used_direct: bool = False
-    dt_explicit_lipschitz: float = 0.0
-    mass_change: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
 
@@ -181,10 +181,6 @@ def _assemble(n, idx, tx, ty):
     cols = np.concatenate([a, b, b, a, c, d, d, c])
     data = np.concatenate([tx, tx, -tx, -tx, ty, ty, -ty, -ty])
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _clamp_pair(eps):
-    return eps, 1.0 / eps
 
 
 def _helmholtz_solve(grid, diag_coef, rhs, rel_tol):
@@ -259,8 +255,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     # 3. endothelial phase ------------------------------------------------
     g_a = forcing.eval("phi_a", grid, t_new)
-    lo, hi = _clamp_pair(params.eps)
-    chem_coef = np.clip(phia_o, lo, hi) * mob_n_o
+    chem_coef = params.truncation.truncate(phia_o) * mob_n_o
     chem = div_mob_grad_array(chem_coef, c_new, grid.dx, grid.dy)
     theta_o = theta(params, phi_o, c_o)
     decay = theta_o * (params.kappa_inf * phia_pos_o - params.kappa0)
@@ -279,9 +274,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     # 4. Cahn-Hilliard pair ----------------------------------------------
     g_phi = forcing.eval("phi", grid, t_new)
-    prolif = (
-        positive_part(q_switch(params, n_new) - params.delta_n) * h_phi_o
-    )
+    prolif = proliferation(params, phi_o, n_new)
     pi_o = params.potential.concave_slope(phi_o)
     s = cfg.stabilization
     chi_n_term = params.chi_phi * n_new
@@ -327,17 +320,6 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             residual=report.newton_residual,
         )
 
-    report.dt_explicit_lipschitz = dt * (
-        params.potential.perturbation_lipschitz()
-        + params.kappa0 * (1.0 + params.zeta)
-    )
-    cell = grid.cell_area
-    report.mass_change = {
-        "phi": float(np.sum(phi - phi_o)) * cell,
-        "phi_a": float(np.sum(phia_new - phia_o)) * cell,
-        "n": float(np.sum(n_new - n_o)) * cell,
-        "c": float(np.sum(c_new - c_o)) * cell,
-    }
     report.wall_time = time.perf_counter() - t0
 
     new_state = State(

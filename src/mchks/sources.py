@@ -6,6 +6,11 @@ piecewise-linear interpolation for the smooth-potential mode, the wide clamp
 to [-1/eps, 1 + 1/eps] for the singular mode) and negative phases enter only
 through positive parts.  On states inside the physical range all truncations
 are the identity, and the forms reduce to the plain constitutive laws.
+
+This module is the one home of the regularized right-hand side: the step,
+the weak residuals and the spectral oracle read the chemotactic truncation
+``T_eps`` from ``ModelParams.truncation`` and the non-differential terms of
+the four evolution equations from ``reaction_rates``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from .errors import BoundsViolation, ValidationError
 from .potentials import FloryHuggins, Potential, YosidaRegularization
+from .regularize import TruncationPair
 
 
 def h(r):
@@ -150,6 +156,7 @@ class ModelParams:
     all read ``convex_part``.
     """
 
+    # chemotaxis defaults follow the parameter-regime magnitudes 0.01, 0.001
     chi_phi: float = 0.01
     chi_a: float = 0.001
     m: float = 0.5
@@ -220,6 +227,12 @@ class ModelParams:
         convex part in singular mode) plus the perturbation."""
         return self.convex_part.density(phi) + self.potential.concave_value(phi)
 
+    @cached_property
+    def truncation(self) -> TruncationPair:
+        """T_eps: the (eps, 1/eps) truncation of the chemotactic phase in the
+        flux chi_a T_eps(phi_a) grad c, together with its entropy."""
+        return TruncationPair.entropy_pair(self.eps)
+
     @property
     def wide_clamp(self):
         """Truncation window [-1/eps, 1 + 1/eps] for nutrient/signal switches."""
@@ -282,3 +295,17 @@ def source_c(params: ModelParams, phi, phi_a, n, c):
     cc = clamp_signal(params, c)
     release = h(phi) * positive_part(params.delta_n - np.asarray(n, dtype=float))
     return release * (1.0 - cc) - positive_part(phi_a) * cc
+
+
+def reaction_rates(params: ModelParams, phi, phi_a, n, c):
+    """Non-differential right-hand sides of the phi, phi_a, n and c equations.
+
+    Returns (S_phi, S_a, chi_phi p(phi) + S_n, chi_a phi_a^+ + S_c): the
+    sources plus the chemotactic production terms of n and c.
+    """
+    return (
+        source_phi(params, phi, n),
+        source_phi_a(params, phi, phi_a, c),
+        params.chi_phi * p_switch(params, phi) + source_n(params, phi, phi_a, n),
+        params.chi_a * positive_part(phi_a) + source_c(params, phi, phi_a, n, c),
+    )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import spheroid_state, uniform_state
+from _oracles import band_limited_state, spheroid_state, uniform_state
 
 from mchks import diagnostics
 from mchks.diagnostics import (
@@ -16,11 +16,11 @@ from mchks.diagnostics import (
     weak_residual,
 )
 from mchks.errors import GridMismatch, RangeError
-from mchks.fields import Grid2D, ScalarField, integrate
+from mchks.fields import Grid2D, ScalarField, integrate, lap_array
 from mchks.potentials import FloryHuggins, RegularQuartic
 from mchks.regularize import TruncationPair
 from mchks.solver import SolverConfig, run, step
-from mchks.sources import ConstantMobility, ModelParams
+from mchks.sources import ConstantMobility, ModelParams, reaction_rates
 
 GRID = Grid2D(16, 16, 4.0, 4.0)
 FH = ModelParams(potential=FloryHuggins(1.0, 3.0), m=0.5)
@@ -180,6 +180,71 @@ def test_weak_residual_constant_mode_is_mass_balance():
                                 st1.n.values, st1.c.values))) * grid.cell_area
     )
     assert rep["c"][0] == pytest.approx(direct, rel=1e-10, abs=1e-14)
+
+
+def test_weak_residual_pairs_the_truncated_chemotaxis_flux():
+    # phi_a = 0 leaves only the chemotaxis flux in the phi_a equation, and
+    # T_eps(0) = eps keeps it alive: the residual is chi_a <div(eps grad c), v>
+    params = ModelParams(potential=FloryHuggins(1.0, 3.0), eps=1e-2, m=0.0)
+    st = uniform_state(GRID, 0.5, 0.0, 0.5, 0.3)
+    x, _ = GRID.centers()
+    st.c = ScalarField(GRID, 0.3 + 0.2 * np.cos(np.pi * x / GRID.lx))
+    rep = weak_residual([st, st], params, dt=1e-3)
+    flux_div = params.eps * lap_array(st.c.values, GRID.dx, GRID.dy)
+    expected = [
+        params.chi_a * float(np.sum(flux_div * v.values)) * GRID.cell_area
+        for v in diagnostics.default_test_battery(GRID)
+    ]
+    assert np.max(np.abs(expected)) > 1e-8
+    np.testing.assert_allclose(rep["phi_a"], expected, rtol=1e-10, atol=1e-18)
+
+
+def _grad_pairing(coef, u, v, grid):
+    """int coef grad u . grad v from face differences, coef face-averaged."""
+    cx = 0.5 * (coef[1:, :] + coef[:-1, :])
+    cy = 0.5 * (coef[:, 1:] + coef[:, :-1])
+    sx = np.sum(cx * np.diff(u, axis=0) * np.diff(v, axis=0)) / grid.dx**2
+    sy = np.sum(cy * np.diff(u, axis=1) * np.diff(v, axis=1)) / grid.dy**2
+    return float(sx + sy) * grid.cell_area
+
+
+@pytest.mark.parametrize("params", [FH, QUARTIC], ids=["fh", "quartic"])
+def test_weak_residual_matches_per_test_function_weak_forms(params):
+    # reference: each weak form assembled test function by test function,
+    # with the gradient pairings summed over faces
+    grid = Grid2D(24, 24, 2 * np.pi, 2 * np.pi)
+    cfg = SolverConfig(dt=1e-3, t_end=2e-3)
+    s0, s1 = run(band_limited_state(grid), params, cfg, keep_states=1).states[-2:]
+    rep = weak_residual([s0, s1], params, dt=cfg.dt)
+
+    phi, phia, n, c, mu = (getattr(s1, k).values
+                           for k in ("phi", "phi_a", "n", "c", "mu"))
+    ones = np.ones_like(phi)
+    mob_m = params.mobility_m(phi, phia, n) * ones
+    mob_n = params.mobility_n(phia, c) * ones
+    chem = np.clip(phia, params.eps, 1.0 / params.eps) * mob_n
+    s_phi, s_a, r_n, r_c = reaction_rates(params, phi, phia, n, c)
+    for i, v in enumerate(diagnostics.default_test_battery(grid)):
+        vv = v.values
+
+        def dot(f):
+            return float(np.sum(f * vv)) * grid.cell_area
+
+        ref = {
+            "phi": dot((phi - s0.phi.values) / cfg.dt - s_phi)
+            + _grad_pairing(mob_m, mu - params.chi_phi * n, vv, grid),
+            "mu": dot(mu - params.f_prime(phi)) - _grad_pairing(ones, phi, vv, grid),
+            "phi_a": dot((phia - s0.phi_a.values) / cfg.dt - s_a)
+            + _grad_pairing(mob_n, phia, vv, grid)
+            - params.chi_a * _grad_pairing(chem, c, vv, grid),
+            "n": dot((n - s0.n.values) / cfg.dt - r_n)
+            + _grad_pairing(ones, n, vv, grid),
+            "c": dot((c - s0.c.values) / cfg.dt - r_c)
+            + _grad_pairing(ones, c, vv, grid),
+        }
+        for name, val in ref.items():
+            scale = np.max(np.abs(rep[name]))
+            assert rep[name][i] == pytest.approx(val, abs=1e-10 * scale)
 
 
 def test_weak_residual_needs_two_states():

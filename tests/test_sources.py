@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import scalar_rhs
 
 from mchks.errors import BoundsViolation, ValidationError
 from mchks.potentials import FloryHuggins, RegularQuartic
@@ -12,6 +13,7 @@ from mchks.sources import (
     ModelParams,
     h,
     proliferation,
+    reaction_rates,
     source_c,
     source_n,
     source_phi,
@@ -158,6 +160,23 @@ def test_modes_coincide_on_physical_range():
         source_phi_a(SMOOTH, phi, phi_a, c), source_phi_a(SINGULAR, phi, phi_a, c),
         atol=1e-14,
     )
+
+
+@pytest.mark.parametrize("params", [SMOOTH, SINGULAR], ids=["quartic", "fh"])
+def test_reaction_rates_match_uniform_ode_oracle(params):
+    # the uniform reduction has no gradients, so its right-hand side is
+    # exactly the reaction part of the four evolution equations
+    rng = np.random.default_rng(7)
+    phi = rng.uniform(-0.2, 1.2, 64)
+    phi_a = rng.uniform(-0.2, 1.5, 64)
+    n = rng.uniform(-0.2, 1.2, 64)
+    c = rng.uniform(-0.2, 1.2, 64)
+    rates = np.array(reaction_rates(params, phi, phi_a, n, c))
+    rhs = scalar_rhs(params)
+    oracle = np.array(
+        [rhs(0.0, y) for y in zip(phi, phi_a, n, c)], dtype=float
+    ).T
+    np.testing.assert_allclose(rates, oracle, rtol=1e-13, atol=1e-15)
 
 
 # -------------------------------------------------------------- mobility
