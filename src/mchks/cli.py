@@ -319,28 +319,28 @@ def band_limited_initial(config: RunConfig, k: int):
     """Project the configured initial data onto k modes, for `compare`.
 
     Returns (FD initial state on the config grid, Galerkin initial state,
-    basis): both solvers then start from the same band-limited fields.
+    basis): both solvers then start from the same band-limited fields.  A
+    constant field is kept exactly on both sides (its expansion evaluates
+    to within an ulp of it, and an ulp above 1 fails the range checks).
     """
     grid = config.grid
     basis = EigenBasis(grid.lx, grid.ly, k)
     base = build_initial_state(config)
-    g0 = initial_galerkin_state(
-        basis,
-        config.params,
-        {
-            "phi": base.phi,
-            "phi_a": base.phi_a,
-            "n": base.n,
-            "c": base.c,
-        },
-    )
+    fields = {name: getattr(base, name) for name in ("phi", "phi_a", "n", "c")}
+    g0 = initial_galerkin_state(basis, config.params, fields)
+
+    def on_grid(name):
+        if fields[name].is_constant():
+            return fields[name].copy()
+        return evaluate_on_grid(basis, getattr(g0, name), grid)
+
     fd0 = State(
         0.0,
-        evaluate_on_grid(basis, g0.phi, grid),
+        on_grid("phi"),
         ScalarField.constant(grid, 0.0),
-        evaluate_on_grid(basis, g0.phi_a, grid),
-        evaluate_on_grid(basis, g0.n, grid),
-        evaluate_on_grid(basis, g0.c, grid),
+        on_grid("phi_a"),
+        on_grid("n"),
+        on_grid("c"),
     )
     return fd0, g0, basis
 

@@ -91,6 +91,9 @@ class ScalarField:
     def is_finite(self):
         return bool(np.all(np.isfinite(self.values)))
 
+    def is_constant(self):
+        return bool(np.all(self.values == self.values.flat[0]))
+
 
 def cosine_mode(grid: Grid2D, i: int, j: int, normalized: bool = False):
     """Neumann-compatible cosine mode cos(i pi x / lx) cos(j pi y / ly).

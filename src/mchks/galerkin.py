@@ -127,6 +127,12 @@ def project(basis: EigenBasis, f):
         x, y = basis.quad_meshgrid()
         return project_values(basis, np.asarray(f(x, y), dtype=float))
     if isinstance(f, ScalarField):
+        if f.is_constant():
+            # the (0, 0) mode alone, exactly; quadrature of the interpolant
+            # would leave round-off in every coefficient
+            coeffs = np.zeros((basis.k + 1, basis.k + 1))
+            coeffs[0, 0] = f.values.flat[0] * np.sqrt(basis.lx * basis.ly)
+            return coeffs
         from scipy.interpolate import RegularGridInterpolator
 
         g = f.grid

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .errors import ConvergenceError, DomainError
 
@@ -284,11 +284,15 @@ class FloryHuggins(Potential):
         # derivative bounded below by a.  Safeguarded Newton on a bracket:
         # bisect where the Newton candidate leaves the bracket, and where
         # |g| did not halve since the previous iterate (Newton swinging
-        # between the two flat tails of the sigmoid).
+        # between the two flat tails of the sigmoid).  Warm start at
+        # u = logit(r), where g = a logit(r) is already O(a); it is clipped
+        # into the bracket [(r-1)/a, r/a] (outside (0, 1), logit(clip(r))
+        # is -inf or +inf and lands on a bracket end).
         a = 0.5 * eps * self.c1
         lo = (r - 1.0) / a
         hi = r / a
-        u = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore"):
+            u = np.clip(logit(np.clip(r, 0.0, 1.0)), lo, hi)
         g_prev = np.full(r.shape, np.inf)
         for _ in range(_RESOLVENT_MAXIT):
             x = expit(u)

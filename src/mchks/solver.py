@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -39,7 +40,12 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn
 
 from . import diagnostics
-from .errors import InitialDataError, NewtonDivergence, NonFiniteField
+from .errors import (
+    ConvergenceError,
+    InitialDataError,
+    NewtonDivergence,
+    NonFiniteField,
+)
 from .fields import (
     Grid2D,
     ScalarField,
@@ -193,11 +199,24 @@ def _helmholtz_solve(grid, diag_coef, rhs, rel_tol):
     return u, iters
 
 
+@contextmanager
+def _substep(name, t):
+    """Re-raise a ConvergenceError inside the block with the substep and t."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{name} substep at t={t:.6g}: {exc}") from exc
+
+
 # --------------------------------------------------------------- the step
 
 
 def step(state: State, params: ModelParams, cfg: SolverConfig):
-    """Advance the state by one time step; returns (new_state, report)."""
+    """Advance the state by one time step; returns (new_state, report).
+
+    A ConvergenceError from a linear solve or the resolvent is re-raised
+    naming the substep and the new time.
+    """
     t0 = time.perf_counter()
     grid = state.grid
     dt = cfg.dt
@@ -238,7 +257,8 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         rhs = n_o / dt + params.chi_phi * phi_o + g_n
         if not cfg.sources_off:
             rhs = rhs + source_n(params, phi_o, phia_o, n_o)
-    n_new, it_n = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
+    with _substep("nutrient n", t_new):
+        n_new, it_n = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
     report.linear_iters["n"] = it_n
 
     # 2. signal ----------------------------------------------------------
@@ -250,7 +270,8 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         release = h_phi_o * positive_part(params.delta_n - n_o)
         diag = 1.0 / dt + release + phia_pos_o
         rhs = c_o / dt + params.chi_a * phia_pos_o + release + g_c
-    c_new, it_c = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
+    with _substep("signal c", t_new):
+        c_new, it_c = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
     report.linear_iters["c"] = it_c
 
     # 3. endothelial phase ------------------------------------------------
@@ -268,8 +289,9 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         )
 
     rhs_a = phia_o / dt - params.chi_a * chem + g_a
-    phia_new, it_a = cg_solve(apply_phia, rhs_a, x0=phia_o.copy(),
-                              rel_tol=cfg.linear_tol)
+    with _substep("endothelial phi_a", t_new):
+        phia_new, it_a = cg_solve(apply_phia, rhs_a, x0=phia_o.copy(),
+                                  rel_tol=cfg.linear_tol)
     report.linear_iters["phi_a"] = it_a
 
     # 4. Cahn-Hilliard pair ----------------------------------------------
@@ -281,7 +303,8 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     def residual(phi):
         """(residual, chemical potential, convex curvature) at phi."""
-        slope, curv = params.convex_slope_and_curvature(phi)
+        with _substep("Cahn-Hilliard", t_new):
+            slope, curv = params.convex_slope_and_curvature(phi)
         mu = -lap_array(phi, grid.dx, grid.dy) + slope + s * (phi - phi_o) + pi_o
         res = (
             (phi - phi_o) / dt

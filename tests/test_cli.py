@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from mchks.cli import (
     CSV_COLUMNS,
     band_limited_initial,
     build_initial_state,
+    default_config,
     main,
     parse_config,
     serialize_config,
@@ -19,6 +21,7 @@ from mchks.cli import (
 from mchks.errors import ParseError, ValidationError
 from mchks.fields import read_snapshot
 from mchks.potentials import FloryHuggins, SingleWellLJ
+from mchks.solver import validate_initial_data
 
 TINY = """
 [grid]
@@ -179,6 +182,26 @@ def test_band_limited_initial_shares_data():
 
     again = evaluate_on_grid(basis, g0.phi, config.grid)
     assert np.allclose(fd0.phi.values, again.values, atol=1e-12)
+
+
+def test_band_limited_initial_keeps_constants_exact():
+    config = default_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fd0, g0, _ = band_limited_initial(config, 8)
+        validate_initial_data(fd0, config.params)
+    assert np.all(fd0.n.values == 1.0)
+    assert np.all(fd0.c.values == config.initial["c0"])
+    area = config.grid.lx * config.grid.ly
+    assert g0.n[0, 0] == np.sqrt(area)
+    assert np.count_nonzero(g0.n) == 1
+
+
+def test_compare_with_signal_at_its_upper_bound(tmp_path):
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    assert main(["compare", "-c", str(cfg_path), "--set", "initial.c0=1.0",
+                 "--set", "params.eps=0.02", "--set", "solver.t_end=0.01"]) == 0
 
 
 def test_run_subcommand_outputs(tmp_path):

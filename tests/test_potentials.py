@@ -306,7 +306,7 @@ def test_slope_and_curvature_matches_separate_calls(pot, eps):
     assert np.array_equal(curv, reg.yosida_derivative(r))
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.02, 0.01, 1e-3])
+@pytest.mark.parametrize("eps", [0.05, 0.02, 0.01, 1e-3, 1e-4])
 def test_flory_huggins_resolvent_converges_on_dense_sweep(eps):
     # Plain Newton in logit coordinates swings between the flat tails of the
     # sigmoid at some of these points; every one must converge.
@@ -324,6 +324,51 @@ def test_flory_huggins_resolvent_converges_on_dense_sweep(eps):
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     assert np.max(np.abs(j[::10] - expit(0.5 * (lo + hi)))) <= 1e-11
+
+
+def test_flory_huggins_resolvent_warm_start_sweeps(monkeypatch):
+    # Started from logit(r), the resolvent of a spheroid profile takes a few
+    # sweeps; from the midpoint of its bracket it took 19 at eps = 1e-3.
+    import mchks.potentials as potentials
+    from mchks.cli import build_initial_state, parse_config
+
+    config = parse_config("[grid]\nnx = 128\nny = 128\n")
+    phi = build_initial_state(config).phi.values
+    calls = []
+    expit_ = potentials.expit
+
+    def counted(u):
+        calls.append(1)
+        return expit_(u)
+
+    monkeypatch.setattr(potentials, "expit", counted)
+    FloryHuggins(c1=1.0, c2=3.0).resolvent(phi, 1e-3)
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-3, 1e-4])
+def test_flory_huggins_resolvent_edge_inputs(eps):
+    pot = FloryHuggins(c1=1.0, c2=3.0)
+    r = np.array([0.0, 1.0, -1e6, 1e6, 5e-324, 1.0 - 1e-16])
+    j = pot.resolvent(r, eps)
+    assert np.all(np.isfinite(j))
+    assert np.all((j >= 0.0) & (j <= 1.0))
+    # r - j lies in eps * dbeta(j): in logit form, j = sigmoid((r - j) / a)
+    a = 0.5 * eps * pot.c1
+    assert np.max(np.abs(expit((r - j) / a) - j)) <= 1e-9
+
+
+def test_flory_huggins_resolvent_is_elementwise():
+    pot = FloryHuggins(c1=1.0, c2=3.0)
+    r = np.concatenate([
+        np.linspace(-0.5, 1.5, 201),
+        [0.0, 1.0, -1e6, 1e6, 5e-324, 1.0 - 1e-16],
+    ])
+    for eps in (0.05, 1e-3):
+        j = pot.resolvent(r, eps)
+        alone = np.array([pot.resolvent(r[i:i + 1], eps)[0]
+                          for i in range(r.size)])
+        assert np.array_equal(j, alone)
 
 
 # ------------------------------------------------------ property sampling

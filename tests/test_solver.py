@@ -4,7 +4,8 @@ import scipy.sparse.linalg as spla
 from _mms import Manufactured
 from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
-from mchks.errors import InitialDataError
+import mchks.solver
+from mchks.errors import ConvergenceError, InitialDataError
 from mchks.fields import Grid2D, ScalarField, integrate
 from mchks.potentials import FloryHuggins, RegularQuartic, YosidaRegularization
 from mchks.solver import (
@@ -217,6 +218,41 @@ def test_step_solves_resolvent_once_per_newton_iterate(monkeypatch):
     _, report = step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
     assert report.newton_iters >= 2
     assert len(calls) == report.newton_iters + 1
+
+
+@pytest.mark.parametrize(
+    "failing_call, substep",
+    [(1, "nutrient n"), (2, "signal c"), (3, "endothelial phi_a")],
+)
+def test_cg_failure_names_time_and_substep(monkeypatch, failing_call, substep):
+    calls = []
+    cg_solve = mchks.solver.cg_solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise ConvergenceError("CG stalled, residual 1.000e-01 relative")
+        return cg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(mchks.solver, "cg_solve", failing)
+    st0 = spheroid_state(Grid2D(8, 8, 6.4, 6.4))
+    with pytest.raises(ConvergenceError) as exc:
+        step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
+    assert str(exc.value).startswith(f"{substep} substep at t=0.001: CG stalled")
+    assert isinstance(exc.value.__cause__, ConvergenceError)
+
+
+def test_resolvent_failure_names_time_and_substep(monkeypatch):
+    def stalled(self, r, eps):
+        raise ConvergenceError("Flory-Huggins resolvent stalled, worst residual 1e-3")
+
+    monkeypatch.setattr(FloryHuggins, "resolvent", stalled)
+    st0 = spheroid_state(Grid2D(8, 8, 6.4, 6.4))
+    with pytest.raises(ConvergenceError) as exc:
+        step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
+    msg = str(exc.value)
+    assert msg.startswith("Cahn-Hilliard substep at t=0.001: ")
+    assert "worst residual" in msg
 
 
 def test_run_determinism():
