@@ -6,7 +6,18 @@ cells, which makes the boundary fluxes exactly zero and the operator
 symmetric; all summation-by-parts identities the energy diagnostics rely on
 then hold to round-off.  Mobility-weighted divergences are assembled in face
 flux form (arithmetic face means) so that their integral vanishes
-exactly.  The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
+exactly.
+
+The time step applies these operators through one assembled matrix:
+``div_mob_grad_matrix`` fills the CSR matrix of div(mob grad) on a five-slot
+pattern cached per grid, and ``laplacian_matrix`` is that matrix with unit
+mobility, cached per grid.  The Krylov matvecs and the sparse-LU Jacobian
+both read them.  The slicing stencils ``lap_array`` and
+``div_mob_grad_array`` are coded independently of the matrix and stay as
+the face-flux reference for the weak residuals, ``verify`` and the tests;
+the step's explicit chemotaxis flux, applied once, uses them too.
+
+The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
 exactly; its eigenvalues live in one cached table per grid, which the
 Cahn-Hilliard preconditioner shares.  The inverse Neumann Laplacian is an
 exact DCT solve of that same discrete operator on the zero-mean subspace,
@@ -20,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.fft import dctn, idctn
 
 from .errors import ConvergenceError, MeanError
@@ -159,6 +171,68 @@ def div_mob_grad_array(mob: np.ndarray, v: np.ndarray, dx: float, dy: float):
     out[:, :-1] += fy / dy
     out[:, 1:] -= fy / dy
     return out
+
+
+@lru_cache(maxsize=8)
+def _five_slot_pattern(grid: Grid2D):
+    """CSR (indices, indptr) with five slots per row: west, south, self,
+    north, east in x-major cell order.
+
+    A neighbour missing at the boundary keeps its slot as an explicit zero
+    entry on a column already in the row, chosen so that every row stays
+    sorted; the pattern therefore never depends on the mobility.
+    """
+    nx, ny = grid.nx, grid.ny
+    k = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+    cols = k[:, :, None] + np.array([-ny, -1, 0, 1, ny], dtype=np.int32)
+    cols[:, 0, 1] = k[:, 0]
+    cols[:, -1, 3] = k[:, -1]
+    cols[0, :, 0] = cols[0, :, 1]
+    cols[-1, :, 4] = cols[-1, :, 3]
+    indices = cols.ravel()
+    indptr = np.arange(0, 5 * nx * ny + 1, 5, dtype=np.int32)
+    indices.flags.writeable = False
+    indptr.flags.writeable = False
+    return indices, indptr
+
+
+def div_mob_grad_matrix(grid: Grid2D, mob: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of v -> div(mob grad v) on x-major flattened fields.
+
+    Same arithmetic face means and zero boundary flux as
+    ``div_mob_grad_array``.  Only the (nx, ny, 5) data array is built per
+    call; the sparsity pattern is cached per grid and shared read-only.
+    """
+    nx, ny = grid.nx, grid.ny
+    tx = (0.5 / grid.dx**2) * (mob[1:, :] + mob[:-1, :])
+    ty = (0.5 / grid.dy**2) * (mob[:, 1:] + mob[:, :-1])
+    data = np.empty((nx, ny, 5))
+    data[0, :, 0] = 0.0
+    data[1:, :, 0] = tx
+    data[:, 0, 1] = 0.0
+    data[:, 1:, 1] = ty
+    data[:, -1, 3] = 0.0
+    data[:, :-1, 3] = ty
+    data[-1, :, 4] = 0.0
+    data[:-1, :, 4] = tx
+    center = data[:, :, 2]
+    np.add(data[:, :, 0], data[:, :, 4], out=center)
+    center += data[:, :, 1]
+    center += data[:, :, 3]
+    np.negative(center, out=center)
+    indices, indptr = _five_slot_pattern(grid)
+    return sp.csr_matrix((data.ravel(), indices, indptr), shape=(nx * ny, nx * ny))
+
+
+@lru_cache(maxsize=8)
+def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
+    """The mirror-ghost Laplacian as ``div_mob_grad_matrix`` with mob = 1.
+
+    Shared between callers, so its data are read-only.
+    """
+    lap = div_mob_grad_matrix(grid, np.ones((grid.nx, grid.ny)))
+    lap.data.flags.writeable = False
+    return lap
 
 
 def grad_sq_integral_array(v: np.ndarray, dx: float, dy: float) -> float:

@@ -19,6 +19,14 @@ One time step advances the five fields in four substeps:
    Newton iterations solves the resolvent k + 1 times.  The proliferation
    source is ``sources.proliferation`` at the old phi and the fresh n.
 
+The step assembles div(mob grad) once for each of its two mobilities
+(``fields.div_mob_grad_matrix``) and reads the cached Laplacian matrix
+(``fields.laplacian_matrix``).  The CG solves, the Newton residual and both
+Jacobian paths (BiCGStab and the sparse-LU fallback) apply the operators
+through those matrices, so the Krylov and LU paths solve one operator.  The
+explicit chemotaxis flux, one application with its own coefficient, uses
+the face-flux stencil.
+
 Each substep is an implicit (proximal) step of the shared free energy in its
 own variable with the others frozen at their most recent values, so with the
 reaction sources switched off the discrete energy is non-increasing step by
@@ -32,7 +40,6 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,15 +58,16 @@ from .fields import (
     ScalarField,
     cg_solve,
     div_mob_grad_array,
-    lap_array,
+    div_mob_grad_matrix,
+    laplacian_matrix,
     neumann_eigenvalues,
 )
 from .sources import (
     ModelParams,
     h,
+    nutrient_rate,
     positive_part,
     proliferation,
-    source_n,
     theta,
 )
 
@@ -158,45 +166,21 @@ class RunResult:
 # ------------------------------------------------------------- utilities
 
 
-@lru_cache(maxsize=8)
-def _minus_lap_matrix(grid: Grid2D):
-    return _mob_stencil_matrix(grid, None)
-
-
-def _mob_stencil_matrix(grid: Grid2D, mob):
-    """Sparse matrix of v -> -div(mob grad v); mob None means -laplacian."""
-    nx, ny = grid.nx, grid.ny
-    if mob is None:
-        mx = np.ones((nx - 1, ny))
-        my = np.ones((nx, ny - 1))
-    else:
-        mx = 0.5 * (mob[1:, :] + mob[:-1, :])
-        my = 0.5 * (mob[:, 1:] + mob[:, :-1])
-    tx = (mx / grid.dx**2).ravel()
-    ty = (my / grid.dy**2).ravel()
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    return _assemble(nx * ny, idx, tx, ty)
-
-
-def _assemble(n, idx, tx, ty):
-    a = idx[:-1, :].ravel()
-    b = idx[1:, :].ravel()
-    c = idx[:, :-1].ravel()
-    d = idx[:, 1:].ravel()
-    rows = np.concatenate([a, b, a, b, c, d, c, d])
-    cols = np.concatenate([a, b, b, a, c, d, d, c])
-    data = np.concatenate([tx, tx, -tx, -tx, ty, ty, -ty, -ty])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+def _apply(mat, v):
+    """mat @ v for a field stored as an (nx, ny) array."""
+    return (mat @ v.ravel()).reshape(v.shape)
 
 
 def _helmholtz_solve(grid, diag_coef, rhs, rel_tol):
     """CG solve of (diag_coef - lap) u = rhs; diag_coef > 0 cellwise."""
+    lap = laplacian_matrix(grid)
+    diag_flat = diag_coef.ravel()
 
     def apply_op(v):
-        return diag_coef * v - lap_array(v, grid.dx, grid.dy)
+        return diag_flat * v - lap @ v
 
-    u, iters = cg_solve(apply_op, rhs, x0=None, rel_tol=rel_tol)
-    return u, iters
+    u, iters = cg_solve(apply_op, rhs.ravel(), x0=None, rel_tol=rel_tol)
+    return u.reshape(grid.nx, grid.ny), iters
 
 
 @contextmanager
@@ -239,6 +223,10 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     mob_n_o = np.broadcast_to(
         np.asarray(params.mobility_n(phia_o, c_o), dtype=float), phi_o.shape
     ).copy()
+    # the one assembled operator of each mobility, shared by every solve
+    lap = laplacian_matrix(grid)
+    a_m = div_mob_grad_matrix(grid, mob_m_o)
+    a_n = div_mob_grad_matrix(grid, mob_n_o)
 
     # 1. nutrient --------------------------------------------------------
     g_n = forcing.eval("n", grid, t_new)
@@ -254,9 +242,11 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             rhs = n_o / dt + params.chi_phi * phi_pos_o + growth + g_n
     else:
         diag = np.full_like(n_o, 1.0 / dt)
-        rhs = n_o / dt + params.chi_phi * phi_o + g_n
-        if not cfg.sources_off:
-            rhs = rhs + source_n(params, phi_o, phia_o, n_o)
+        if cfg.sources_off:
+            rate = params.chi_phi * phi_o
+        else:
+            rate = nutrient_rate(params, phi_o, phia_o, n_o)
+        rhs = n_o / dt + rate + g_n
     with _substep("nutrient n", t_new):
         n_new, it_n = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
     report.linear_iters["n"] = it_n
@@ -280,18 +270,16 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     chem = div_mob_grad_array(chem_coef, c_new, grid.dx, grid.dy)
     theta_o = theta(params, phi_o, c_o)
     decay = theta_o * (params.kappa_inf * phia_pos_o - params.kappa0)
+    decay_flat = decay.ravel()
 
     def apply_phia(v):
-        return (
-            v / dt
-            + decay * v
-            - div_mob_grad_array(mob_n_o, v, grid.dx, grid.dy)
-        )
+        return v / dt + decay_flat * v - a_n @ v
 
     rhs_a = phia_o / dt - params.chi_a * chem + g_a
     with _substep("endothelial phi_a", t_new):
-        phia_new, it_a = cg_solve(apply_phia, rhs_a, x0=phia_o.copy(),
+        phia_new, it_a = cg_solve(apply_phia, rhs_a.ravel(), x0=phia_o.ravel(),
                                   rel_tol=cfg.linear_tol)
+    phia_new = phia_new.reshape(grid.nx, grid.ny)
     report.linear_iters["phi_a"] = it_a
 
     # 4. Cahn-Hilliard pair ----------------------------------------------
@@ -305,16 +293,17 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         """(residual, chemical potential, convex curvature) at phi."""
         with _substep("Cahn-Hilliard", t_new):
             slope, curv = params.convex_slope_and_curvature(phi)
-        mu = -lap_array(phi, grid.dx, grid.dy) + slope + s * (phi - phi_o) + pi_o
+        mu = -_apply(lap, phi) + slope + s * (phi - phi_o) + pi_o
         res = (
             (phi - phi_o) / dt
-            - div_mob_grad_array(mob_m_o, mu - chi_n_term, grid.dx, grid.dy)
+            - _apply(a_m, mu - chi_n_term)
             - prolif
             + params.m * phi
             - g_phi
         )
         return res, mu, curv
 
+    mob_bar = float(np.mean(mob_m_o))
     phi = phi_o.copy()
     scale = max(1.0, float(np.sqrt(np.mean((phi_o / dt) ** 2))))
     newton_ok = False
@@ -326,7 +315,8 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             report.newton_iters = it - 1
             break
         delta = _solve_ch_jacobian(
-            grid, mob_m_o, curv + s, 1.0 / dt + params.m, -res, cfg, report, t_new
+            grid, a_m, mob_bar, curv + s, 1.0 / dt + params.m, -res, cfg, report,
+            t_new,
         )
         phi = phi + delta
         res, mu_new, curv = residual(phi)
@@ -358,46 +348,49 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     return new_state, report
 
 
-def _solve_ch_jacobian(grid, mob, curv, diag0, rhs, cfg, report, t):
-    """Solve J delta = rhs with J v = diag0 v - div(mob grad(-lap v + curv v)).
+def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t):
+    """Solve J delta = rhs with J = diag0 I - A_m (diag(curv) - L).
 
-    BiCGStab iterations add to ``report.linear_iters["ch"]``; a BiCGStab
-    failure falls back to sparse LU with a warning naming the time t.
+    A_m is the assembled div(mob grad) of the step and L the cached
+    Laplacian (``fields.div_mob_grad_matrix``, ``fields.laplacian_matrix``);
+    BiCGStab applies J through them and the sparse-LU path factors the same
+    product, so both paths solve one operator.  The cosine-transform
+    preconditioner freezes the mobility at its mean ``mob_bar`` and the
+    curvature at its mean.
+
+    ``report.linear_iters["ch"]`` grows by ceil(matvecs / 2): the BiCGStab
+    iterations, counting a solve that converges at its half step as one.
+    A BiCGStab failure falls back to sparse LU with a warning naming the
+    time t.
     """
     if cfg.linear_solver == "direct":
         report.used_direct = True
-        return _solve_ch_direct(grid, mob, curv, diag0, rhs)
+        return _solve_ch_direct(grid, a_m, curv, diag0, rhs)
 
+    lap = laplacian_matrix(grid)
     lam = neumann_eigenvalues(grid)
-    mob_bar = float(np.mean(mob))
+    curv_flat = curv.ravel()
     curv_bar = float(np.mean(curv))
     denom = diag0 + mob_bar * lam * (lam + curv_bar)
+    matvecs = 0
 
     def apply_j(v):
-        v2 = np.asarray(v, dtype=float).reshape(grid.nx, grid.ny)
-        inner = -lap_array(v2, grid.dx, grid.dy) + curv * v2
-        out = diag0 * v2 - div_mob_grad_array(mob, inner, grid.dx, grid.dy)
-        return out.ravel()
+        nonlocal matvecs
+        matvecs += 1
+        return diag0 * v - a_m @ (curv_flat * v - lap @ v)
 
     def apply_pinv(v):
         v2 = np.asarray(v, dtype=float).reshape(grid.nx, grid.ny)
         sol = idctn(dctn(v2, norm="ortho") / denom, norm="ortho")
         return sol.ravel()
 
-    iters = 0
-
-    def count_iteration(_xk):
-        nonlocal iters
-        iters += 1
-
     n = grid.nx * grid.ny
     op = spla.LinearOperator((n, n), matvec=apply_j, dtype=np.float64)
     pre = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=np.float64)
     sol, info = spla.bicgstab(
-        op, rhs.ravel(), rtol=cfg.linear_tol, atol=0.0, M=pre,
-        maxiter=400, callback=count_iteration,
+        op, rhs.ravel(), rtol=cfg.linear_tol, atol=0.0, M=pre, maxiter=400,
     )
-    report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + iters
+    report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + (matvecs + 1) // 2
     if info != 0:
         warnings.warn(
             f"Cahn-Hilliard BiCGStab failed at t={t:.6g} (info={info}); "
@@ -406,17 +399,15 @@ def _solve_ch_jacobian(grid, mob, curv, diag0, rhs, cfg, report, t):
             stacklevel=2,
         )
         report.used_direct = True
-        return _solve_ch_direct(grid, mob, curv, diag0, rhs)
+        return _solve_ch_direct(grid, a_m, curv, diag0, rhs)
     return sol.reshape(grid.nx, grid.ny)
 
 
-def _solve_ch_direct(grid, mob, curv, diag0, rhs):
+def _solve_ch_direct(grid, a_m, curv, diag0, rhs):
+    """Sparse-LU solve of diag0 I - A_m (diag(curv) - L), as in BiCGStab."""
     n = grid.nx * grid.ny
-    k = _minus_lap_matrix(grid)
-    m1 = _mob_stencil_matrix(grid, mob)
-    j = sp.eye(n, format="csr") * diag0 + m1 @ (
-        k + sp.diags(curv.ravel(), format="csr")
-    )
+    inner = sp.diags(curv.ravel(), format="csr") - laplacian_matrix(grid)
+    j = sp.eye(n, format="csr") * diag0 - a_m @ inner
     sol = spla.splu(j.tocsc()).solve(rhs.ravel())
     return sol.reshape(grid.nx, grid.ny)
 
@@ -473,7 +464,7 @@ def initialize_mu(state: State, params: ModelParams) -> State:
     phi = state.phi.values
     # (-lap + convex) + concave, the summation order the step uses
     mu = (
-        -lap_array(phi, grid.dx, grid.dy)
+        -_apply(laplacian_matrix(grid), phi)
         + params.convex_slope(phi)
         + params.potential.concave_slope(phi)
     )

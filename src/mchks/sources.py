@@ -10,7 +10,8 @@ are the identity, and the forms reduce to the plain constitutive laws.
 This module is the one home of the regularized right-hand side: the step,
 the weak residuals and the spectral oracle read the chemotactic truncation
 ``T_eps`` from ``ModelParams.truncation`` and the non-differential terms of
-the four evolution equations from ``reaction_rates``.
+the four evolution equations from ``reaction_rates``; the step's smooth-mode
+nutrient update reads the n term alone, ``nutrient_rate``.
 """
 
 from __future__ import annotations
@@ -297,6 +298,11 @@ def source_c(params: ModelParams, phi, phi_a, n, c):
     return release * (1.0 - cc) - positive_part(phi_a) * cc
 
 
+def nutrient_rate(params: ModelParams, phi, phi_a, n):
+    """Non-differential right-hand side of the n equation, chi_phi p(phi) + S_n."""
+    return params.chi_phi * p_switch(params, phi) + source_n(params, phi, phi_a, n)
+
+
 def reaction_rates(params: ModelParams, phi, phi_a, n, c):
     """Non-differential right-hand sides of the phi, phi_a, n and c equations.
 
@@ -306,6 +312,6 @@ def reaction_rates(params: ModelParams, phi, phi_a, n, c):
     return (
         source_phi(params, phi, n),
         source_phi_a(params, phi, phi_a, c),
-        params.chi_phi * p_switch(params, phi) + source_n(params, phi, phi_a, n),
+        nutrient_rate(params, phi, phi_a, n),
         params.chi_a * positive_part(phi_a) + source_c(params, phi, phi_a, n, c),
     )

@@ -11,6 +11,8 @@ from mchks.fields import (
     cosine_mode,
     discrete_neumann_eigenvalue,
     div_mob_grad,
+    div_mob_grad_array,
+    div_mob_grad_matrix,
     dual_norm,
     grad_sq_integral,
     inner,
@@ -18,6 +20,7 @@ from mchks.fields import (
     inv_neumann_laplacian,
     lap_array,
     laplacian,
+    laplacian_matrix,
     mean,
     neumann_eigenvalues,
     norm_l2,
@@ -98,6 +101,32 @@ def test_div_mob_grad_adjointness():
     assert inner(v, div_mob_grad(mob, u)) == pytest.approx(
         inner(u, div_mob_grad(mob, v)), rel=1e-12, abs=1e-12
     )
+
+
+NON_SQUARE = [Grid2D(5, 7, 1.0, 1.7), Grid2D(17, 23, 2.3, 1.1),
+              Grid2D(128, 96, 12.8, 7.5)]
+
+
+@pytest.mark.parametrize("grid", NON_SQUARE, ids=["5x7", "17x23", "128x96"])
+def test_assembled_operator_matches_face_flux_stencil(grid):
+    # x-major ordering and the +-1 / +-ny offsets, checked against the
+    # independently coded slicing stencils
+    v = random_field(grid, seed=20).values
+    mob = 0.5 + np.abs(random_field(grid, seed=21).values)
+    ref = div_mob_grad_array(mob, v, grid.dx, grid.dy)
+    got = (div_mob_grad_matrix(grid, mob) @ v.ravel()).reshape(v.shape)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ref = lap_array(v, grid.dx, grid.dy)
+    got = (laplacian_matrix(grid) @ v.ravel()).reshape(v.shape)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_cached_laplacian_matrix_is_read_only():
+    lap = laplacian_matrix(GRID)
+    assert laplacian_matrix(GRID) is lap
+    for arr in (lap.data, lap.indices, lap.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_mean_and_integral():

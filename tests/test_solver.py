@@ -6,11 +6,19 @@ from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
 import mchks.solver
 from mchks.errors import ConvergenceError, InitialDataError
-from mchks.fields import Grid2D, ScalarField, integrate
+from mchks.fields import (
+    Grid2D,
+    ScalarField,
+    div_mob_grad_array,
+    div_mob_grad_matrix,
+    integrate,
+    lap_array,
+)
 from mchks.potentials import FloryHuggins, RegularQuartic, YosidaRegularization
 from mchks.solver import (
     SolverConfig,
     State,
+    StepReport,
     run,
     step,
     validate_initial_data,
@@ -121,22 +129,69 @@ def test_direct_and_krylov_linear_solvers_agree():
 
 
 def test_report_counts_ch_krylov_iterations(monkeypatch):
-    seen = {"calls": 0, "iters": 0}
+    # matvecs counted outside the solver, per BiCGStab solve; two per full
+    # iteration and one for a solve that converges at its half step
+    matvecs = []
     real = spla.bicgstab
 
-    def counted(*args, callback=None, **kwargs):
-        seen["calls"] += 1
+    def counted(op, b, **kwargs):
+        matvecs.append(0)
 
-        def count(xk):
-            seen["iters"] += 1
-            callback(xk)
+        def matvec(v):
+            matvecs[-1] += 1
+            return op.matvec(v)
 
-        return real(*args, callback=count, **kwargs)
+        wrapped = spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return real(wrapped, b, **kwargs)
 
     monkeypatch.setattr(spla, "bicgstab", counted)
     grid = Grid2D(16, 16, 12.8, 12.8)
     _, rep = step(spheroid_state(grid), FH, SolverConfig(dt=1e-3, t_end=1e-3))
-    assert rep.linear_iters["ch"] == seen["iters"] > seen["calls"] > 0
+    iters = sum(-(-m // 2) for m in matvecs)
+    assert rep.linear_iters["ch"] == iters > len(matvecs) > 0
+
+
+@pytest.mark.parametrize("params", [QUARTIC, FH], ids=["smooth", "singular"])
+def test_report_counts_half_step_krylov_exit(params):
+    # criterion 7 data: each solve converges at BiCGStab's half step, where
+    # scipy calls no callback
+    st = uniform_state(Grid2D(4, 4, 2.0, 2.0), 0.4, 0.3, 0.9, 0.1)
+    _, rep = step(st, params, SolverConfig(dt=1e-5, t_end=1e-5))
+    assert rep.newton_iters >= 1
+    assert rep.linear_iters["ch"] >= rep.newton_iters
+
+
+def test_krylov_and_direct_paths_solve_the_stencil_operator():
+    grid = Grid2D(24, 20, 1.3, 1.0)
+    rng = np.random.default_rng(11)
+    mob = 0.5 + rng.random((grid.nx, grid.ny))
+    curv = 5.0 * rng.random((grid.nx, grid.ny))
+    rhs = rng.standard_normal((grid.nx, grid.ny))
+    diag0 = 1e3
+    cfg = SolverConfig(linear_tol=1e-10)
+
+    def apply_j(v):
+        inner = -lap_array(v, grid.dx, grid.dy) + curv * v
+        return diag0 * v - div_mob_grad_array(mob, inner, grid.dx, grid.dy)
+
+    a_m = div_mob_grad_matrix(grid, mob)
+    sol_k = mchks.solver._solve_ch_jacobian(
+        grid, a_m, float(np.mean(mob)), curv, diag0, rhs, cfg, StepReport(), 0.0
+    )
+    sol_d = mchks.solver._solve_ch_direct(grid, a_m, curv, diag0, rhs)
+    bound = 10 * cfg.linear_tol * np.linalg.norm(rhs)
+    for sol in (sol_k, sol_d):
+        assert np.linalg.norm(apply_j(sol) - rhs) <= bound
+
+
+@pytest.mark.parametrize("linear_solver", ["krylov", "direct"])
+def test_step_is_bitwise_deterministic(linear_solver):
+    st0 = spheroid_state(Grid2D(16, 16, 12.8, 12.8))
+    cfg = SolverConfig(dt=1e-3, t_end=1e-3, linear_solver=linear_solver)
+    s1, _ = step(st0, FH, cfg)
+    s2, _ = step(st0, FH, cfg)
+    for name in ("phi", "mu", "phi_a", "n", "c"):
+        assert np.array_equal(getattr(s1, name).values, getattr(s2, name).values)
 
 
 def test_ch_krylov_failure_warns_and_falls_back(monkeypatch):
