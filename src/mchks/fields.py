@@ -107,17 +107,10 @@ class ScalarField:
         return bool(np.all(self.values == self.values.flat[0]))
 
 
-def cosine_mode(grid: Grid2D, i: int, j: int, normalized: bool = False):
-    """Neumann-compatible cosine mode cos(i pi x / lx) cos(j pi y / ly).
-
-    With ``normalized`` the mode has unit L2 norm on the rectangle.
-    """
+def cosine_mode(grid: Grid2D, i: int, j: int):
+    """Neumann-compatible cosine mode cos(i pi x / lx) cos(j pi y / ly)."""
     x, y = grid.centers()
     vals = np.cos(i * np.pi * x / grid.lx) * np.cos(j * np.pi * y / grid.ly)
-    if normalized:
-        nx = np.sqrt((1.0 if i == 0 else 2.0) / grid.lx)
-        ny = np.sqrt((1.0 if j == 0 else 2.0) / grid.ly)
-        vals = vals * nx * ny
     return ScalarField(grid, vals)
 
 

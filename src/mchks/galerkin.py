@@ -5,17 +5,21 @@ Neumann Laplacian on the rectangle, eigenvalues alpha_ij starting at 0) and
 the projected evolution system becomes an ODE system for the coefficients,
 with the chemical potential coefficients eliminated algebraically each
 evaluation.  Nonlinear terms are evaluated pseudo-spectrally on a midpoint
-quadrature grid with at least 2x oversampling; for products of band-limited
+quadrature grid with 2x oversampling; for products of band-limited
 factors the midpoint rule is exact, and for the non-polynomial regularized
 terms the aliasing error stays below integrator tolerance at oracle scales.
-Integration is by adaptive explicit embedded Runge-Kutta, so the fourth
-order eigenvalue stiffness limits this solver to small mode counts; it is a
-cross-validation oracle, not a production path.
+Integration is by adaptive explicit embedded Runge-Kutta, stiff as the top
+mode's (k pi / L)^4; an integration that would spend more than
+``RHS_EVAL_BUDGET`` (50 000) right-hand-side evaluations is refused with
+``StepSizeUnderflow``.  It is a cross-validation oracle, not a production
+path.
 
 The projected system is the one the FD step solves: the non-differential
 terms come from ``sources.reaction_rates`` and the chemotactic flux goes
-through ``ModelParams.truncation``.  ``cross_errors`` measures how far an FD
-state lies from a Galerkin state on the FD grid.
+through ``ModelParams.truncation``.  On FD data, ``project`` (midpoint sum)
+and ``evaluate_on_grid`` share one cell-centre cosine table and invert each
+other for k < min(nx, ny).  ``cross_errors`` measures how far an FD state
+lies from a Galerkin state on the FD grid.
 """
 
 from __future__ import annotations
@@ -30,7 +34,17 @@ from .errors import StepSizeUnderflow
 from .fields import Grid2D, ScalarField
 from .sources import ModelParams, reaction_rates
 
-MAX_MODES_PER_DIM = 16
+RHS_EVAL_BUDGET = 50_000  # right-hand-side evaluations per integration
+
+
+def cell_cosines(length, n, k):
+    """The k+1 orthonormal Neumann cosines of [0, length] at the centres of
+    n equal cells: (centres, values (n, k+1), x-derivatives (n, k+1))."""
+    x = (np.arange(n) + 0.5) * length / n
+    i = np.arange(k + 1)
+    norm = np.sqrt(np.where(i == 0, 1.0, 2.0) / length)
+    arg = np.outer(x, i) * np.pi / length
+    return x, np.cos(arg) * norm, -np.sin(arg) * norm * (i * np.pi / length)
 
 
 @dataclass(frozen=True)
@@ -38,17 +52,14 @@ class EigenBasis:
     lx: float
     ly: float
     k: int
-    nq: int = 0  # quadrature points per dimension; 0 means 2*(k+1)
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("mode index must be nonnegative")
-        if self.nq and self.nq < 2 * (self.k + 1):
-            raise ValueError("need at least 2(k+1) quadrature points")
 
     @property
     def n_quad(self):
-        return self.nq or 2 * (self.k + 1)
+        return 2 * (self.k + 1)
 
     @cached_property
     def alpha(self):
@@ -57,38 +68,21 @@ class EigenBasis:
         ay = (i * np.pi / self.ly) ** 2
         return ax[:, None] + ay[None, :]
 
-    def _axis(self, length):
-        nq = self.n_quad
-        xq = (np.arange(nq) + 0.5) * length / nq
-        i = np.arange(self.k + 1)
-        norm = np.sqrt(np.where(i == 0, 1.0, 2.0) / length)
-        cos = np.cos(np.outer(xq, i) * np.pi / length) * norm
-        sin = -np.sin(np.outer(xq, i) * np.pi / length) * norm * (i * np.pi / length)
-        return xq, cos, sin
+    @cached_property
+    def _x(self):
+        return cell_cosines(self.lx, self.n_quad, self.k)
 
     @cached_property
-    def x_quad(self):
-        return self._axis(self.lx)[0]
+    def _y(self):
+        return cell_cosines(self.ly, self.n_quad, self.k)
 
-    @cached_property
-    def y_quad(self):
-        return self._axis(self.ly)[0]
-
-    @cached_property
-    def cos_x(self):
-        return self._axis(self.lx)[1]
-
-    @cached_property
-    def sin_x(self):
-        return self._axis(self.lx)[2]
-
-    @cached_property
-    def cos_y(self):
-        return self._axis(self.ly)[1]
-
-    @cached_property
-    def sin_y(self):
-        return self._axis(self.ly)[2]
+    # quadrature points, cosines and cosine derivatives along each axis
+    x_quad = property(lambda self: self._x[0])
+    cos_x = property(lambda self: self._x[1])
+    sin_x = property(lambda self: self._x[2])
+    y_quad = property(lambda self: self._y[0])
+    cos_y = property(lambda self: self._y[1])
+    sin_y = property(lambda self: self._y[2])
 
     @property
     def quad_weight(self):
@@ -121,42 +115,35 @@ def project_flux(basis: EigenBasis, vx, vy):
     ) * basis.quad_weight
 
 
+def _grid_cosines(basis: EigenBasis, grid: Grid2D):
+    return (cell_cosines(basis.lx, grid.nx, basis.k)[1],
+            cell_cosines(basis.ly, grid.ny, basis.k)[1])
+
+
 def project(basis: EigenBasis, f):
-    """Project a callable f(x, y) or a ScalarField onto the basis."""
+    """Project a callable f(x, y), sampled on the quadrature grid, or a
+    ScalarField, summed on its cell centres (needs k < min(nx, ny))."""
     if callable(f):
         x, y = basis.quad_meshgrid()
         return project_values(basis, np.asarray(f(x, y), dtype=float))
     if isinstance(f, ScalarField):
         if f.is_constant():
-            # the (0, 0) mode alone, exactly; quadrature of the interpolant
-            # would leave round-off in every coefficient
+            # the (0, 0) mode alone, exactly; the midpoint sum would leave
+            # round-off in every coefficient
             coeffs = np.zeros((basis.k + 1, basis.k + 1))
             coeffs[0, 0] = f.values.flat[0] * np.sqrt(basis.lx * basis.ly)
             return coeffs
-        from scipy.interpolate import RegularGridInterpolator
-
         g = f.grid
-        xs = (np.arange(g.nx) + 0.5) * g.dx
-        ys = (np.arange(g.ny) + 0.5) * g.dy
-        interp = RegularGridInterpolator(
-            (xs, ys), f.values, bounds_error=False, fill_value=None
-        )
-        x, y = basis.quad_meshgrid()
-        pts = np.stack([x.ravel(), y.ravel()], axis=-1)
-        vals = interp(pts).reshape(x.shape)
-        return project_values(basis, vals)
+        if basis.k >= min(g.nx, g.ny):
+            raise ValueError(f"k = {basis.k} needs more cells than {g.nx}x{g.ny}")
+        cx, cy = _grid_cosines(basis, g)
+        return cx.T @ f.values @ cy * (basis.lx / g.nx) * (basis.ly / g.ny)
     raise TypeError("expected a callable or ScalarField")
 
 
 def evaluate_on_grid(basis: EigenBasis, coeffs, grid: Grid2D) -> ScalarField:
     """Point evaluation of the truncated expansion at FD cell centers."""
-    i = np.arange(basis.k + 1)
-    xs = (np.arange(grid.nx) + 0.5) * grid.dx
-    ys = (np.arange(grid.ny) + 0.5) * grid.dy
-    nx_norm = np.sqrt(np.where(i == 0, 1.0, 2.0) / basis.lx)
-    ny_norm = np.sqrt(np.where(i == 0, 1.0, 2.0) / basis.ly)
-    cx = np.cos(np.outer(xs, i) * np.pi / basis.lx) * nx_norm
-    cy = np.cos(np.outer(ys, i) * np.pi / basis.ly) * ny_norm
+    cx, cy = _grid_cosines(basis, grid)
     return ScalarField(grid, cx @ coeffs @ cy.T)
 
 
@@ -262,26 +249,31 @@ def integrate_galerkin(
     """Adaptive explicit Runge-Kutta integration of the projected system.
 
     Returns the list of GalerkinStates at the requested times (final time
-    only by default).  Raises StepSizeUnderflow when the integrator cannot
-    proceed, which usually signals Yosida stiffness: in singular mode the
-    regularization parameter must satisfy eps >= 1e-2 at oracle scales.
+    only by default).  Raises StepSizeUnderflow, naming eps, k and the time
+    reached, when the integrator fails or when it would need more than
+    ``RHS_EVAL_BUDGET`` right-hand-side evaluations; the fourth-order mode
+    stiffness (k pi / L)^4 sets that count.
     """
-    if basis.k > MAX_MODES_PER_DIM:
-        raise ValueError(
-            f"oracle scale is capped at {MAX_MODES_PER_DIM} modes per dimension"
-        )
-    if params.singular and params.eps < 1e-2:
-        raise ValueError(
-            "singular-mode spectral integration needs eps >= 1e-2 "
-            "(Yosida slope 1/eps drives the explicit step size)"
-        )
     shape = (basis.k + 1, basis.k + 1)
     size = shape[0] * shape[1]
 
     def unpack(y):
         return [y[i * size : (i + 1) * size].reshape(shape) for i in range(4)]
 
+    evals, t_last = 0, g0.t
+
+    def refuse(reason):
+        return StepSizeUnderflow(
+            f"spectral oracle stopped at t = {t_last:.6g} of {t_end:g} "
+            f"(eps = {params.eps:g}, k = {basis.k}): {reason}"
+        )
+
     def fun(t, y):
+        nonlocal evals, t_last
+        evals, t_last = evals + 1, t
+        if evals > RHS_EVAL_BUDGET:
+            raise refuse(f"budget of {RHS_EVAL_BUDGET} right-hand-side "
+                         "evaluations spent")
         derivs, _ = galerkin_rhs(t, unpack(y), params, basis)
         return np.concatenate([d.ravel() for d in derivs])
 
@@ -299,7 +291,7 @@ def integrate_galerkin(
         dense_output=False,
     )
     if not sol.success:
-        raise StepSizeUnderflow(sol.message)
+        raise refuse(sol.message)
     states = []
     for idx, t in enumerate(sol.t):
         a, ca, d, e = unpack(sol.y[:, idx])

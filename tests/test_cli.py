@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mchks
+from mchks import cli, galerkin
 from mchks.cli import (
     CSV_COLUMNS,
     band_limited_initial,
@@ -20,8 +21,9 @@ from mchks.cli import (
 )
 from mchks.errors import ParseError, ValidationError
 from mchks.fields import read_snapshot
+from mchks.galerkin import cross_errors, integrate_galerkin
 from mchks.potentials import FloryHuggins, SingleWellLJ
-from mchks.solver import validate_initial_data
+from mchks.solver import run, validate_initial_data
 
 TINY = """
 [grid]
@@ -275,6 +277,60 @@ def test_compare_subcommand(tmp_path):
         "n0 = 0.8\nc0 = 0.2\n"
     )
     assert main(["compare", "-c", str(cfg_path), "--modes", "4"]) == 0
+
+
+def test_compare_subcommand_default_config(tmp_path, capsys):
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    assert main(["compare", "-c", str(cfg_path),
+                 "--set", "solver.t_end=0.05"]) == 0
+    worst = capsys.readouterr().out.splitlines()[-1]
+    assert float(worst.split()[2]) <= 5e-3
+
+
+def test_oracle_error_shrinks_under_joint_refinement_at_production_eps():
+    # default config: Flory-Huggins, singular, eps = 1e-3
+    assert default_config().params.singular
+    assert default_config().params.eps == 1e-3
+    worst = []
+    for nx, k in ((32, 8), (64, 16)):
+        config = parse_config("", overrides=[
+            f"grid.nx={nx}", f"grid.ny={nx}", "solver.t_end=0.1"])
+        fd0, g0, basis = band_limited_initial(config, k)
+        gs = integrate_galerkin(g0, config.params, basis, 0.1)[-1]
+        fd = run(fd0, config.params, config.solver,
+                 record_every=10**9).final_state
+        worst.append(max(cross_errors(fd, gs, basis).values()))
+    assert worst[1] < 0.2 * worst[0]
+    assert worst[1] <= 1e-3
+
+
+@pytest.mark.parametrize("modes", ["-1", "8", "17"])
+def test_compare_rejects_modes_outside_grid_before_solving(
+        tmp_path, monkeypatch, modes):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    monkeypatch.setattr(cli, "integrate_galerkin", no_solve)
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(TINY + "[params]\npotential = quartic\n")
+    assert main(["compare", "-c", str(cfg_path), "--modes", modes]) == 2
+
+
+def test_compare_exits_3_over_oracle_budget_before_fd_run(
+        tmp_path, monkeypatch, capsys):
+    def no_fd(*args, **kwargs):
+        raise AssertionError("FD run reached")
+
+    monkeypatch.setattr(galerkin, "RHS_EVAL_BUDGET", 20)
+    monkeypatch.setattr(cli, "run", no_fd)
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(TINY)
+    assert main(["compare", "-c", str(cfg_path), "--modes", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "StepSizeUnderflow" in err
+    assert "eps = 0.001" in err and "k = 4" in err and "t = " in err
 
 
 def test_twin_subcommand(tmp_path):

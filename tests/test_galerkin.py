@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from _oracles import band_limited_ic, solve_uniform_ode
 
+from mchks import galerkin
+from mchks.errors import StepSizeUnderflow
 from mchks.fields import Grid2D, ScalarField
 from mchks.galerkin import (
     EigenBasis,
@@ -14,7 +18,7 @@ from mchks.galerkin import (
     project,
     reconstruct,
 )
-from mchks.potentials import FloryHuggins, RegularQuartic
+from mchks.potentials import RegularQuartic
 from mchks.sources import ModelParams, source_phi
 
 PARAMS = ModelParams(potential=RegularQuartic(1.0), m=0.5)
@@ -75,8 +79,29 @@ def test_project_scalar_field_matches_callable():
 
     direct = project(basis, f)
     sampled = project(basis, ScalarField.from_function(grid, f))
-    # bilinear sampling of the cell data is itself O(dx^2) accurate
+    # the midpoint sum over the cells is itself O(dx^2) accurate
     assert np.allclose(direct, sampled, atol=5e-4)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly, k", [
+    (17, 23, 2.0, 3.5, 16),
+    (64, 48, 12.8, 9.6, 8),
+    (64, 64, 2 * np.pi, 2 * np.pi, 16),
+])
+def test_project_inverts_evaluate_on_grid(nx, ny, lx, ly, k):
+    grid = Grid2D(nx, ny, lx, ly)
+    basis = EigenBasis(lx, ly, k)
+    a = np.random.default_rng(nx * ny + k).standard_normal((k + 1, k + 1))
+    back = project(basis, evaluate_on_grid(basis, a, grid))
+    assert np.max(np.abs(back - a)) <= 1e-13
+
+
+def test_project_needs_more_cells_than_modes():
+    grid = Grid2D(8, 12, 1.0, 1.5)
+    field = ScalarField.from_function(grid, lambda x, y: np.cos(np.pi * x))
+    project(EigenBasis(1.0, 1.5, 7), field)
+    with pytest.raises(ValueError, match="8x12"):
+        project(EigenBasis(1.0, 1.5, 8), field)
 
 
 def test_project_rejects_other_types():
@@ -171,25 +196,18 @@ def test_energy_lyapunov_zero_sources():
     assert np.all(np.diff(energies) <= 1e-7 * max(abs(e) for e in energies))
 
 
-def test_singular_mode_needs_mild_eps():
-    params = ModelParams(potential=FloryHuggins(1.0, 3.0), eps=1e-3)
-    basis = EigenBasis(1.0, 1.0, 1)
-    g0 = initial_galerkin_state(
-        basis, params, constant_fields(dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1))
-    )
-    with pytest.raises(ValueError):
-        integrate_galerkin(g0, params, basis, 0.01)
-    params_ok = ModelParams(potential=FloryHuggins(1.0, 3.0), eps=5e-2)
-    integrate_galerkin(g0, params_ok, basis, 0.01)
-
-
-def test_mode_cap_enforced():
-    basis = EigenBasis(1.0, 1.0, 17)
-    g0 = initial_galerkin_state(
-        basis, PARAMS, constant_fields(dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1))
-    )
-    with pytest.raises(ValueError):
-        integrate_galerkin(g0, PARAMS, basis, 0.01)
+def test_evaluation_budget_refusal_names_eps_k_and_t(monkeypatch):
+    monkeypatch.setattr(galerkin, "RHS_EVAL_BUDGET", 30)
+    L = 2 * np.pi
+    basis = EigenBasis(L, L, 4)
+    g0 = initial_galerkin_state(basis, PARAMS, band_limited_ic(L))
+    with pytest.raises(StepSizeUnderflow) as exc:
+        integrate_galerkin(g0, PARAMS, basis, 0.1)
+    msg = str(exc.value)
+    assert f"eps = {PARAMS.eps:g}" in msg
+    assert "k = 4" in msg
+    assert re.search(r"t = \S+ of 0\.1", msg)
+    assert "30 right-hand-side evaluations" in msg
 
 
 def test_mean_channel_respects_mass_corridor():
