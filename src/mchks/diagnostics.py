@@ -178,14 +178,6 @@ class DiagnosticsTracker:
             lo = hi = math.nan
             flags["corridor"] = False
 
-        zm_vals = state.phi.values - np.mean(state.phi.values)
-        zero_mean_phi = ScalarField(state.grid, zm_vals)
-        # uniform fields leave pure round-off junk behind the mean subtraction
-        phi_scale = float(np.max(np.abs(state.phi.values)))
-        if np.max(np.abs(zm_vals)) <= 1e-13 * max(phi_scale, 1.0):
-            phi_dual = 0.0
-        else:
-            phi_dual = dual_norm(zero_mean_phi)
         f_density = params.f_density(state.phi.values)
 
         return DiagnosticsRecord(
@@ -198,7 +190,7 @@ class DiagnosticsTracker:
             extrema=extrema,
             entropy=entropy_integral(state, params),
             f_integral=float(np.sum(f_density)) * state.grid.cell_area,
-            phi_dual_norm=phi_dual,
+            phi_dual_norm=dual_norm(state.phi),
             corridor_lo=lo,
             corridor_hi=hi,
             h_sup=self.h_sup,
@@ -239,7 +231,7 @@ def default_test_battery(grid):
     return [cosine_mode(grid, i, j) for i, j in modes]
 
 
-def weak_residual(states, params: ModelParams, dt: float, battery=None):
+def weak_residual(states, params: ModelParams, dt: float):
     """Weak-formulation residuals over a window of consecutive states.
 
     For each pair of consecutive states each of the five equations (phi
@@ -260,9 +252,8 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
     if len(states) < 2:
         raise ValueError("need at least two consecutive states")
     grid = states[0].grid
-    if battery is None:
-        battery = default_test_battery(grid)
-    tests = np.stack([v.values.ravel() for v in battery]) * grid.cell_area
+    battery = np.stack([v.values.ravel() for v in default_test_battery(grid)])
+    tests = battery * grid.cell_area
 
     def div(coef, u):
         return div_mob_grad_array(coef, u, grid.dx, grid.dy)
@@ -272,13 +263,8 @@ def weak_residual(states, params: ModelParams, dt: float, battery=None):
     for s0, s1 in zip(states[:-1], states[1:]):
         phi1, phia1 = s1.phi.values, s1.phi_a.values
         n1, c1, mu1 = s1.n.values, s1.c.values, s1.mu.values
-        mob_m = np.broadcast_to(
-            np.asarray(params.mobility_m(phi1, phia1, n1), dtype=float),
-            phi1.shape,
-        )
-        mob_n = np.broadcast_to(
-            np.asarray(params.mobility_n(phia1, c1), dtype=float), phi1.shape
-        )
+        mob_m = params.mobility_m(phi1, phia1, n1)
+        mob_n = params.mobility_n(phia1, c1)
         ones = np.ones_like(phi1)
         chem_coef = params.truncation.truncate(phia1) * mob_n
         s_phi, s_a, r_n, r_c = reaction_rates(params, phi1, phia1, n1, c1)
@@ -313,10 +299,6 @@ class TwinDistance:
     ratio: float
 
 
-def _zero_mean(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.values - np.mean(f.values))
-
-
 def _trapezoid(times, values):
     return float(np.trapezoid(values, times))
 
@@ -345,9 +327,9 @@ def twin_run_distance(states1, states2, params: ModelParams) -> TwinDistance:
         d_phia = ScalarField(grid, s1.phi_a.values - s2.phi_a.values)
         d_n = s1.n.values - s2.n.values
         d_c = s1.c.values - s2.c.values
-        phi_dual.append(dual_norm(_zero_mean(d_phi)))
+        phi_dual.append(dual_norm(d_phi))
         phi_mean.append(abs(mean(d_phi)))
-        phia_dual.append(dual_norm(_zero_mean(d_phia)))
+        phia_dual.append(dual_norm(d_phia))
         phia_l2.append(norm_l2(d_phia))
         phia_mean.append(abs(mean(d_phia)))
         n_l2.append(float(np.sqrt(np.sum(d_n**2) * grid.cell_area)))

@@ -20,8 +20,8 @@ the step's explicit chemotaxis flux, applied once, uses them too.
 The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
 exactly; its eigenvalues live in one cached table per grid, which the
 Cahn-Hilliard preconditioner shares.  The inverse Neumann Laplacian is an
-exact DCT solve of that same discrete operator on the zero-mean subspace,
-and the dual norm is built on top of it.
+exact DCT solve of that same discrete operator on the zero-mean subspace;
+the dual norm of a field's fluctuation reads the same table and one DCT.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def grad_sq_integral(f: ScalarField) -> float:
 # ------------------------------------------------ conjugate gradients
 
 
-def cg_solve(apply_op, b, x0=None, rel_tol=1e-10, max_iter=None):
+def cg_solve(apply_op, b, x0=None, rel_tol=1e-10):
     """Matrix-free CG for SPD stencil operators on flat or 2D arrays."""
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b) if x0 is None else x0.astype(float).copy()
@@ -287,8 +287,7 @@ def cg_solve(apply_op, b, x0=None, rel_tol=1e-10, max_iter=None):
         return x, 0
     p = r.copy()
     rs = float(np.vdot(r, r))
-    if max_iter is None:
-        max_iter = 20 * b.size
+    max_iter = 20 * b.size
     for k in range(1, max_iter + 1):
         ap = apply_op(p)
         alpha = rs / float(np.vdot(p, ap))
@@ -325,9 +324,16 @@ def inv_neumann_laplacian(f: ScalarField) -> ScalarField:
 
 
 def dual_norm(f: ScalarField) -> float:
-    """H^-1-type norm sqrt(<f, inv_neumann_laplacian(f)>) of zero-mean f."""
-    u = inv_neumann_laplacian(f)
-    return float(np.sqrt(max(inner(f, u), 0.0)))
+    """H^-1-type norm sqrt(<f', inv_neumann_laplacian(f')>) of f' = f - mean(f).
+
+    From one orthonormal DCT: sqrt(cell_area * sum c_ij^2 / lambda_ij) over
+    (i, j) != (0, 0).  Shifting f by one of its values changes only c_00 and
+    makes a constant f give exactly 0, not DCT round-off.
+    """
+    g = f.grid
+    coef = dctn(f.values - f.values.flat[0], norm="ortho").ravel()[1:]
+    lam = neumann_eigenvalues(g).ravel()[1:]
+    return float(np.sqrt(g.cell_area * np.sum(coef * coef / lam)))
 
 
 # ------------------------------------------------------------ snapshots

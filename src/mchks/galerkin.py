@@ -116,6 +116,14 @@ def project_flux(basis: EigenBasis, vx, vy):
 
 
 def _grid_cosines(basis: EigenBasis, grid: Grid2D):
+    """The basis cosines at the grid's cell centres; the grid must cover the
+    basis rectangle (to 1e-12 relative), else ValueError."""
+    if (abs(grid.lx - basis.lx) > 1e-12 * basis.lx
+            or abs(grid.ly - basis.ly) > 1e-12 * basis.ly):
+        raise ValueError(
+            f"grid rectangle {grid.lx:g} x {grid.ly:g} differs from the basis "
+            f"rectangle {basis.lx:g} x {basis.ly:g}"
+        )
     return (cell_cosines(basis.lx, grid.nx, basis.k)[1],
             cell_cosines(basis.ly, grid.ny, basis.k)[1])
 
@@ -188,18 +196,14 @@ def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
 
     mu_x, mu_y = gradient(basis, b)
     n_x, n_y = gradient(basis, d)
-    mob_m = np.broadcast_to(
-        np.asarray(params.mobility_m(phi_q, phia_q, n_q), dtype=float), phi_q.shape
-    )
+    mob_m = params.mobility_m(phi_q, phia_q, n_q)
     vx = mob_m * (mu_x - params.chi_phi * n_x)
     vy = mob_m * (mu_y - params.chi_phi * n_y)
     da = -project_flux(basis, vx, vy) + project_values(basis, s_phi)
 
     phia_x, phia_y = gradient(basis, ca)
     c_x, c_y = gradient(basis, e)
-    mob_n = np.broadcast_to(
-        np.asarray(params.mobility_n(phia_q, c_q), dtype=float), phi_q.shape
-    )
+    mob_n = params.mobility_n(phia_q, c_q)
     trunc = params.truncation.truncate(phia_q)
     wx = mob_n * phia_x - params.chi_a * trunc * mob_n * c_x
     wy = mob_n * phia_y - params.chi_a * trunc * mob_n * c_y

@@ -13,11 +13,15 @@ Yosida approximation of the convex slope, which is Lipschitz on the whole
 line.  Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
 the slope of its Yosida approximation (the graph corners of the obstacle and
 single-well variants included); ``YosidaRegularization`` builds the Yosida
-approximation, its derivative and the Moreau envelope on top of them.
+approximation, its derivative and the Moreau envelope on top of them.  The
+quartic and Flory-Huggins resolvents share one safeguarded Newton solve.
+The pointwise maps here and in ``regularize`` are written for float arrays;
+``elementwise`` lets them take a scalar and return a float for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,40 +37,70 @@ _RESOLVENT_TOL = 1e-12
 _RESOLVENT_MAXIT = 100
 
 
+def elementwise(method):
+    """Run ``method(self, r)`` on ``np.atleast_1d(r)`` as a float array; a
+    0-d ``r`` gets a float back (a tuple of floats for a tuple of arrays)."""
+
+    @functools.wraps(method)
+    def wrapper(self, r):
+        r = np.asarray(r, dtype=float)
+        out = method(self, np.atleast_1d(r))
+        if r.ndim:
+            return out
+        if isinstance(out, tuple):
+            return tuple(float(o[0]) for o in out)
+        return float(out[0])
+
+    return wrapper
+
+
 def _xlogx(r):
-    """r*log(r) extended by 0 at r=0 (assumes r >= 0)."""
-    r = np.asarray(r, dtype=float)
+    """r*log(r) extended by 0 at r=0 (assumes an array r >= 0)."""
     out = np.zeros_like(r)
     pos = r > 0.0
     out[pos] = r[pos] * np.log(r[pos])
     return out
 
 
-def _as_float(x, scalar_in):
-    return float(x) if scalar_in else x
+def _safeguarded_newton(g_and_slope, u, lo, hi, variant):
+    """Root of an increasing g in the bracket [lo, hi], elementwise, from
+    ``g_and_slope(u) = (g(u), g'(u))``.  Newton, bisecting where the candidate
+    leaves the bracket or |g| did not halve since the previous iterate (Newton
+    swinging between two flat tails); a stall raises ConvergenceError."""
+    g_prev = np.full(u.shape, np.inf)
+    for _ in range(_RESOLVENT_MAXIT):
+        g, slope = g_and_slope(u)
+        abs_g = np.abs(g)
+        done = abs_g <= _RESOLVENT_TOL
+        if done.all():
+            return u
+        hi = np.where(g > 0.0, u, hi)
+        lo = np.where(g < 0.0, u, lo)
+        cand = u - g / slope
+        bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
+        bad |= abs_g > 0.5 * g_prev
+        g_prev = abs_g
+        u = np.where(done, u, np.where(bad, 0.5 * (lo + hi), cand))
+    worst = np.abs(g_and_slope(u)[0]).max()
+    raise ConvergenceError(f"{variant} resolvent stalled, worst residual {worst:.3e}")
 
 
 @dataclass(frozen=True)
 class Potential:
     """Base class; concrete variants implement the split F = convex + concave."""
 
+    @elementwise
     def value(self, r):
         """F(r), returning +inf outside the proper domain."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = self.convex_value(r) + self.concave_value(r)
-        return _as_float(out[0] if scalar else out, scalar)
+        return self.convex_value(r) + self.concave_value(r)
 
+    @elementwise
     def derivative(self, r):
         """F'(r) = minimal convex slope + perturbation slope.
 
         Raises DomainError outside the interior of the convex part's domain
         when the potential is singular.
         """
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         if self.singular:
             lo, hi = self.slope_domain
             if np.any(r <= lo) or np.any(r >= hi):
@@ -74,8 +108,7 @@ class Potential:
                     f"derivative needs arguments in ({lo}, {hi}), "
                     f"got range [{r.min()}, {r.max()}]"
                 )
-        out = self.convex_slope(r) + self.concave_slope(r)
-        return _as_float(out[0] if scalar else out, scalar)
+        return self.convex_slope(r) + self.concave_slope(r)
 
     @property
     def singular(self) -> bool:
@@ -194,24 +227,13 @@ class RegularQuartic(Potential):
 
     def resolvent(self, r, eps):
         # Smooth monotone slope on the whole line: g(x) = x + eps*slope(x) - r
-        # has g' >= 1, bracketed by [min(0,r), max(0,r)].  Safeguarded Newton.
-        lo = np.minimum(0.0, r)
-        hi = np.maximum(0.0, r)
-        x = r.copy()
-        for _ in range(_RESOLVENT_MAXIT):
-            g = x + eps * self.convex_slope(x) - r
-            done = np.abs(g) <= _RESOLVENT_TOL
-            if done.all():
-                break
-            hi = np.where(g > 0.0, x, hi)
-            lo = np.where(g < 0.0, x, lo)
-            step = g / (1.0 + eps * self.convex_curvature(x))
-            cand = x - step
-            bad = (cand < lo) | (cand > hi) | ~np.isfinite(cand)
-            x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), cand))
-        else:
-            raise ConvergenceError("quartic resolvent stalled")
-        return x
+        # has g' >= 1, bracketed by [min(0,r), max(0,r)].
+        def g_and_slope(x):
+            return (x + eps * self.convex_slope(x) - r,
+                    1.0 + eps * self.convex_curvature(x))
+
+        return _safeguarded_newton(g_and_slope, r.copy(), np.minimum(0.0, r),
+                                   np.maximum(0.0, r), "quartic")
 
 
 @dataclass(frozen=True)
@@ -281,39 +303,21 @@ class FloryHuggins(Potential):
     def resolvent(self, r, eps):
         # Solve in logit coordinates: with u = log(x/(1-x)) the inclusion
         # becomes sigmoid(u) + a u = r, a = eps*c1/2, whose left side has
-        # derivative bounded below by a.  Safeguarded Newton on a bracket:
-        # bisect where the Newton candidate leaves the bracket, and where
-        # |g| did not halve since the previous iterate (Newton swinging
-        # between the two flat tails of the sigmoid).  Warm start at
-        # u = logit(r), where g = a logit(r) is already O(a); it is clipped
-        # into the bracket [(r-1)/a, r/a] (outside (0, 1), logit(clip(r))
-        # is -inf or +inf and lands on a bracket end).
+        # derivative bounded below by a.  Warm start at u = logit(r), where
+        # g = a logit(r) is already O(a); it is clipped into the bracket
+        # [(r-1)/a, r/a] (outside (0, 1), logit(clip(r)) is -inf or +inf and
+        # lands on a bracket end).
         a = 0.5 * eps * self.c1
         lo = (r - 1.0) / a
         hi = r / a
         with np.errstate(divide="ignore"):
             u = np.clip(logit(np.clip(r, 0.0, 1.0)), lo, hi)
-        g_prev = np.full(r.shape, np.inf)
-        for _ in range(_RESOLVENT_MAXIT):
+
+        def g_and_slope(u):
             x = expit(u)
-            g = x + a * u - r
-            done = np.abs(g) <= _RESOLVENT_TOL
-            if done.all():
-                break
-            hi = np.where(g > 0.0, u, hi)
-            lo = np.where(g < 0.0, u, lo)
-            step = g / (x * (1.0 - x) + a)
-            cand = u - step
-            bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-            bad |= np.abs(g) > 0.5 * g_prev
-            g_prev = np.abs(g)
-            u = np.where(done, u, np.where(bad, 0.5 * (lo + hi), cand))
-        else:
-            raise ConvergenceError(
-                f"Flory-Huggins resolvent stalled, worst residual "
-                f"{np.abs(expit(u) + a * u - r).max():.3e}"
-            )
-        return expit(u)
+            return x + a * u - r, x * (1.0 - x) + a
+
+        return expit(_safeguarded_newton(g_and_slope, u, lo, hi, "Flory-Huggins"))
 
 
 @dataclass(frozen=True)
@@ -503,43 +507,29 @@ class YosidaRegularization:
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
 
+    @elementwise
     def resolvent(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        out = self.potential.resolvent(np.atleast_1d(r), self.eps)
-        return _as_float(out[0] if scalar else out, scalar)
+        return self.potential.resolvent(r, self.eps)
 
+    @elementwise
     def yosida(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        out = (rr - np.atleast_1d(self.resolvent(rr))) / self.eps
-        return _as_float(out[0] if scalar else out, scalar)
+        return (r - self.resolvent(r)) / self.eps
 
     def yosida_derivative(self, r):
         """Derivative of the Yosida approximation (piecewise for graph corners)."""
         return self.slope_and_curvature(r)[1]
 
+    @elementwise
     def slope_and_curvature(self, r):
         """(yosida(r), yosida_derivative(r)) from one resolvent solve."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        j = np.atleast_1d(self.resolvent(rr))
-        slope = (rr - j) / self.eps
-        curv = self.potential.yosida_slope(rr, j, self.eps)
-        if scalar:
-            return float(slope[0]), float(curv[0])
-        return slope, curv
+        j = self.resolvent(r)
+        return (r - j) / self.eps, self.potential.yosida_slope(r, j, self.eps)
 
+    @elementwise
     def envelope(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        j = np.atleast_1d(self.resolvent(rr))
-        y = (rr - j) / self.eps
-        out = 0.5 * self.eps * y * y + self.potential.convex_value(j)
-        return _as_float(out[0] if scalar else out, scalar)
+        j = self.resolvent(r)
+        y = (r - j) / self.eps
+        return 0.5 * self.eps * y * y + self.potential.convex_value(j)
 
 
 def growth_constant(potential, lo=-10.0, hi=10.0, n=20001):

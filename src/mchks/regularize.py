@@ -6,6 +6,7 @@ The entropy is the x*log(x) density on (L, M), normalized to vanish to first
 order at 1, extended by quadratics below L and above M.  The inequality
 battery collects the pointwise bounds the a-priori energy estimates rely on;
 each check reports its slack so a runtime monitor can assert nonnegativity.
+The pointwise maps take a scalar as well through ``potentials.elementwise``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
+from .potentials import elementwise
 
 _E = math.e
 _INV_E = 1.0 / math.e
-
-
-def _as_float(x, scalar_in):
-    return float(x) if scalar_in else x
 
 
 @dataclass(frozen=True)
@@ -39,47 +37,39 @@ class TruncationPair:
         """The (L, 1/L) pair used by the regularized entropy estimates."""
         return cls(L, 1.0 / L)
 
+    @elementwise
     def truncate(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        out = np.clip(r, self.L, self.M)
-        return _as_float(out, scalar)
+        return np.clip(r, self.L, self.M)
 
     def _require_normalized(self):
         if not self.L < 1.0 < self.M:
             raise RangeError("entropy normalization needs L < 1 < M")
 
+    @elementwise
     def entropy(self, r):
         self._require_normalized()
         L, M = self.L, self.M
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
         rc = np.clip(r, L, M)
         with np.errstate(invalid="ignore"):
             core = (np.log(rc) - 1.0) * rc + 1.0
         low = (r * r - L * L) / (2.0 * L) + (math.log(L) - 1.0) * r + 1.0
         high = (r * r - M * M) / (2.0 * M) + (math.log(M) - 1.0) * r + 1.0
-        out = np.where(r <= L, low, np.where(r >= M, high, core))
-        return _as_float(out, scalar)
+        return np.where(r <= L, low, np.where(r >= M, high, core))
 
+    @elementwise
     def entropy_prime(self, r):
         self._require_normalized()
         L, M = self.L, self.M
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
         rc = np.clip(r, L, M)
         core = np.log(rc)
         low = r / L + math.log(L) - 1.0
         high = r / M + math.log(M) - 1.0
-        out = np.where(r <= L, low, np.where(r >= M, high, core))
-        return _as_float(out, scalar)
+        return np.where(r <= L, low, np.where(r >= M, high, core))
 
+    @elementwise
     def entropy_second(self, r):
         self._require_normalized()
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        out = 1.0 / np.clip(r, self.L, self.M)
-        return _as_float(out, scalar)
+        return 1.0 / np.clip(r, self.L, self.M)
 
     # ------------------------------------------------------------ bounds
 

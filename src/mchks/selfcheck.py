@@ -138,8 +138,7 @@ def check_grid_calculus():
         u = inv_neumann_laplacian(ScalarField(grid, -lap.values))
         target = f.values - np.mean(f.values)
         ok &= bool(np.max(np.abs(u.values - target)) < 1e-7)
-        zm = ScalarField(grid, f.values - np.mean(f.values))
-        ok &= abs(dual_norm(ScalarField(grid, 2 * zm.values)) - 2 * dual_norm(zm)) < 1e-7
+        ok &= abs(dual_norm(ScalarField(grid, 2 * f.values)) - 2 * dual_norm(f)) < 1e-7
     return 160, ok
 
 

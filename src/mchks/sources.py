@@ -12,6 +12,11 @@ the weak residuals and the spectral oracle read the chemotactic truncation
 ``T_eps`` from ``ModelParams.truncation`` and the non-differential terms of
 the four evolution equations from ``reaction_rates``; the step's smooth-mode
 nutrient update reads the n term alone, ``nutrient_rate``.
+
+Every mobility law (``ConstantMobility``, ``KozenyCarman``,
+``EndothelialProduct``), called with field arrays, returns a new float
+array of their broadcast shape (a float for scalar arguments); the step,
+the weak residuals and the spectral oracle use it as returned.
 """
 
 from __future__ import annotations
@@ -63,8 +68,7 @@ class ConstantMobility:
 class KozenyCarman:
     """Porous-flow mobility b(phi, phi_a, n).
 
-    b = B * xi(n) * phi^(2-2*lam) * (1-phi)^2 * (1-phi-phi_a)^(2*lam)
-        / (1+phi_a)^2
+    b = B * phi^(2-2*lam) * (1-phi)^2 * (1-phi-phi_a)^(2*lam) / (1+phi_a)^2
 
     Degenerates where phi + phi_a = 1 (and at phi = 0 unless lam = 1), which
     is outside the nondegeneracy hypothesis of the analysis; evaluations
@@ -75,8 +79,6 @@ class KozenyCarman:
     lam: float = 1.0
     m0: float = 1e-6
     m_up: float = 1.0
-    # xi(n): empirical positive bounded factor; default is the constant 1
-    xi: object = None
 
     @property
     def bounds(self):
@@ -85,12 +87,10 @@ class KozenyCarman:
     def __call__(self, phi, phi_a, n):
         phi = np.asarray(phi, dtype=float)
         phi_a = np.asarray(phi_a, dtype=float)
-        xi_val = 1.0 if self.xi is None else self.xi(n)
         with np.errstate(invalid="ignore"):
             sat = np.maximum(1.0 - phi - phi_a, 0.0)
             val = (
                 self.b_phi
-                * xi_val
                 * np.maximum(phi, 0.0) ** (2.0 - 2.0 * self.lam)
                 * (1.0 - phi) ** 2
                 * sat ** (2.0 * self.lam)

@@ -178,6 +178,17 @@ def test_dual_norm_basics():
     assert dual_norm(f) == pytest.approx(norm_l2(f) / np.sqrt(lam), rel=1e-9)
 
 
+def test_dual_norm_is_the_norm_of_the_fluctuation():
+    x, y = GRID.centers()
+    f = ScalarField(GRID, np.cos(np.pi * x / 1.5) + 0.3 * np.sin(2.0 * x * y))
+    shifted = ScalarField(GRID, f.values + 3.0)
+    assert dual_norm(shifted) == pytest.approx(dual_norm(f), rel=1e-12)
+    zm = ScalarField(GRID, f.values - np.mean(f.values))
+    assert dual_norm(f) == pytest.approx(
+        np.sqrt(inner(zm, inv_neumann_laplacian(zm))), rel=1e-12)
+    assert dual_norm(ScalarField.constant(GRID, 0.7)) == 0.0
+
+
 def test_dual_norm_time_derivative_identity():
     # <d/dt v, N v> ~ 0.5 d/dt ||v||_*^2 for a forward difference, O(dt)
     base = cosine_mode(GRID, 1, 1).values

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mchks.errors import StepSizeUnderflow
 from mchks.fields import Grid2D, ScalarField
 from mchks.galerkin import (
     EigenBasis,
+    cross_errors,
     evaluate_on_grid,
     galerkin_energy,
     galerkin_rhs,
@@ -102,6 +104,25 @@ def test_project_needs_more_cells_than_modes():
     project(EigenBasis(1.0, 1.5, 7), field)
     with pytest.raises(ValueError, match="8x12"):
         project(EigenBasis(1.0, 1.5, 8), field)
+
+
+def test_grid_must_cover_the_basis_rectangle():
+    # cos(pi x / 2) on [0, 2]^2 read as a field on the unit square would
+    # return 0.707 in mode (1, 0)
+    basis = EigenBasis(1.0, 1.0, 4)
+    grid = Grid2D(16, 16, 2.0, 2.0)
+    field = ScalarField.from_function(grid, lambda x, y: np.cos(np.pi * x / 2))
+    coeffs = np.zeros((5, 5))
+    fd = SimpleNamespace(grid=grid, **{n: field for n in ("phi", "phi_a", "n", "c")})
+    gs = SimpleNamespace(**{n: coeffs for n in ("phi", "phi_a", "n", "c")})
+    for call in (lambda: project(basis, field),
+                 lambda: evaluate_on_grid(basis, coeffs, grid),
+                 lambda: cross_errors(fd, gs, basis)):
+        with pytest.raises(ValueError, match=r"2 x 2 .* 1 x 1"):
+            call()
+    # a relative difference of 1e-12 still counts as the same rectangle
+    near = Grid2D(16, 16, 1.0 + 5e-13, 1.0)
+    assert evaluate_on_grid(basis, coeffs, near).values.shape == (16, 16)
 
 
 def test_project_rejects_other_types():

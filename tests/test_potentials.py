@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from mchks.errors import DomainError
+from mchks import potentials
+from mchks.errors import ConvergenceError, DomainError
 from mchks.potentials import (
     DoubleObstacle,
     FloryHuggins,
@@ -15,6 +16,7 @@ from mchks.potentials import (
     YosidaRegularization,
     growth_constant,
 )
+from mchks.regularize import TruncationPair
 
 ALL_VARIANTS = [
     RegularQuartic(c3=4.0),
@@ -369,6 +371,60 @@ def test_flory_huggins_resolvent_is_elementwise():
         alone = np.array([pot.resolvent(r[i:i + 1], eps)[0]
                           for i in range(r.size)])
         assert np.array_equal(j, alone)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+def test_quartic_resolvent_matches_bisection_on_dense_sweep(eps):
+    pot = RegularQuartic(c3=4.0)
+    r = np.linspace(-3.0, 4.0, 20001)
+    j = YosidaRegularization(pot, eps=eps).resolvent(r)
+    # g(x) = x + eps*slope(x) - r is increasing with its root in [min(0,r), max(0,r)]
+    lo, hi = np.minimum(0.0, r), np.maximum(0.0, r)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        above = mid + eps * pot.convex_slope(mid) - r > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    assert np.max(np.abs(j - 0.5 * (lo + hi))) <= 1e-11
+
+
+def test_quartic_resolvent_stall_names_worst_residual(monkeypatch):
+    monkeypatch.setattr(potentials, "_RESOLVENT_MAXIT", 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"^quartic resolvent stalled, worst residual \d\.\d{3}e"):
+        RegularQuartic(c3=4.0).resolvent(np.linspace(-3.0, 4.0, 101), 0.1)
+
+
+def _elementwise_cases():
+    # every decorated method, as pytest params; 0.3 and [0.05, 0.95] lie
+    # inside every domain
+    reg = YosidaRegularization(FloryHuggins(1.0, 3.0), eps=0.05)
+    pair = TruncationPair.entropy_pair(0.1)
+    cases = []
+    for pot in ALL_VARIANTS:
+        cases += [(f"{type(pot).__name__}.value", pot.value),
+                  (f"{type(pot).__name__}.derivative", pot.derivative)]
+    cases += [(f"Yosida.{m}", getattr(reg, m))
+              for m in ("resolvent", "yosida", "slope_and_curvature", "envelope")]
+    cases += [(f"TruncationPair.{m}", getattr(pair, m))
+              for m in ("truncate", "entropy", "entropy_prime", "entropy_second")]
+    return [pytest.param(fn, id=name) for name, fn in cases]
+
+
+@pytest.mark.parametrize("fn", _elementwise_cases())
+def test_elementwise_scalar_and_array_calls(fn):
+    r = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+    scalar = fn(0.3)
+    one = fn(np.array([0.3]))
+    if isinstance(one, tuple):
+        assert type(scalar) is tuple
+        assert all(type(v) is float for v in scalar)
+        assert scalar == tuple(float(v[0]) for v in one)
+        assert all(v.shape == (3, 4) for v in fn(r))
+    else:
+        assert type(scalar) is float
+        assert scalar == float(one[0])
+        assert fn(r).shape == (3, 4)
 
 
 # ------------------------------------------------------ property sampling

@@ -5,7 +5,7 @@ from _mms import Manufactured
 from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
 import mchks.solver
-from mchks.errors import ConvergenceError, InitialDataError
+from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
 from mchks.fields import (
     Grid2D,
     ScalarField,
@@ -308,6 +308,16 @@ def test_resolvent_failure_names_time_and_substep(monkeypatch):
     msg = str(exc.value)
     assert msg.startswith("Cahn-Hilliard substep at t=0.001: ")
     assert "worst residual" in msg
+
+
+def test_newton_cap_names_time_and_residual(monkeypatch):
+    monkeypatch.setattr(mchks.solver, "NEWTON_MAX", 1)
+    st0 = spheroid_state(Grid2D(16, 16, 12.8, 12.8))
+    with pytest.raises(NewtonDivergence,
+                       match=r"^phase-field Newton stalled at t=0\.001, "
+                             r"residual \d\.\d{3}e") as exc:
+        step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
+    assert exc.value.residual > 0.0
 
 
 def test_run_determinism():
