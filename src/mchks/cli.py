@@ -465,6 +465,11 @@ def cmd_verify(_args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # compare loads the oracle's integrator at start-up, before it reads the
+    # config; galerkin imports it lazily so that run, verify and twin start
+    # without it
+    import scipy.integrate  # noqa: F401
+
     config = _load_config(args)
     fd0, g0, basis = band_limited_initial(config, args.modes)
     params, solver = config.params, config.solver

@@ -178,7 +178,8 @@ class DiagnosticsTracker:
             lo = hi = math.nan
             flags["corridor"] = False
 
-        f_density = params.f_density(state.phi.values)
+        # the step's last evaluation at this phi, when the state carries it
+        f_density = params.f_density(state.phi.values, state.convex)
 
         return DiagnosticsRecord(
             t=state.t,

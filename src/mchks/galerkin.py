@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow
 from .fields import Grid2D, ScalarField
@@ -258,6 +257,10 @@ def integrate_galerkin(
     ``RHS_EVAL_BUDGET`` right-hand-side evaluations; the fourth-order mode
     stiffness (k pi / L)^4 sets that count.
     """
+    # imported here: scipy.integrate pulls in scipy.optimize and
+    # scipy.spatial, which only the oracle needs
+    from scipy.integrate import solve_ivp
+
     shape = (basis.k + 1, basis.k + 1)
     size = shape[0] * shape[1]
 

@@ -13,7 +13,9 @@ Yosida approximation of the convex slope, which is Lipschitz on the whole
 line.  Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
 the slope of its Yosida approximation (the graph corners of the obstacle and
 single-well variants included); ``YosidaRegularization`` builds the Yosida
-approximation, its derivative and the Moreau envelope on top of them.  The
+approximation, its derivative and the Moreau envelope on top of them.  A
+``ConvexEvaluation`` holds the convex part (regularized or exact) at one
+array: slope, curvature and density all read its one resolvent solve.  The
 quartic and Flory-Huggins resolvents share one safeguarded Newton solve.
 The pointwise maps here and in ``regularize`` are written for float arrays;
 ``elementwise`` lets them take a scalar and return a float for it.
@@ -38,15 +40,16 @@ _RESOLVENT_MAXIT = 100
 
 
 def elementwise(method):
-    """Run ``method(self, r)`` on ``np.atleast_1d(r)`` as a float array; a
-    0-d ``r`` gets a float back (a tuple of floats for a tuple of arrays)."""
+    """Run ``method(self, *args)`` on its arguments as float arrays; when
+    every argument is 0-d it runs on one-element arrays and the caller gets
+    a float back (a tuple of floats for a tuple of arrays)."""
 
     @functools.wraps(method)
-    def wrapper(self, r):
-        r = np.asarray(r, dtype=float)
-        out = method(self, np.atleast_1d(r))
-        if r.ndim:
-            return out
+    def wrapper(self, *args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        if any(a.ndim for a in args):
+            return method(self, *args)
+        out = method(self, *(a.reshape(1) for a in args))
         if isinstance(out, tuple):
             return tuple(float(o[0]) for o in out)
         return float(out[0])
@@ -155,9 +158,6 @@ class Potential:
     def perturbation_lipschitz(self) -> float:
         """Lipschitz constant of the perturbation slope (for stabilized splits)."""
         raise NotImplementedError
-
-    def convex_slope_and_curvature(self, r):
-        return self.convex_slope(r), self.convex_curvature(r)
 
     def resolvent(self, r, eps):
         """J(r) = (I + eps * convex slope)^-1 (r), elementwise on an array."""
@@ -484,6 +484,46 @@ class SingleWellLJ(Potential):
         return np.where(j <= 0.0, 1.0 / eps, curv / (1.0 + eps * curv))
 
 
+class ConvexEvaluation:
+    """The convex part of ``potential`` evaluated at one array ``r``.
+
+    With ``reg``, a ``YosidaRegularization``, it is the Moreau-Yosida
+    regularization: ``j`` is the resolvent J(r), solved once, and the slope
+    (r - J) / eps, its derivative and the Moreau envelope
+    0.5 eps slope^2 + convex_value(J) are all read from that solve.  Without
+    it, it is the exact convex part and ``j`` is r.  Each quantity is
+    computed on first use and kept, so r must not change in place after.
+    """
+
+    def __init__(self, potential, r, reg=None):
+        self.potential = potential
+        self.r = r
+        self.reg = reg
+
+    @functools.cached_property
+    def j(self):
+        return self.r if self.reg is None else self.reg.resolvent(self.r)
+
+    @functools.cached_property
+    def slope(self):
+        if self.reg is None:
+            return self.potential.convex_slope(self.r)
+        return (self.r - self.j) / self.reg.eps
+
+    @functools.cached_property
+    def curvature(self):
+        if self.reg is None:
+            return self.potential.convex_curvature(self.r)
+        return self.potential.yosida_slope(self.r, self.j, self.reg.eps)
+
+    @functools.cached_property
+    def density(self):
+        if self.reg is None:
+            return self.potential.convex_value(self.r)
+        y = self.slope
+        return 0.5 * self.reg.eps * y * y + self.potential.convex_value(self.j)
+
+
 @dataclass(frozen=True)
 class YosidaRegularization:
     """Resolvent, Yosida approximation and Moreau envelope of the convex slope.
@@ -497,7 +537,8 @@ class YosidaRegularization:
 
     The potential supplies J (``Potential.resolvent``) and the derivative
     of the Yosida approximation (``Potential.yosida_slope``); every solve
-    goes through ``resolvent`` here.
+    goes through ``resolvent`` here, and the other maps read one
+    ``ConvexEvaluation`` each.
     """
 
     potential: Potential
@@ -513,7 +554,7 @@ class YosidaRegularization:
 
     @elementwise
     def yosida(self, r):
-        return (r - self.resolvent(r)) / self.eps
+        return ConvexEvaluation(self.potential, r, self).slope
 
     def yosida_derivative(self, r):
         """Derivative of the Yosida approximation (piecewise for graph corners)."""
@@ -522,14 +563,12 @@ class YosidaRegularization:
     @elementwise
     def slope_and_curvature(self, r):
         """(yosida(r), yosida_derivative(r)) from one resolvent solve."""
-        j = self.resolvent(r)
-        return (r - j) / self.eps, self.potential.yosida_slope(r, j, self.eps)
+        ev = ConvexEvaluation(self.potential, r, self)
+        return ev.slope, ev.curvature
 
     @elementwise
     def envelope(self, r):
-        j = self.resolvent(r)
-        y = (r - j) / self.eps
-        return 0.5 * self.eps * y * y + self.potential.convex_value(j)
+        return ConvexEvaluation(self.potential, r, self).density
 
 
 def growth_constant(potential, lo=-10.0, hi=10.0, n=20001):

@@ -14,10 +14,13 @@ One time step advances the five fields in four substeps:
    part of the potential implicit (through its Yosida approximation in
    singular mode) and the concave perturbation explicit, optionally
    stabilized.  Each Newton iterate evaluates the convex part once
-   (``ModelParams.convex_slope_and_curvature``): the residual, the Jacobian
-   and the new chemical potential share that evaluation, so a step with k
-   Newton iterations solves the resolvent k + 1 times.  The proliferation
-   source is ``sources.proliferation`` at the old phi and the fresh n.
+   (``ModelParams.convex_part``): the residual, the Jacobian and the new
+   chemical potential share that evaluation.  The evaluation at the final
+   iterate travels with the returned state (``State.convex``), where
+   ``diagnostics`` reads the energy density from it and the next step's
+   first residual reuses it, so a step with k Newton iterations solves the
+   resolvent k times.  The proliferation source is
+   ``sources.proliferation`` at the old phi and the fresh n.
 
 The step assembles div(mob grad) once for each of its two mobilities
 (``fields.div_mob_grad_matrix``) and reads the cached Laplacian matrix
@@ -62,6 +65,7 @@ from .fields import (
     laplacian_matrix,
     neumann_eigenvalues,
 )
+from .potentials import ConvexEvaluation
 from .sources import (
     ModelParams,
     h,
@@ -82,6 +86,9 @@ class State:
     phi_a: ScalarField
     n: ScalarField
     c: ScalarField
+    # the convex part evaluated at phi.values, as the step or initialize_mu
+    # left it; ModelParams.convex_part reuses it only for that very array
+    convex: ConvexEvaluation | None = field(default=None, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid2D:
@@ -286,10 +293,11 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     s = cfg.stabilization
     chi_n_term = params.chi_phi * n_new
 
-    def residual(phi):
-        """(residual, chemical potential, convex curvature) at phi."""
+    def residual(convex):
+        """(residual, chemical potential) at convex.r."""
+        phi = convex.r
         with _substep("Cahn-Hilliard", t_new):
-            slope, curv = params.convex_slope_and_curvature(phi)
+            slope = convex.slope
         mu = -_apply(lap, phi) + slope + s * (phi - phi_o) + pi_o
         res = (
             (phi - phi_o) / dt
@@ -298,12 +306,13 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             + params.m * phi
             - g_phi
         )
-        return res, mu, curv
+        return res, mu
 
     mob_bar = float(np.mean(mob_m_o))
-    phi = phi_o.copy()
     scale = max(1.0, float(np.sqrt(np.mean((phi_o / dt) ** 2))))
-    res, mu_new, curv = residual(phi)
+    # Newton starts at phi_o, with the evaluation the state carries
+    convex = params.convex_part(phi_o, state.convex)
+    res, mu_new = residual(convex)
     rms = float(np.sqrt(np.mean(res**2)))
     while not rms <= cfg.newton_tol * scale:  # a NaN residual fails too
         if report.newton_iters == NEWTON_MAX:
@@ -312,17 +321,19 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
                 residual=rms,
             )
         delta = _solve_ch_jacobian(
-            grid, a_m, mob_bar, curv + s, 1.0 / dt + params.m, -res, cfg, report,
-            t_new,
+            grid, a_m, mob_bar, convex.curvature + s, 1.0 / dt + params.m, -res,
+            cfg, report, t_new,
         )
-        phi = phi + delta
-        res, mu_new, curv = residual(phi)
+        convex = params.convex_part(convex.r + delta)
+        res, mu_new = residual(convex)
         rms = float(np.sqrt(np.mean(res**2)))
         report.newton_iters += 1
     report.newton_residual = rms
 
     report.wall_time = time.perf_counter() - t0
 
+    # with no Newton iterate the new phi is a copy, and the next step solves
+    phi = convex.r if report.newton_iters else phi_o.copy()
     new_state = State(
         t_new,
         ScalarField(grid, phi),
@@ -330,6 +341,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         ScalarField(grid, phia_new),
         ScalarField(grid, n_new),
         ScalarField(grid, c_new),
+        convex,
     )
     if not new_state.is_finite():
         raise NonFiniteField(f"non-finite field values at t={t_new:.6g}")
@@ -447,16 +459,18 @@ def validate_initial_data(state: State, params: ModelParams):
 
 
 def initialize_mu(state: State, params: ModelParams) -> State:
-    """Fill mu from phi via the regularized chemical potential relation."""
+    """Fill mu from phi via the regularized chemical potential relation; the
+    returned state carries the convex-part evaluation at phi."""
     grid = state.grid
     phi = state.phi.values
+    convex = params.convex_part(phi)
     # (-lap + convex) + concave, the summation order the step uses
     mu = (
         -_apply(laplacian_matrix(grid), phi)
-        + params.convex_slope(phi)
+        + convex.slope
         + params.potential.concave_slope(phi)
     )
-    return replace(state, mu=ScalarField(grid, mu))
+    return replace(state, mu=ScalarField(grid, mu), convex=convex)
 
 
 def run(

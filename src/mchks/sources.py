@@ -15,8 +15,9 @@ nutrient update reads the n term alone, ``nutrient_rate``.
 
 Every mobility law (``ConstantMobility``, ``KozenyCarman``,
 ``EndothelialProduct``), called with field arrays, returns a new float
-array of their broadcast shape (a float for scalar arguments); the step,
-the weak residuals and the spectral oracle use it as returned.
+array of their broadcast shape (a float for scalar arguments, through
+``potentials.elementwise``); the step, the weak residuals and the spectral
+oracle use it as returned.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BoundsViolation, ValidationError
-from .potentials import FloryHuggins, Potential, YosidaRegularization
+from .potentials import (
+    ConvexEvaluation,
+    FloryHuggins,
+    Potential,
+    YosidaRegularization,
+    elementwise,
+)
 from .regularize import TruncationPair
 
 
@@ -59,9 +65,9 @@ class ConstantMobility:
     def bounds(self):
         return (self.value, self.value)
 
+    @elementwise
     def __call__(self, *fields):
-        shape = np.broadcast(*fields).shape if fields else ()
-        return np.full(shape, self.value) if shape else self.value
+        return np.full(np.broadcast(*fields).shape, self.value)
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,9 @@ class KozenyCarman:
 
     Degenerates where phi + phi_a = 1 (and at phi = 0 unless lam = 1), which
     is outside the nondegeneracy hypothesis of the analysis; evaluations
-    below ``m0`` raise a BoundsViolation *warning*, not an error.
+    below ``m0`` raise a BoundsViolation *warning*, not an error.  The
+    nutrient ``n`` is part of the ``mobility_m(phi, phi_a, n)`` interface
+    and is not read.
     """
 
     b_phi: float = 1.0
@@ -84,9 +92,8 @@ class KozenyCarman:
     def bounds(self):
         return (self.m0, self.m_up)
 
+    @elementwise
     def __call__(self, phi, phi_a, n):
-        phi = np.asarray(phi, dtype=float)
-        phi_a = np.asarray(phi_a, dtype=float)
         with np.errstate(invalid="ignore"):
             sat = np.maximum(1.0 - phi - phi_a, 0.0)
             val = (
@@ -101,9 +108,9 @@ class KozenyCarman:
                 "Kozeny-Carman mobility left its declared bounds "
                 f"[{self.m0}, {self.m_up}]",
                 BoundsViolation,
-                stacklevel=2,
+                stacklevel=3,
             )
-        return val if val.ndim else float(val)
+        return val
 
 
 @dataclass(frozen=True)
@@ -126,22 +133,13 @@ class EndothelialProduct:
     def bounds(self):
         return (self.m0, self.m_up)
 
+    @elementwise
     def __call__(self, phi_a, c):
-        phi_a = np.asarray(phi_a, dtype=float)
         denom = 1.0 + positive_part(phi_a) + np.clip(c, 0.0, 1.0)
-        val = self.m0 + (self.m_up - self.m0) / denom
-        return val if val.ndim else float(val)
+        return self.m0 + (self.m_up - self.m0) / denom
 
 
 # ---------------------------------------------------------------- params
-
-
-class ConvexPart(NamedTuple):
-    """Slope, (slope, curvature) and density of the convex part in use."""
-
-    slope: Callable
-    slope_and_curvature: Callable
-    density: Callable
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,8 @@ class ModelParams:
     potential variant.  Chemotaxis sensitivities must satisfy chi_a in (0,1)
     always, and chi_phi in (0,1) in the singular mode (chi_phi >= 0 suffices
     for a smooth potential).  The solver, the diagnostics and the spectral
-    oracle evaluate the convex part only through ``convex_slope``,
-    ``convex_slope_and_curvature``, ``f_prime`` and ``f_density``, which
-    all read ``convex_part``.
+    oracle evaluate the convex part only through ``convex_part`` and the
+    ``f_prime`` and ``f_density`` built on it.
     """
 
     # chemotaxis defaults follow the parameter-regime magnitudes 0.01, 0.001
@@ -199,34 +196,39 @@ class ModelParams:
         return self.potential.singular
 
     @cached_property
-    def convex_part(self) -> ConvexPart:
-        """The convex part the scheme evaluates: the Moreau-Yosida
-        regularization of a singular potential, the exact convex part of a
-        smooth one."""
+    def regularization(self) -> YosidaRegularization | None:
+        """The Moreau-Yosida regularization of a singular potential's convex
+        part; None for a smooth potential, whose exact convex part is used."""
         if self.singular:
-            reg = YosidaRegularization(self.potential, self.eps)
-            return ConvexPart(reg.yosida, reg.slope_and_curvature, reg.envelope)
-        pot = self.potential
-        return ConvexPart(
-            pot.convex_slope, pot.convex_slope_and_curvature, pot.convex_value
-        )
+            return YosidaRegularization(self.potential, self.eps)
+        return None
 
-    def convex_slope(self, phi):
-        return self.convex_part.slope(phi)
+    def convex_part(self, phi, carried=None) -> ConvexEvaluation:
+        """The convex part the scheme evaluates, at the array phi: the
+        Moreau-Yosida regularization of a singular potential (one resolvent
+        solve), the exact convex part of a smooth one.
 
-    def convex_slope_and_curvature(self, phi):
-        """Convex slope and its derivative from one evaluation (one resolvent
-        solve in singular mode)."""
-        return self.convex_part.slope_and_curvature(phi)
+        ``carried``, an evaluation made earlier, is returned instead when it
+        was made on this very array (``carried.r is phi``) with this
+        potential and regularization; any other array, even one with equal
+        values, is evaluated afresh.
+        """
+        if (carried is not None and carried.r is phi
+                and carried.potential == self.potential
+                and carried.reg == self.regularization):
+            return carried
+        return ConvexEvaluation(self.potential, phi, self.regularization)
 
     def f_prime(self, phi):
         """Regularized F'(phi): convex slope in use plus perturbation slope."""
-        return self.convex_part.slope(phi) + self.potential.concave_slope(phi)
+        return self.convex_part(phi).slope + self.potential.concave_slope(phi)
 
-    def f_density(self, phi):
+    def f_density(self, phi, carried=None):
         """Pointwise regularized potential F_eps(phi) (Moreau envelope of the
-        convex part in singular mode) plus the perturbation."""
-        return self.convex_part.density(phi) + self.potential.concave_value(phi)
+        convex part in singular mode) plus the perturbation; ``carried`` as
+        in ``convex_part``."""
+        convex = self.convex_part(phi, carried)
+        return convex.density + self.potential.concave_value(phi)
 
     @cached_property
     def truncation(self) -> TruncationPair:
@@ -248,11 +250,10 @@ def q_switch(params: ModelParams, r):
     return h(r)
 
 
+@elementwise
 def p_switch(params: ModelParams, r):
     """Tumor-fraction switch: identity in smooth mode, positive part singular."""
-    if params.singular:
-        return positive_part(r)
-    return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+    return positive_part(r) if params.singular else r
 
 
 def clamp_signal(params: ModelParams, c):

@@ -237,6 +237,23 @@ def test_run_determinism_bitwise(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the spectral oracle needs solve_ivp; run, verify and twin start
+    # without scipy.integrate (and the scipy.optimize it pulls in)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(mchks.__file__).resolve().parents[1]),
+         env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mchks.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+    assert cli.integrate_galerkin is galerkin.integrate_galerkin
+
+
 def test_run_spheroid_script_writes_snapshots(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_spheroid.py"
     out_dir = tmp_path / "out"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -5,6 +7,7 @@ from _mms import Manufactured
 from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
 import mchks.solver
+from mchks.diagnostics import DiagnosticsTracker
 from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
 from mchks.fields import (
     Grid2D,
@@ -14,11 +17,18 @@ from mchks.fields import (
     integrate,
     lap_array,
 )
-from mchks.potentials import FloryHuggins, RegularQuartic, YosidaRegularization
+from mchks.potentials import (
+    DoubleObstacle,
+    FloryHuggins,
+    RegularQuartic,
+    SingleWellLJ,
+    YosidaRegularization,
+)
 from mchks.solver import (
     SolverConfig,
     State,
     StepReport,
+    initialize_mu,
     run,
     step,
     validate_initial_data,
@@ -273,6 +283,85 @@ def test_step_solves_resolvent_once_per_newton_iterate(monkeypatch):
     _, report = step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
     assert report.newton_iters >= 2
     assert len(calls) == report.newton_iters + 1
+
+
+# ---------------------------------------------- convex-part evaluation handoff
+
+ALL_POTENTIALS = [
+    pytest.param(ModelParams(potential=pot, m=0.5, eps=0.01), id=type(pot).__name__)
+    for pot in (RegularQuartic(1.0), FloryHuggins(1.0, 3.0), DoubleObstacle(1.0),
+                SingleWellLJ(0.6))
+]
+HANDOFF_CFG = SolverConfig(dt=1e-3, t_end=1e-3)
+
+
+def _count_resolvent_calls(monkeypatch):
+    calls = []
+    resolvent = YosidaRegularization.resolvent
+
+    def counted(self, r):
+        calls.append(np.shape(r))
+        return resolvent(self, r)
+
+    monkeypatch.setattr(YosidaRegularization, "resolvent", counted)
+    return calls
+
+
+def _carrying_state(params):
+    """A stepped spheroid state carrying its step's evaluation at its phi."""
+    st0 = initialize_mu(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params)
+    st, _ = step(st0, params, HANDOFF_CFG)
+    assert st.convex.r is st.phi.values
+    return st
+
+
+@pytest.mark.parametrize("params", ALL_POTENTIALS)
+def test_carried_evaluation_steps_and_observes_like_a_fresh_one(params):
+    carried = _carrying_state(params)
+    stripped = replace(carried, convex=None)
+    got, _ = step(carried, params, HANDOFF_CFG)
+    ref, _ = step(stripped, params, HANDOFF_CFG)
+    for name in ("phi", "mu", "phi_a", "n", "c"):
+        assert np.array_equal(getattr(got, name).values,
+                              getattr(ref, name).values), name
+    rec = DiagnosticsTracker(params, carried).observe(carried, HANDOFF_CFG.dt)
+    rec_ref = DiagnosticsTracker(params, stripped).observe(stripped,
+                                                           HANDOFF_CFG.dt)
+    assert rec.energy == rec_ref.energy
+    assert rec.f_integral == rec_ref.f_integral
+
+
+def test_carried_state_solves_resolvent_once_per_newton_iterate(monkeypatch):
+    st = _carrying_state(FH)
+    calls = _count_resolvent_calls(monkeypatch)
+    _, report = step(st, FH, HANDOFF_CFG)
+    assert report.newton_iters >= 2
+    assert len(calls) == report.newton_iters
+
+
+def test_replaced_phi_is_solved_again(monkeypatch):
+    st = _carrying_state(FH)
+    x, y = st.grid.centers()
+    other = ScalarField(st.grid, st.phi.values + 1e-3 * np.cos(x) * np.cos(y))
+    moved = replace(st, phi=other)
+    assert moved.convex is st.convex  # the stale evaluation rides along
+    calls = _count_resolvent_calls(monkeypatch)
+    got, report = step(moved, FH, HANDOFF_CFG)
+    assert len(calls) == report.newton_iters + 1
+    ref, _ = step(replace(moved, convex=None), FH, HANDOFF_CFG)
+    for name in ("phi", "mu"):
+        assert np.array_equal(getattr(got, name).values,
+                              getattr(ref, name).values), name
+    assert st.copy().convex is None
+
+
+def test_evaluation_is_reused_only_for_its_array_and_params():
+    phi = spheroid_state(Grid2D(8, 8, 6.4, 6.4)).phi.values
+    ev = FH.convex_part(phi)
+    assert FH.convex_part(phi, ev) is ev
+    assert FH.convex_part(phi.copy(), ev) is not ev
+    assert replace(FH, eps=0.01).convex_part(phi, ev) is not ev
+    assert QUARTIC.convex_part(phi, ev) is not ev
 
 
 @pytest.mark.parametrize(
