@@ -447,11 +447,27 @@ def write_run(config: RunConfig):
     return result, csv_path
 
 
+def solver_summary(reports) -> str:
+    """One line on the Cahn-Hilliard solver over a run's StepReports: Newton
+    iterations per step, Krylov iterations per Newton correction, steps that
+    used sparse LU and the worst accepted Newton residual."""
+    steps = len(reports)
+    newton = sum(r.newton_iters for r in reports)
+    krylov = sum(r.linear_iters.get("ch", 0) for r in reports)
+    direct = sum(r.used_direct for r in reports)
+    worst = max((r.newton_residual for r in reports), default=0.0)
+    return (f"solver: {steps} steps, {newton / max(steps, 1):.3f} Newton "
+            f"iterations per step, {krylov / max(newton, 1):.3f} CH Krylov "
+            f"iterations per solve, {direct} sparse-LU steps, worst Newton "
+            f"residual {worst:.3e}")
+
+
 def cmd_run(args) -> int:
     result, csv_path = write_run(_load_config(args))
     violations = sum(r.any_violation for r in result.records)
     print(f"completed {len(result.records)} records -> {csv_path}")
     print(f"records with violation flags: {violations}")
+    print(solver_summary(result.reports))
     return 0 if violations == 0 else 1
 
 

@@ -41,19 +41,22 @@ def entropy_integral(state, params: ModelParams) -> float:
     return float(np.sum(vals)) * state.grid.cell_area
 
 
-def energy(state, params: ModelParams, *, f_density=None) -> float:
+def energy(state, params: ModelParams, *, f_density=None, entropy=None) -> float:
     """Free energy with the regularized potential and entropy accounting.
 
     E = int F_eps(phi) + E_eps(phi_a) + |grad phi|^2/2 + |grad n|^2/2
         - chi_phi n phi + |grad c|^2/2 - chi_a phi_a c
 
-    ``f_density`` is params.f_density(phi) when the caller already has it.
+    ``f_density`` is params.f_density(phi) and ``entropy`` is
+    entropy_integral(state, params) when the caller already has them.
     """
     g = state.grid
     if f_density is None:
         f_density = params.f_density(state.phi.values)
+    if entropy is None:
+        entropy = entropy_integral(state, params)
     e = float(np.sum(f_density)) * g.cell_area
-    e += entropy_integral(state, params)
+    e += entropy
     e += 0.5 * grad_sq_integral(state.phi)
     e += 0.5 * grad_sq_integral(state.n)
     e += 0.5 * grad_sq_integral(state.c)
@@ -77,11 +80,21 @@ def check_minmax(state, params: ModelParams):
     return flags
 
 
-def mass_corridor(y0: float, H: float, m: float, t: float):
-    """Two-sided decay envelope for the tumor mass mean."""
+def mass_corridor(y0: float, H: float, m: float, t: float, dt: float = 0.0):
+    """Two-sided decay envelope for the tumor mass mean.
+
+    With dt = 0 it is the envelope of the continuous equation, decay
+    exp(-m t).  With dt > 0 it is the corridor of the backward-Euler mean
+    recursion y_k = (y_{k-1} + dt mean(P)) / (1 + m dt), |mean(P)| <= H,
+    after k = t / dt steps: decay r^k with r = 1 / (1 + m dt), which lies
+    above exp(-m t).
+    """
     if m <= 0:
         raise RangeError("corridor bounds need a positive apoptosis rate")
-    decay = math.exp(-m * t)
+    if dt:
+        decay = (1.0 + m * dt) ** -round(t / dt)
+    else:
+        decay = math.exp(-m * t)
     band = (1.0 - decay) * H / m
     return (y0 * decay - band, y0 * decay + band)
 
@@ -148,12 +161,26 @@ class DiagnosticsTracker:
 
     def __init__(self, params: ModelParams, initial_state):
         self.params = params
+        self.t0 = initial_state.t
         self.y0 = mean(initial_state.phi)
         self.h_sup = 0.0
         self.delta_star = math.inf
         self.delta_upper = -math.inf
 
-    def observe(self, state, dt: float) -> DiagnosticsRecord:
+    def observe(self, state, dt: float, residual_sum: float = 0.0) -> DiagnosticsRecord:
+        """The record of ``state``, reached from the initial state in steps
+        of dt; ``residual_sum`` is the sum of ``StepReport.newton_residual``
+        over those steps.
+
+        The corridor flag compares the phi mean with the scheme's own
+        corridor (``mass_corridor`` with dt), widened by
+        - dt * H, because the step samples P at (phi_old, n_new) and H only
+          at recorded states;
+        - dt * residual_sum, how far the Newton stopping test lets the mean
+          move off the recursion (|mean(res)| <= rms(res) each step);
+        - one unit of round-off of the largest |phi| per step, the rounding
+          of the stored phi.
+        """
         params = self.params
         prol = proliferation(params, state.phi.values, state.n.values)
         self.h_sup = max(self.h_sup, float(np.max(np.abs(prol))))
@@ -171,8 +198,12 @@ class DiagnosticsTracker:
         y = mean(state.phi)
         flags = check_minmax(state, params)
         if params.m > 0:
-            lo, hi = mass_corridor(self.y0, self.h_sup, params.m, state.t)
-            slack = dt * self.h_sup
+            lo, hi = mass_corridor(self.y0, self.h_sup, params.m,
+                                   state.t - self.t0, dt)
+            steps = round((state.t - self.t0) / dt)
+            phi_abs = max(abs(self.delta_star), abs(self.delta_upper))
+            slack = (dt * (self.h_sup + residual_sum)
+                     + steps * np.finfo(float).eps * phi_abs)
             flags["corridor"] = bool(y < lo - slack or y > hi + slack)
         else:
             lo = hi = math.nan
@@ -180,16 +211,17 @@ class DiagnosticsTracker:
 
         # the step's last evaluation at this phi, when the state carries it
         f_density = params.f_density(state.phi.values, state.convex)
+        entropy = entropy_integral(state, params)
 
         return DiagnosticsRecord(
             t=state.t,
-            energy=energy(state, params, f_density=f_density),
+            energy=energy(state, params, f_density=f_density, entropy=entropy),
             phi_mean=y,
             phi_a_mean=mean(state.phi_a),
             n_mean=mean(state.n),
             c_mean=mean(state.c),
             extrema=extrema,
-            entropy=entropy_integral(state, params),
+            entropy=entropy,
             f_integral=float(np.sum(f_density)) * state.grid.cell_area,
             phi_dual_norm=dual_norm(state.phi),
             corridor_lo=lo,

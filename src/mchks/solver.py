@@ -13,14 +13,23 @@ One time step advances the five fields in four substeps:
 4. the Cahn-Hilliard pair (phi, mu): coupled Newton solve with the convex
    part of the potential implicit (through its Yosida approximation in
    singular mode) and the concave perturbation explicit, optionally
-   stabilized.  Each Newton iterate evaluates the convex part once
-   (``ModelParams.convex_part``): the residual, the Jacobian and the new
-   chemical potential share that evaluation.  The evaluation at the final
-   iterate travels with the returned state (``State.convex``), where
-   ``diagnostics`` reads the energy density from it and the next step's
-   first residual reuses it, so a step with k Newton iterations solves the
-   resolvent k times.  The proliferation source is
-   ``sources.proliferation`` at the old phi and the fresh n.
+   stabilized.  Newton starts from the extrapolation 2 phi_o - phi_prev
+   (``State.phi_prev``, the phi of the step before), or from phi_o when
+   the state has no history.  It is an inexact Newton method with an
+   unchanged stopping test rms(res) <= newton_tol * scale: correction k is
+   solved to the relative residual max(linear_tol, min(FORCING_MAX,
+   FORCING_SAFETY * newton_tol * scale / rms_k)), loose while the residual
+   is large and tight near the end (Dembo, Eisenstat & Steihaug 1982;
+   Eisenstat & Walker 1996).  Each Newton iterate evaluates the convex part
+   once (``ModelParams.convex_part``): the residual, the Jacobian and the
+   new chemical potential share that evaluation.  The evaluation at the
+   final iterate travels with the returned state (``State.convex``), where
+   ``diagnostics`` reads the energy density from it.  The next step's first
+   residual reuses it when Newton starts at that very phi array, that is
+   when the state has no history; a step with k Newton iterations then
+   solves the resolvent k times, and k + 1 times from an extrapolated
+   start.  The proliferation source is ``sources.proliferation`` at the old
+   phi and the fresh n.
 
 The step assembles div(mob grad) once for each of its two mobilities
 (``fields.div_mob_grad_matrix``) and reads the cached Laplacian matrix
@@ -76,6 +85,10 @@ from .sources import (
 )
 
 NEWTON_MAX = 50  # Cahn-Hilliard Newton iterations per step
+# forcing term of the inexact Newton loop: correction k is solved to
+# max(linear_tol, min(FORCING_MAX, FORCING_SAFETY * newton_tol * scale / rms_k))
+FORCING_MAX = 1e-2
+FORCING_SAFETY = 0.1
 
 
 @dataclass
@@ -89,6 +102,9 @@ class State:
     # the convex part evaluated at phi.values, as the step or initialize_mu
     # left it; ModelParams.convex_part reuses it only for that very array
     convex: ConvexEvaluation | None = field(default=None, repr=False, compare=False)
+    # phi of the step before, set by step; the next Newton loop starts from
+    # the extrapolation 2 phi - phi_prev
+    phi_prev: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid2D:
@@ -310,19 +326,27 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     mob_bar = float(np.mean(mob_m_o))
     scale = max(1.0, float(np.sqrt(np.mean((phi_o / dt) ** 2))))
-    # Newton starts at phi_o, with the evaluation the state carries
-    convex = params.convex_part(phi_o, state.convex)
+    tol = cfg.newton_tol * scale
+    # Newton starts at 2 phi_o - phi_prev, or at phi_o with the evaluation
+    # the state carries when there is no history
+    if state.phi_prev is None:
+        start = phi_o
+    else:
+        start = 2.0 * phi_o - state.phi_prev
+    convex = params.convex_part(start, state.convex)
     res, mu_new = residual(convex)
     rms = float(np.sqrt(np.mean(res**2)))
-    while not rms <= cfg.newton_tol * scale:  # a NaN residual fails too
+    while not rms <= tol:  # a NaN residual fails too
         if report.newton_iters == NEWTON_MAX:
             raise NewtonDivergence(
                 f"phase-field Newton stalled at t={t_new:.6g}, residual {rms:.3e}",
                 residual=rms,
             )
+        # each correction only as accurate as the stopping test needs
+        rtol = max(cfg.linear_tol, min(FORCING_MAX, FORCING_SAFETY * tol / rms))
         delta = _solve_ch_jacobian(
             grid, a_m, mob_bar, convex.curvature + s, 1.0 / dt + params.m, -res,
-            cfg, report, t_new,
+            cfg, report, t_new, rtol,
         )
         convex = params.convex_part(convex.r + delta)
         res, mu_new = residual(convex)
@@ -332,8 +356,8 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     report.wall_time = time.perf_counter() - t0
 
-    # with no Newton iterate the new phi is a copy, and the next step solves
-    phi = convex.r if report.newton_iters else phi_o.copy()
+    # a phi accepted at phi_o itself is copied, and the next step solves
+    phi = phi_o.copy() if convex.r is phi_o else convex.r
     new_state = State(
         t_new,
         ScalarField(grid, phi),
@@ -342,13 +366,15 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         ScalarField(grid, n_new),
         ScalarField(grid, c_new),
         convex,
+        phi_o,
     )
     if not new_state.is_finite():
         raise NonFiniteField(f"non-finite field values at t={t_new:.6g}")
     return new_state, report
 
 
-def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t):
+def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
+                       rtol=None):
     """Solve J delta = rhs with J = diag0 I - A_m (diag(curv) - L).
 
     A_m is the assembled div(mob grad) of the step and L the cached
@@ -360,7 +386,9 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t):
 
     ``report.linear_iters["ch"]`` grows by ceil(matvecs / 2): the BiCGStab
     iterations, counting a solve that converges at its half step as one.
-    A BiCGStab failure falls back to sparse LU with a warning naming the
+    BiCGStab stops at the relative residual ``rtol`` (``cfg.linear_tol``
+    when None); the sparse-LU path solves exactly and ignores it.  A
+    BiCGStab failure falls back to sparse LU with a warning naming the
     time t.
     """
     if cfg.linear_solver == "direct":
@@ -388,7 +416,8 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t):
     op = spla.LinearOperator((n, n), matvec=apply_j, dtype=np.float64)
     pre = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=np.float64)
     sol, info = spla.bicgstab(
-        op, rhs.ravel(), rtol=cfg.linear_tol, atol=0.0, M=pre, maxiter=400,
+        op, rhs.ravel(), rtol=cfg.linear_tol if rtol is None else rtol, atol=0.0,
+        M=pre, maxiter=400,
     )
     report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + (matvecs + 1) // 2
     if info != 0:
@@ -498,11 +527,13 @@ def run(
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
         raise ValueError("t_end must be an integer number of steps")
 
+    residual_sum = 0.0
     for k in range(1, n_steps + 1):
         state, rep = step(state, params, cfg)
         reports.append(rep)
+        residual_sum += rep.newton_residual
         if k % record_every == 0 or k == n_steps:
-            rec = tracker.observe(state, cfg.dt)
+            rec = tracker.observe(state, cfg.dt, residual_sum)
             records.append(rec)
             if sinks and sinks.on_record:
                 sinks.on_record(rec)

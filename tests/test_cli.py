@@ -237,6 +237,42 @@ def test_run_determinism_bitwise(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("overrides", [
+    ["grid.nx=16", "grid.ny=16", "initial.preset=uniform", "initial.n0=0.1"],
+    ["initial.n0=0.3", "params.delta_n=0.6"],
+], ids=["uniform", "spheroid"])
+def test_run_without_proliferation_keeps_its_corridor(tmp_path, overrides):
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    sets = [a for o in overrides + ["solver.t_end=0.05", f"output.dir={tmp_path}"]
+            for a in ("--set", o)]
+    assert main(["run", "-c", str(cfg_path)] + sets) == 0
+
+
+def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
+    results = []
+
+    def kept(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", kept)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "records with violation flags: 0"
+    reports = results[0].reports
+    newton = sum(r.newton_iters for r in reports)
+    krylov = sum(r.linear_iters["ch"] for r in reports)
+    worst = max(r.newton_residual for r in reports)
+    assert lines[-1] == (
+        f"solver: {len(reports)} steps, {newton / len(reports):.3f} Newton "
+        f"iterations per step, {krylov / newton:.3f} CH Krylov iterations "
+        f"per solve, 0 sparse-LU steps, worst Newton residual {worst:.3e}")
+    assert len(reports) == 5 and newton > 0 and krylov > 0
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # only the spectral oracle needs solve_ivp; run, verify and twin start
     # without scipy.integrate (and the scipy.optimize it pulls in)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,49 @@ def test_tracker_respects_corridor_on_run():
     for rec in res.records:
         assert not rec.flags["corridor"]
         assert rec.corridor_lo - 1e-3 <= rec.phi_mean <= rec.corridor_hi + 1e-3
+
+
+def test_step_corridor_follows_the_backward_euler_recursion():
+    r = 1.0 / 1.1
+    lo, hi = mass_corridor(0.3, 0.8, 1.0, 1.0, dt=0.1)
+    assert lo == pytest.approx(0.3 * r**10 - 0.8 * (1 - r**10), abs=1e-12)
+    assert hi == pytest.approx(0.3 * r**10 + 0.8 * (1 - r**10), abs=1e-12)
+    assert mass_corridor(0.3, 0.0, 1.0, 1.0, dt=0.1)[0] > 0.3 * math.exp(-1.0)
+    assert mass_corridor(0.3, 0.8, 1.0, 0.0, dt=0.1) == (0.3, 0.3)
+
+
+def test_corridor_flag_on_a_run_without_proliferation():
+    # n below delta_n: P = 0, so H = 0 and the mean follows the recursion
+    st0 = uniform_state(GRID, 0.3, 0.05, 0.1, 0.0)
+    cfg = SolverConfig(dt=1e-3, t_end=0.05)
+    res = run(st0, FH, cfg)
+    assert res.records[-1].h_sup == 0.0
+    assert not any(rec.flags["corridor"] for rec in res.records)
+    final = res.final_state
+    # the continuous envelope exp(-m t) lies below this mean
+    assert np.mean(final.phi.values) > mass_corridor(0.3, 0.0, FH.m, final.t)[1]
+    residual_sum = sum(rep.newton_residual for rep in res.reports)
+    for shift in (1e-6, -1e-6):
+        moved = ScalarField(GRID, final.phi.values + shift)
+        rec = DiagnosticsTracker(FH, st0).observe(
+            replace(final, phi=moved, convex=None), cfg.dt, residual_sum)
+        assert rec.flags["corridor"], shift
+
+
+def test_observe_integrates_the_entropy_once(monkeypatch):
+    st = spheroid_state(Grid2D(16, 16, 12.0, 12.0))
+    calls = []
+    entropy_integral = diagnostics.entropy_integral
+
+    def counted(state, params):
+        calls.append(state)
+        return entropy_integral(state, params)
+
+    monkeypatch.setattr(diagnostics, "entropy_integral", counted)
+    rec = DiagnosticsTracker(FH, st).observe(st, 1e-3)
+    assert len(calls) == 1
+    assert rec.energy == energy(st, FH)
+    assert rec.entropy == entropy_integral(st, FH)
 
 
 # -------------------------------------------------------------- smallness

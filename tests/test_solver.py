@@ -7,6 +7,7 @@ from _mms import Manufactured
 from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
 import mchks.solver
+from mchks.cli import band_limited_initial, parse_config
 from mchks.diagnostics import DiagnosticsTracker
 from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
 from mchks.fields import (
@@ -332,11 +333,106 @@ def test_carried_evaluation_steps_and_observes_like_a_fresh_one(params):
 
 
 def test_carried_state_solves_resolvent_once_per_newton_iterate(monkeypatch):
-    st = _carrying_state(FH)
+    # the reuse path: with no history Newton starts at the carried phi_o
+    st = replace(_carrying_state(FH), phi_prev=None)
     calls = _count_resolvent_calls(monkeypatch)
     _, report = step(st, FH, HANDOFF_CFG)
     assert report.newton_iters >= 2
     assert len(calls) == report.newton_iters
+
+
+def test_state_with_history_solves_its_extrapolated_start(monkeypatch):
+    st = _carrying_state(FH)
+    assert st.phi_prev is not None
+    calls = _count_resolvent_calls(monkeypatch)
+    _, report = step(st, FH, HANDOFF_CFG)
+    assert report.newton_iters >= 1
+    assert len(calls) == report.newton_iters + 1
+
+
+def _record_convex_part_arguments(monkeypatch):
+    args = []
+    convex_part = ModelParams.convex_part
+
+    def recorded(self, phi, carried=None):
+        args.append(phi)
+        return convex_part(self, phi, carried)
+
+    monkeypatch.setattr(ModelParams, "convex_part", recorded)
+    return args
+
+
+def test_newton_starts_from_the_extrapolated_phi(monkeypatch):
+    st = _carrying_state(FH)
+    assert np.array_equal(st.phi_prev, spheroid_state(st.grid).phi.values)
+    args = _record_convex_part_arguments(monkeypatch)
+    new, _ = step(st, FH, HANDOFF_CFG)
+    assert np.array_equal(args[0], 2.0 * st.phi.values - st.phi_prev)
+    assert new.phi_prev is st.phi.values
+    # without history the start is phi_o itself
+    args.clear()
+    step(replace(st, phi_prev=None), FH, HANDOFF_CFG)
+    assert args[0] is st.phi.values
+    # the history is neither compared nor copied
+    assert new.copy().phi_prev is None
+    assert replace(new, phi_prev=None) == new
+
+
+def test_first_krylov_solve_of_a_step_is_inexact(monkeypatch):
+    rtols = []
+    real = spla.bicgstab
+
+    def recorded(op, b, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return real(op, b, **kwargs)
+
+    monkeypatch.setattr(spla, "bicgstab", recorded)
+    cfg = SolverConfig(dt=1e-3, t_end=1e-3)
+    _, report = step(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), FH, cfg)
+    assert len(rtols) == report.newton_iters >= 2
+    assert rtols[0] > cfg.linear_tol
+    assert all(cfg.linear_tol <= r <= mchks.solver.FORCING_MAX for r in rtols)
+
+
+@pytest.mark.parametrize("params", ALL_POTENTIALS)
+def test_every_accepted_step_meets_the_newton_test(params):
+    cfg = SolverConfig(dt=1e-3, t_end=0.01)
+    result = run(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params, cfg,
+                 record_every=10**9, keep_states=1)
+    assert len(result.states) == len(result.reports) + 1
+    for old, report in zip(result.states, result.reports):
+        phi_o = old.phi.values
+        scale = max(1.0, float(np.sqrt(np.mean((phi_o / cfg.dt) ** 2))))
+        assert report.newton_residual <= cfg.newton_tol * scale
+
+
+def test_extrapolated_start_needs_one_newton_iteration_on_smooth_data():
+    config = parse_config("[grid]\nnx = 32\nny = 32\n"
+                          "[params]\npotential = quartic\n"
+                          "[solver]\nt_end = 0.03\n")
+    fd0, _, _ = band_limited_initial(config, 8)
+    result = run(fd0, config.params, config.solver, record_every=10**9)
+    iters = [r.newton_iters for r in result.reports[5:]]
+    assert np.mean(iters) <= 1.2
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(ModelParams(potential=pot, m=0.5), id=type(pot).__name__)
+    for pot in (RegularQuartic(1.0), FloryHuggins(1.0, 3.0), DoubleObstacle(1.0),
+                SingleWellLJ(0.6))
+])
+def test_default_tolerances_stay_within_the_gate_bound(params):
+    # the benchmark gate allows 100 * steps * max(tol) per column, / eps for mu
+    grid = Grid2D(32, 32, 12.8, 12.8)
+    steps = 20
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3)
+    tight = replace(cfg, newton_tol=1e-13, linear_tol=1e-13)
+    got = run(spheroid_state(grid), params, cfg, record_every=10**9).final_state
+    ref = run(spheroid_state(grid), params, tight,
+              record_every=10**9).final_state
+    bound = 100 * steps * max(cfg.newton_tol, cfg.linear_tol)
+    assert np.max(np.abs(got.phi.values - ref.phi.values)) <= bound
+    assert np.max(np.abs(got.mu.values - ref.mu.values)) <= bound / params.eps
 
 
 def test_replaced_phi_is_solved_again(monkeypatch):
