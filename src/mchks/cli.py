@@ -35,7 +35,7 @@ from .potentials import (
     RegularQuartic,
     SingleWellLJ,
 )
-from .solver import RunSinks, SolverConfig, State, run
+from .solver import SolverConfig, State, run
 from .sources import ConstantMobility, EndothelialProduct, KozenyCarman, ModelParams
 
 
@@ -123,10 +123,6 @@ class RunConfig:
     @property
     def output(self):
         return self.values["output"]
-
-    @property
-    def seed(self):
-        return self.initial["seed"]
 
 
 def _convert(raw, typ, line, key):
@@ -432,17 +428,14 @@ def write_run(config: RunConfig):
                 path = os.path.join(out_dir, f"snap_{step_id:08d}_{name}.bin")
                 write_snapshot(path, getattr(state, name), name, state.t)
 
-        sinks = RunSinks(
-            on_record=on_record,
-            on_state=on_state if snap_every else None,
-            state_every=snap_every,
-        )
         result = run(
             state0,
             config.params,
             config.solver,
-            sinks=sinks,
             record_every=config.output["diagnostics_every"],
+            on_record=on_record,
+            on_state=on_state,
+            state_every=snap_every,
         )
     return result, csv_path
 

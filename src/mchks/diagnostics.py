@@ -142,13 +142,9 @@ class DiagnosticsRecord:
     c_mean: float
     extrema: dict
     entropy: float
-    f_integral: float
-    phi_dual_norm: float
     corridor_lo: float
     corridor_hi: float
     h_sup: float
-    delta_star: float
-    delta_upper: float
     flags: dict = field(default_factory=dict)
 
     @property
@@ -157,7 +153,8 @@ class DiagnosticsRecord:
 
 
 class DiagnosticsTracker:
-    """Accumulates run-level quantities (corridor sup bound, separation)."""
+    """Accumulates run-level quantities: the corridor sup bound H and the
+    running phi extremes that scale the corridor's round-off slack."""
 
     def __init__(self, params: ModelParams, initial_state):
         self.params = params
@@ -185,15 +182,13 @@ class DiagnosticsTracker:
         prol = proliferation(params, state.phi.values, state.n.values)
         self.h_sup = max(self.h_sup, float(np.max(np.abs(prol))))
 
-        phi_min = float(np.min(state.phi.values))
-        phi_max = float(np.max(state.phi.values))
-        self.delta_star = min(self.delta_star, phi_min)
-        self.delta_upper = max(self.delta_upper, phi_max)
-
         extrema = {}
         for name in ("phi", "mu", "phi_a", "n", "c"):
             vals = getattr(state, name).values
             extrema[name] = (float(np.min(vals)), float(np.max(vals)))
+        phi_min, phi_max = extrema["phi"]
+        self.delta_star = min(self.delta_star, phi_min)
+        self.delta_upper = max(self.delta_upper, phi_max)
 
         y = mean(state.phi)
         flags = check_minmax(state, params)
@@ -222,13 +217,9 @@ class DiagnosticsTracker:
             c_mean=mean(state.c),
             extrema=extrema,
             entropy=entropy,
-            f_integral=float(np.sum(f_density)) * state.grid.cell_area,
-            phi_dual_norm=dual_norm(state.phi),
             corridor_lo=lo,
             corridor_hi=hi,
             h_sup=self.h_sup,
-            delta_star=self.delta_star,
-            delta_upper=self.delta_upper,
             flags=flags,
         )
 

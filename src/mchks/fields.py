@@ -277,7 +277,7 @@ def grad_sq_integral(f: ScalarField) -> float:
 def cg_solve(apply_op, b, x0=None, rel_tol=1e-10):
     """Matrix-free CG for SPD stencil operators on flat or 2D arrays."""
     b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else x0.astype(float).copy()
+    x = np.zeros_like(b) if x0 is None else x0.astype(float)
     r = b - apply_op(x)
     bnorm = np.linalg.norm(b.ravel())
     if bnorm == 0.0:

@@ -2,14 +2,14 @@
 
 One time step advances the five fields in four substeps:
 
-1. nutrient n: backward Euler; in singular mode the n-dependence of its
-   source is kept linearly implicit, which makes the update an M-matrix
-   solve and preserves 0 <= n <= 1 exactly (up to linear-solve tolerance),
+1. nutrient n: backward Euler; in singular mode the loss of its source is
+   kept linearly implicit, which makes the update an M-matrix solve and
+   preserves 0 <= n <= 1 exactly (up to linear-solve tolerance),
 2. signal c: same structure in both modes, preserving 0 <= c <= 1,
 3. endothelial phase phi_a: implicit diffusion with the old-state mobility,
    explicit chemotaxis flux chi_a T_eps(phi_a) grad c driven by the fresh
    signal gradient (``ModelParams.truncation`` is the one T_eps), and the
-   logistic source split with the decay part implicit,
+   logistic source -loss phi_a (``endothelial_loss``) implicit in phi_a,
 4. the Cahn-Hilliard pair (phi, mu): coupled Newton solve with the convex
    part of the potential implicit (through its Yosida approximation in
    singular mode) and the concave perturbation explicit, optionally
@@ -77,11 +77,13 @@ from .fields import (
 from .potentials import ConvexEvaluation
 from .sources import (
     ModelParams,
+    endothelial_loss,
     h,
-    nutrient_rate,
+    nutrient_split,
+    p_switch,
     positive_part,
     proliferation,
-    theta,
+    signal_split,
 )
 
 NEWTON_MAX = 50  # Cahn-Hilliard Newton iterations per step
@@ -173,13 +175,6 @@ class StepReport:
 
 
 @dataclass
-class RunSinks:
-    on_record: object = None
-    on_state: object = None
-    state_every: int = 0
-
-
-@dataclass
 class RunResult:
     records: list
     states: list
@@ -238,9 +233,6 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     forcing = cfg.forcing or Forcing()
 
-    # evaluated once per step at the old state
-    h_phi_o = h(phi_o)
-    phia_pos_o = positive_part(phia_o)
     mob_m_o = params.mobility_m(phi_o, phia_o, n_o)
     mob_n_o = params.mobility_n(phia_o, c_o)
     # the one assembled operator of each mobility, shared by every solve
@@ -248,54 +240,44 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     a_m = div_mob_grad_matrix(grid, mob_m_o)
     a_n = div_mob_grad_matrix(grid, mob_n_o)
 
+    # substeps 1-3 solve (1/dt + loss - div grad) u = u_o/dt + production +
+    # gain + g with the (gain, loss) split of their source at the old state;
+    # sources_off zeroes the n and c splits
+    zero = np.zeros_like(n_o)
+
+    def split(source_split, *fields):
+        return (zero, zero) if cfg.sources_off else source_split(params, *fields)
+
     # 1. nutrient --------------------------------------------------------
-    g_n = forcing.eval("n", grid, t_new)
-    if params.singular:
-        growth = 1.0 - h_phi_o + phia_pos_o
-        phi_pos_o = positive_part(phi_o)
-        if cfg.sources_off:
-            diag = np.full_like(n_o, 1.0 / dt)
-            rhs = n_o / dt + params.chi_phi * phi_pos_o + g_n
-        else:
-            # source kept linearly implicit in n: M-matrix, exact min-max
-            diag = 1.0 / dt + growth + phi_pos_o
-            rhs = n_o / dt + params.chi_phi * phi_pos_o + growth + g_n
-    else:
-        diag = np.full_like(n_o, 1.0 / dt)
-        if cfg.sources_off:
-            rate = params.chi_phi * phi_o
-        else:
-            rate = nutrient_rate(params, phi_o, phia_o, n_o)
-        rhs = n_o / dt + rate + g_n
+    gain, loss = split(nutrient_split, phi_o, phia_o)
+    if not params.singular:
+        # smooth mode keeps the whole nutrient source explicit
+        gain, loss = gain - loss * h(n_o), zero
+    rhs = (n_o / dt + params.chi_phi * p_switch(params, phi_o) + gain
+           + forcing.eval("n", grid, t_new))
     with _substep("nutrient n", t_new):
-        n_new, it_n = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
+        n_new, it_n = _helmholtz_solve(grid, 1.0 / dt + loss, rhs,
+                                       cfg.linear_tol)
     report.linear_iters["n"] = it_n
 
     # 2. signal ----------------------------------------------------------
-    g_c = forcing.eval("c", grid, t_new)
-    if cfg.sources_off:
-        diag = np.full_like(c_o, 1.0 / dt)
-        rhs = c_o / dt + params.chi_a * phia_pos_o + g_c
-    else:
-        release = h_phi_o * positive_part(params.delta_n - n_o)
-        diag = 1.0 / dt + release + phia_pos_o
-        rhs = c_o / dt + params.chi_a * phia_pos_o + release + g_c
+    gain, loss = split(signal_split, phi_o, phia_o, n_o)
+    rhs = (c_o / dt + params.chi_a * positive_part(phia_o) + gain
+           + forcing.eval("c", grid, t_new))
     with _substep("signal c", t_new):
-        c_new, it_c = _helmholtz_solve(grid, diag, rhs, cfg.linear_tol)
+        c_new, it_c = _helmholtz_solve(grid, 1.0 / dt + loss, rhs,
+                                       cfg.linear_tol)
     report.linear_iters["c"] = it_c
 
     # 3. endothelial phase ------------------------------------------------
-    g_a = forcing.eval("phi_a", grid, t_new)
     chem_coef = params.truncation.truncate(phia_o) * mob_n_o
     chem = div_mob_grad_array(chem_coef, c_new, grid.dx, grid.dy)
-    theta_o = theta(params, phi_o, c_o)
-    decay = theta_o * (params.kappa_inf * phia_pos_o - params.kappa0)
-    decay_flat = decay.ravel()
+    loss_flat = endothelial_loss(params, phi_o, phia_o, c_o).ravel()
 
     def apply_phia(v):
-        return v / dt + decay_flat * v - a_n @ v
+        return v / dt + loss_flat * v - a_n @ v
 
-    rhs_a = phia_o / dt - params.chi_a * chem + g_a
+    rhs_a = phia_o / dt - params.chi_a * chem + forcing.eval("phi_a", grid, t_new)
     with _substep("endothelial phi_a", t_new):
         phia_new, it_a = cg_solve(apply_phia, rhs_a.ravel(), x0=phia_o.ravel(),
                                   rel_tol=cfg.linear_tol)
@@ -506,11 +488,16 @@ def run(
     initial: State,
     params: ModelParams,
     cfg: SolverConfig,
-    sinks: RunSinks | None = None,
     record_every: int = 1,
     keep_states: int = 0,
+    *,
+    on_record=None,
+    on_state=None,
+    state_every: int = 0,
 ):
-    """Advance to t_end, collecting diagnostics records along the way."""
+    """Advance to t_end, collecting diagnostics records along the way;
+    ``on_record`` gets every record, ``on_state`` every state_every-th state
+    and the first and last ones (none when state_every is 0)."""
     validate_initial_data(initial, params)
     state = initialize_mu(initial.copy(), params)
     tracker = diagnostics.DiagnosticsTracker(params, state)
@@ -518,10 +505,12 @@ def run(
     records = [tracker.observe(state, cfg.dt)]
     states = [state.copy()] if keep_states else []
     reports = []
-    if sinks and sinks.on_record:
-        sinks.on_record(records[0])
-    if sinks and sinks.on_state and sinks.state_every:
-        sinks.on_state(state)
+    if not state_every:
+        on_state = None
+    if on_record:
+        on_record(records[0])
+    if on_state:
+        on_state(state)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
@@ -535,13 +524,11 @@ def run(
         if k % record_every == 0 or k == n_steps:
             rec = tracker.observe(state, cfg.dt, residual_sum)
             records.append(rec)
-            if sinks and sinks.on_record:
-                sinks.on_record(rec)
+            if on_record:
+                on_record(rec)
         if keep_states and (k % keep_states == 0 or k == n_steps):
             states.append(state.copy())
-        if sinks and sinks.on_state and sinks.state_every and (
-            k % sinks.state_every == 0 or k == n_steps
-        ):
-            sinks.on_state(state)
+        if on_state and (k % state_every == 0 or k == n_steps):
+            on_state(state)
 
     return RunResult(records, states, state, reports)

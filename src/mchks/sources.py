@@ -7,11 +7,13 @@ to [-1/eps, 1 + 1/eps] for the singular mode) and negative phases enter only
 through positive parts.  On states inside the physical range all truncations
 are the identity, and the forms reduce to the plain constitutive laws.
 
-This module is the one home of the regularized right-hand side: the step,
-the weak residuals and the spectral oracle read the chemotactic truncation
-``T_eps`` from ``ModelParams.truncation`` and the non-differential terms of
-the four evolution equations from ``reaction_rates``; the step's smooth-mode
-nutrient update reads the n term alone, ``nutrient_rate``.
+This module is the one home of the regularized right-hand side.  Each
+reaction-diffusion source is one (gain, loss) split, S_n = gain - loss q(n)
+(``nutrient_split``), S_c = gain - loss c (``signal_split``) and S_a =
+-loss phi_a (``endothelial_loss``); the sources and ``reaction_rates``, read
+by the weak residuals and the spectral oracle, are built from them, and the
+step keeps each loss implicit.  Every caller reads the chemotactic
+truncation ``T_eps`` from ``ModelParams.truncation``.
 
 Every mobility law (``ConstantMobility``, ``KozenyCarman``,
 ``EndothelialProduct``), called with field arrays, returns a new float
@@ -277,31 +279,41 @@ def source_phi(params: ModelParams, phi, n):
     return proliferation(params, phi, n) - params.m * np.asarray(phi, dtype=float)
 
 
+def nutrient_split(params: ModelParams, phi, phi_a):
+    """(gain, loss) of S_n = gain - loss q(n): supply 1 - h(phi) + phi_a^+,
+    and loss = gain + p(phi), its saturation plus tumor consumption."""
+    gain = 1.0 - h(phi) + positive_part(phi_a)
+    return gain, gain + p_switch(params, phi)
+
+
+def signal_split(params: ModelParams, phi, phi_a, n):
+    """(gain, loss) of S_c = gain - loss c: hypoxic release h(phi) (delta_n
+    - n)^+, and loss = gain + phi_a^+, its saturation plus consumption."""
+    gain = h(phi) * positive_part(params.delta_n - np.asarray(n, dtype=float))
+    return gain, gain + positive_part(phi_a)
+
+
+def endothelial_loss(params: ModelParams, phi, phi_a, c):
+    """loss of the logistic S_a = -loss phi_a, theta (kappa_inf phi_a^+ - kappa0)."""
+    decay = params.kappa_inf * positive_part(phi_a) - params.kappa0
+    return theta(params, phi, c) * decay
+
+
 def source_phi_a(params: ModelParams, phi, phi_a, c):
     """Logistic endothelial source gated by the activation factor."""
-    phi_a = np.asarray(phi_a, dtype=float)
-    logistic = params.kappa0 * phi_a - params.kappa_inf * positive_part(phi_a) ** 2
-    return theta(params, phi, c) * logistic
+    return -endothelial_loss(params, phi, phi_a, c) * np.asarray(phi_a, dtype=float)
 
 
 def source_n(params: ModelParams, phi, phi_a, n):
     """Nutrient supply from vasculature minus tumor consumption."""
-    q = q_switch(params, n)
-    return (1.0 - q) * (1.0 - h(phi) + positive_part(phi_a)) - p_switch(
-        params, phi
-    ) * q
+    gain, loss = nutrient_split(params, phi, phi_a)
+    return gain - loss * q_switch(params, n)
 
 
 def source_c(params: ModelParams, phi, phi_a, n, c):
     """Hypoxia-driven signal release minus endothelial consumption."""
-    cc = clamp_signal(params, c)
-    release = h(phi) * positive_part(params.delta_n - np.asarray(n, dtype=float))
-    return release * (1.0 - cc) - positive_part(phi_a) * cc
-
-
-def nutrient_rate(params: ModelParams, phi, phi_a, n):
-    """Non-differential right-hand side of the n equation, chi_phi p(phi) + S_n."""
-    return params.chi_phi * p_switch(params, phi) + source_n(params, phi, phi_a, n)
+    gain, loss = signal_split(params, phi, phi_a, n)
+    return gain - loss * clamp_signal(params, c)
 
 
 def reaction_rates(params: ModelParams, phi, phi_a, n, c):
@@ -313,6 +325,6 @@ def reaction_rates(params: ModelParams, phi, phi_a, n, c):
     return (
         source_phi(params, phi, n),
         source_phi_a(params, phi, phi_a, c),
-        nutrient_rate(params, phi, phi_a, n),
+        params.chi_phi * p_switch(params, phi) + source_n(params, phi, phi_a, n),
         params.chi_a * positive_part(phi_a) + source_c(params, phi, phi_a, n, c),
     )

@@ -347,12 +347,16 @@ def test_tracker_running_extremes_and_h():
     st = spheroid_state(grid)
     tracker = DiagnosticsTracker(FH, st)
     rec = tracker.observe(st, 1e-3)
-    assert rec.delta_star == pytest.approx(np.min(st.phi.values))
-    assert rec.delta_upper == pytest.approx(np.max(st.phi.values))
+    assert tracker.delta_star == np.min(st.phi.values)
+    assert tracker.delta_upper == np.max(st.phi.values)
+    assert rec.extrema["phi"] == (tracker.delta_star, tracker.delta_upper)
+    assert rec.h_sup == tracker.h_sup > 0.0
     assert rec.entropy >= 0.0
-    assert rec.phi_dual_norm >= 0.0
-    assert rec.f_integral == pytest.approx(
-        float(np.sum(FH.f_density(st.phi.values))) * grid.cell_area)
+    # the running extremes keep the widest phi range seen so far
+    narrow = replace(st, phi=ScalarField(grid, np.full_like(st.phi.values, 0.5)))
+    tracker.observe(narrow, 1e-3)
+    assert tracker.delta_star == np.min(st.phi.values)
+    assert tracker.delta_upper == np.max(st.phi.values)
 
 
 def test_separation_margins_monitor():

@@ -12,8 +12,11 @@ from mchks.sources import (
     KozenyCarman,
     ModelParams,
     h,
+    nutrient_split,
+    p_switch,
     proliferation,
     reaction_rates,
+    signal_split,
     source_c,
     source_n,
     source_phi,
@@ -109,6 +112,26 @@ def test_source_c_consumption_branches():
     assert source_c(p, 0.5, 2.0, 1.0, 1.0) == pytest.approx(-2.0)
     assert source_c(p, 1.0, 0.0, 0.0, 0.0) == pytest.approx(0.2)
     assert source_c(p, 0.0, 2.0, 1.0, 0.5) == pytest.approx(-1.0)
+
+
+# ------------------------------------------------------- implicit splits
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=st.floats(0, 1), phi_a=st.floats(0, 1), n=st.floats(0, 1),
+       chi_phi=st.floats(1e-3, 0.999), chi_a=st.floats(1e-3, 0.999),
+       delta_n=st.floats(0, 1))
+def test_splits_give_m_matrix_bounds(phi, phi_a, n, chi_phi, chi_a, delta_n):
+    # gain >= 0 and production + gain <= loss: the implicit n (singular
+    # mode) and c updates then keep 0 <= u <= 1
+    params = ModelParams(potential=FloryHuggins(1.0, 3.0), chi_phi=chi_phi,
+                         chi_a=chi_a, delta_n=delta_n)
+    for production, (gain, loss) in (
+        (chi_phi * p_switch(params, phi), nutrient_split(params, phi, phi_a)),
+        (chi_a * phi_a, signal_split(params, phi, phi_a, n)),
+    ):
+        assert gain >= 0.0
+        assert production + gain <= loss
 
 
 # ----------------------------------------------------- growth-bound fits

@@ -1,4 +1,4 @@
-"""Guards for the benchmark's per-layer metrics.
+"""Guards for the benchmark's per-layer metrics and the README's tables.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from mchks import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 SITE = re.compile(r'"(mchks(?:\.\w+)*:\w+(?:\.\w+)*)"')
 
 
@@ -31,3 +34,24 @@ def test_span_site_resolves(site):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _readme_block(heading):
+    """The first fenced block after the README line ``heading``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = text[text.index(heading + "\n"):]
+    return after.split("```\n")[1]
+
+
+def test_readme_lists_the_csv_columns():
+    block = _readme_block("`diagnostics.csv` has one row per recorded step:")
+    assert [c.strip() for c in block.split(",")] == cli.CSV_COLUMNS
+
+
+@pytest.mark.parametrize("section", ["grid", "solver", "initial", "output"])
+def test_readme_config_block_names_every_key(section):
+    block = _readme_block("### Config format")
+    listed = re.search(rf"^\[{section}\](.*?)(?=^\[|\Z)", block,
+                       re.M | re.S).group(1)
+    keys = cli.parse_config("").values[section]
+    assert set(keys) <= set(re.findall(r"\w+", listed))
