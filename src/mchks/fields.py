@@ -129,11 +129,6 @@ def neumann_eigenvalues(grid: Grid2D) -> np.ndarray:
     return lam
 
 
-def discrete_neumann_eigenvalue(grid: Grid2D, i: int, j: int) -> float:
-    """Eigenvalue of the discrete -Laplacian on the (i, j) cosine mode."""
-    return float(neumann_eigenvalues(grid)[i, j])
-
-
 # ------------------------------------------------------------- operators
 
 

@@ -7,18 +7,24 @@ single-well potential of Lennard-Jones type.  Each one is split as
     F = convex part + concave perturbation,
 
 where the convex part may be singular (finite only on a bounded interval) and
-the perturbation always has a Lipschitz derivative.  The implicit phase-field
-solver never evaluates the singular slope directly; it goes through the
-Yosida approximation of the convex slope, which is Lipschitz on the whole
-line.  Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
+the perturbation always has a Lipschitz derivative.  ``Potential`` states
+the protocol once; a variant overrides ``slope_domain`` (default (0, 1)) or
+``zero_in_convex_graph`` (default True) only where it differs, and
+``singular`` is read from ``slope_domain``.  The implicit phase-field solver
+never evaluates the singular slope directly; it goes through the Yosida
+approximation of the convex slope, which is Lipschitz on the whole line.
+Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
 the slope of its Yosida approximation (the graph corners of the obstacle and
 single-well variants included); ``YosidaRegularization`` builds the Yosida
 approximation, its derivative and the Moreau envelope on top of them.  A
 ``ConvexEvaluation`` holds the convex part (regularized or exact) at one
 array: slope, curvature and density all read its one resolvent solve.  The
 quartic and Flory-Huggins resolvents share one safeguarded Newton solve.
-The pointwise maps here and in ``regularize`` are written for float arrays;
-``elementwise`` lets them take a scalar and return a float for it.
+The pointwise maps here and in ``regularize`` take and return float arrays.
+``elementwise`` is the one scalar-or-array rule: the maps it wraps
+(``Potential.value`` and ``derivative``, the ``YosidaRegularization`` maps,
+the truncation pair, the mobility laws and ``sources.p_switch``) take a
+scalar and return a float for it; nothing else converts its arguments.
 """
 
 from __future__ import annotations
@@ -90,7 +96,30 @@ def _safeguarded_newton(g_and_slope, u, lo, hi, variant):
 
 @dataclass(frozen=True)
 class Potential:
-    """Base class; concrete variants implement the split F = convex + concave."""
+    """Base class; concrete variants implement the split F = convex + concave.
+
+    A variant supplies the pointwise maps ``convex_value``, ``convex_slope``
+    (the minimal section of the convex slope graph), ``convex_curvature``,
+    ``concave_value`` and ``concave_slope``, which take and return float
+    arrays; ``resolvent(r, eps)``, J = (I + eps * convex slope)^-1 on a
+    float array; ``perturbation_lipschitz()``, the Lipschitz constant of the
+    perturbation slope; and ``mean_admissible(y)``, whether a spatial mean
+    y lies in the domain of the slope graph (a constraint on the initial
+    data of the conserved phase).
+
+    ``slope_domain`` is the open interval on which the convex slope is
+    single valued and finite; the potential is singular exactly when that
+    interval is bounded.  ``zero_in_convex_graph`` says whether the slope
+    graph contains (0, 0), the normalization under which the Yosida
+    approximation vanishes at the origin.
+    """
+
+    slope_domain = (0.0, 1.0)
+    zero_in_convex_graph = True
+
+    @property
+    def singular(self) -> bool:
+        return math.isfinite(self.slope_domain[0])
 
     @elementwise
     def value(self, r):
@@ -113,56 +142,6 @@ class Potential:
                 )
         return self.convex_slope(r) + self.concave_slope(r)
 
-    @property
-    def singular(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def slope_domain(self):
-        """Open interval on which the convex slope is single valued and finite."""
-        raise NotImplementedError
-
-    @property
-    def zero_in_convex_graph(self) -> bool:
-        """Whether the maximal monotone convex slope graph contains (0, 0).
-
-        This is the normalization under which the Yosida approximation
-        vanishes at the origin.  It fails for the Flory-Huggins split, whose
-        convex slope tends to -inf at 0.
-        """
-        raise NotImplementedError
-
-    def mean_admissible(self, y: float) -> bool:
-        """Whether y lies in the domain of the monotone slope graph.
-
-        Spatial means of admissible initial data must satisfy this (it
-        constrains the mass dynamics of conserved quantities).
-        """
-        raise NotImplementedError
-
-    def convex_value(self, r):
-        raise NotImplementedError
-
-    def convex_slope(self, r):
-        raise NotImplementedError
-
-    def convex_curvature(self, r):
-        raise NotImplementedError
-
-    def concave_value(self, r):
-        raise NotImplementedError
-
-    def concave_slope(self, r):
-        raise NotImplementedError
-
-    def perturbation_lipschitz(self) -> float:
-        """Lipschitz constant of the perturbation slope (for stabilized splits)."""
-        raise NotImplementedError
-
-    def resolvent(self, r, eps):
-        """J(r) = (I + eps * convex slope)^-1 (r), elementwise on an array."""
-        raise NotImplementedError
-
     def yosida_slope(self, r, j, eps):
         """Derivative of the Yosida approximation at r, given j = J(r).
 
@@ -178,23 +157,13 @@ class Potential:
 class RegularQuartic(Potential):
     """F(r) = (c3/4) r^2 (r-1)^2 on the whole line."""
 
+    slope_domain = (-math.inf, math.inf)
+
     c3: float = 1.0
 
     def __post_init__(self):
         if self.c3 <= 0:
             raise ValueError("c3 must be positive")
-
-    @property
-    def singular(self):
-        return False
-
-    @property
-    def slope_domain(self):
-        return (-math.inf, math.inf)
-
-    @property
-    def zero_in_convex_graph(self):
-        return True
 
     def mean_admissible(self, y):
         return bool(np.isfinite(y))
@@ -203,23 +172,18 @@ class RegularQuartic(Potential):
     # The convex part has curvature (3 c3/4)(2r-1)^2 >= 0 and equals
     # (c3/4) r^2 ((r-1)^2 + 1/2) >= 0.
     def convex_value(self, r):
-        r = np.asarray(r, dtype=float)
         return 0.25 * self.c3 * r * r * ((r - 1.0) ** 2 + 0.5)
 
     def convex_slope(self, r):
-        r = np.asarray(r, dtype=float)
         return 0.25 * self.c3 * r * (4.0 * r * r - 6.0 * r + 3.0)
 
     def convex_curvature(self, r):
-        r = np.asarray(r, dtype=float)
         return 0.75 * self.c3 * (2.0 * r - 1.0) ** 2
 
     def concave_value(self, r):
-        r = np.asarray(r, dtype=float)
         return -0.125 * self.c3 * r * r
 
     def concave_slope(self, r):
-        r = np.asarray(r, dtype=float)
         return -0.25 * self.c3 * r
 
     def perturbation_lipschitz(self):
@@ -253,25 +217,14 @@ class FloryHuggins(Potential):
         if not 0 < self.c1 < self.c2:
             raise ValueError("need 0 < c1 < c2")
 
-    @property
-    def singular(self):
-        return True
-
-    @property
-    def slope_domain(self):
-        return (0.0, 1.0)
-
-    @property
-    def zero_in_convex_graph(self):
-        # The convex slope diverges to -inf at 0+, so the subdifferential at
-        # 0 is empty and no normalization can place (0, 0) on the graph.
-        return False
+    # The convex slope diverges to -inf at 0+, so the subdifferential at 0
+    # is empty and no normalization can place (0, 0) on the graph.
+    zero_in_convex_graph = False
 
     def mean_admissible(self, y):
         return 0.0 < y < 1.0
 
     def convex_value(self, r):
-        r = np.asarray(r, dtype=float)
         out = np.full(r.shape, np.inf)
         ok = (r >= 0.0) & (r <= 1.0)
         rc = np.clip(r, 0.0, 1.0)
@@ -280,21 +233,17 @@ class FloryHuggins(Potential):
         return out
 
     def convex_slope(self, r):
-        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return 0.5 * self.c1 * (np.log(r) - np.log1p(-r))
 
     def convex_curvature(self, r):
-        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
             return 0.5 * self.c1 / (r * (1.0 - r))
 
     def concave_value(self, r):
-        r = np.asarray(r, dtype=float)
         return 0.5 * self.c2 * r * (1.0 - r) - 0.5 * self.c1 * _LOG2
 
     def concave_slope(self, r):
-        r = np.asarray(r, dtype=float)
         return 0.5 * self.c2 * (1.0 - 2.0 * r)
 
     def perturbation_lipschitz(self):
@@ -334,41 +283,24 @@ class DoubleObstacle(Potential):
         if self.c3 <= 0:
             raise ValueError("c3 must be positive")
 
-    @property
-    def singular(self):
-        return True
-
-    @property
-    def slope_domain(self):
-        return (0.0, 1.0)
-
-    @property
-    def zero_in_convex_graph(self):
-        return True
-
     def mean_admissible(self, y):
         return 0.0 <= y <= 1.0
 
     def convex_value(self, r):
-        r = np.asarray(r, dtype=float)
         out = np.zeros(r.shape)
         out[(r < 0.0) | (r > 1.0)] = np.inf
         return out
 
     def convex_slope(self, r):
-        r = np.asarray(r, dtype=float)
         return np.zeros(r.shape)
 
     def convex_curvature(self, r):
-        r = np.asarray(r, dtype=float)
         return np.zeros(r.shape)
 
     def concave_value(self, r):
-        r = np.asarray(r, dtype=float)
         return self.c3 * r * (1.0 - r)
 
     def concave_slope(self, r):
-        r = np.asarray(r, dtype=float)
         return self.c3 * (1.0 - 2.0 * r)
 
     def perturbation_lipschitz(self):
@@ -388,7 +320,9 @@ class SingleWellLJ(Potential):
 
     Convex part -(1-r*) log(1-r); the cubic perturbation is replaced by its
     quadratic truncation outside (0, 1), which keeps the slope Lipschitz and
-    the perturbation concave while leaving F unchanged on [0, 1).
+    the perturbation concave while leaving F unchanged on [0, 1).  The
+    convex part jumps to +inf left of 0, so its subdifferential at 0 is
+    (-inf, 1 - r*], which contains 0.
     """
 
     r_star: float = 0.6
@@ -400,20 +334,6 @@ class SingleWellLJ(Potential):
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
 
-    @property
-    def singular(self):
-        return True
-
-    @property
-    def slope_domain(self):
-        return (0.0, 1.0)
-
-    @property
-    def zero_in_convex_graph(self):
-        # Convex part jumps to +inf left of 0, so the subdifferential at 0
-        # is (-inf, 1 - r*], which contains 0.
-        return True
-
     def mean_admissible(self, y):
         return 0.0 <= y < 1.0
 
@@ -422,23 +342,20 @@ class SingleWellLJ(Potential):
         return 1.0 - self.r_star
 
     def convex_value(self, r):
-        r = np.asarray(r, dtype=float)
         out = np.full(r.shape, np.inf)
         ok = (r >= 0.0) & (r < 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = -self._b * np.log1p(-np.clip(r, 0.0, 1.0 - 1e-300))
+            vals = -self._b * np.log1p(-np.clip(r, 0.0, 1.0))
         out[ok] = vals[ok]
         return out
 
     def convex_slope(self, r):
         # Minimal section: 0 at r = 0, b/(1-r) on (0, 1).
-        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
             out = self._b / (1.0 - r)
         return np.where(r == 0.0, 0.0, out)
 
     def convex_curvature(self, r):
-        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
             return self._b / (1.0 - r) ** 2
 
@@ -451,7 +368,6 @@ class SingleWellLJ(Potential):
         return -(r * r) - b * r - b
 
     def concave_value(self, r):
-        r = np.asarray(r, dtype=float)
         b = self._b
         low = self.kappa - b * r - 0.5 * b * r * r
         mid = self._cubic(r)
@@ -460,7 +376,6 @@ class SingleWellLJ(Potential):
         return np.where(r <= 0.0, low, np.where(r < 1.0, mid, high))
 
     def concave_slope(self, r):
-        r = np.asarray(r, dtype=float)
         b = self._b
         low = -b - b * r
         mid = self._cubic_slope(r)

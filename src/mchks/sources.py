@@ -166,7 +166,7 @@ class ModelParams:
     delta_n: float = 0.2
     delta_a: float = 0.1
     eps: float = 1e-3
-    potential: Potential = field(default_factory=lambda: FloryHuggins(1.0, 3.0))
+    potential: Potential = field(default_factory=FloryHuggins)
     mobility_m: object = field(default_factory=ConstantMobility)
     mobility_n: object = field(default_factory=ConstantMobility)
 
@@ -276,7 +276,7 @@ def proliferation(params: ModelParams, phi, n):
 
 def source_phi(params: ModelParams, phi, n):
     """Tumor fraction source: proliferation minus apoptosis."""
-    return proliferation(params, phi, n) - params.m * np.asarray(phi, dtype=float)
+    return proliferation(params, phi, n) - params.m * phi
 
 
 def nutrient_split(params: ModelParams, phi, phi_a):
@@ -289,7 +289,7 @@ def nutrient_split(params: ModelParams, phi, phi_a):
 def signal_split(params: ModelParams, phi, phi_a, n):
     """(gain, loss) of S_c = gain - loss c: hypoxic release h(phi) (delta_n
     - n)^+, and loss = gain + phi_a^+, its saturation plus consumption."""
-    gain = h(phi) * positive_part(params.delta_n - np.asarray(n, dtype=float))
+    gain = h(phi) * positive_part(params.delta_n - n)
     return gain, gain + positive_part(phi_a)
 
 
@@ -301,7 +301,7 @@ def endothelial_loss(params: ModelParams, phi, phi_a, c):
 
 def source_phi_a(params: ModelParams, phi, phi_a, c):
     """Logistic endothelial source gated by the activation factor."""
-    return -endothelial_loss(params, phi, phi_a, c) * np.asarray(phi_a, dtype=float)
+    return -endothelial_loss(params, phi, phi_a, c) * phi_a
 
 
 def source_n(params: ModelParams, phi, phi_a, n):

@@ -9,7 +9,6 @@ from mchks.fields import (
     ScalarField,
     cg_solve,
     cosine_mode,
-    discrete_neumann_eigenvalue,
     div_mob_grad,
     div_mob_grad_array,
     div_mob_grad_matrix,
@@ -53,7 +52,7 @@ def test_laplacian_cosine_eigenfunction():
 def test_laplacian_discrete_eigenvector_exact():
     # cosine modes at cell centers are exact eigenvectors of the stencil
     f = cosine_mode(GRID, 3, 2)
-    lam = discrete_neumann_eigenvalue(GRID, 3, 2)
+    lam = neumann_eigenvalues(GRID)[3, 2]
     assert np.allclose(laplacian(f).values, -lam * f.values, atol=1e-11)
 
 
@@ -158,7 +157,7 @@ def test_inverse_laplacian_zero():
 
 def test_inverse_laplacian_eigenmode():
     f = cosine_mode(GRID, 1, 0)
-    lam = discrete_neumann_eigenvalue(GRID, 1, 0)
+    lam = neumann_eigenvalues(GRID)[1, 0]
     u = inv_neumann_laplacian(f)
     assert np.allclose(u.values, f.values / lam, atol=1e-10)
 
@@ -174,7 +173,7 @@ def test_dual_norm_basics():
     f = cosine_mode(GRID, 1, 0)
     two_f = ScalarField(GRID, 2.0 * f.values)
     assert dual_norm(two_f) == pytest.approx(2.0 * dual_norm(f), rel=1e-9)
-    lam = discrete_neumann_eigenvalue(GRID, 1, 0)
+    lam = neumann_eigenvalues(GRID)[1, 0]
     assert dual_norm(f) == pytest.approx(norm_l2(f) / np.sqrt(lam), rel=1e-9)
 
 
@@ -226,8 +225,9 @@ def test_eigenvalue_reads_the_table():
     lam = neumann_eigenvalues(GRID)
     assert lam.shape == (GRID.nx, GRID.ny)
     assert lam[0, 0] == 0.0
-    for i, j in ((0, 0), (1, 0), (0, 1), (3, 2), (GRID.nx - 1, GRID.ny - 1)):
-        assert discrete_neumann_eigenvalue(GRID, i, j) == lam[i, j]
+    # shared between callers, so read-only
+    assert neumann_eigenvalues(GRID) is lam
+    assert not lam.flags.writeable
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from mchks.errors import ConvergenceError, DomainError
 from mchks.potentials import (
     DoubleObstacle,
     FloryHuggins,
+    Potential,
     RegularQuartic,
     SingleWellLJ,
     YosidaRegularization,
@@ -90,6 +91,31 @@ def test_double_obstacle_derivative_is_perturbation_only():
     dob = DoubleObstacle(c3=1.0)
     r = np.linspace(0.05, 0.95, 11)
     assert np.allclose(dob.derivative(r), 1.0 - 2.0 * r)
+
+
+# -------------------------------------------------------------- protocol
+
+
+@pytest.mark.parametrize("variant", Potential.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_every_variant_supplies_the_protocol(variant):
+    pot = variant()
+    lo, hi = pot.slope_domain
+    sample = np.linspace(max(lo, -2.0) + 0.05, min(hi, 3.0) - 0.05, 12)
+    sample = sample.reshape(3, 4)
+    maps = [pot.convex_value, pot.convex_slope, pot.convex_curvature,
+            pot.concave_value, pot.concave_slope,
+            lambda r: pot.resolvent(r, 0.1)]
+    for fn in maps:
+        out = fn(sample)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == sample.shape
+        assert np.all(np.isfinite(out))
+    assert pot.perturbation_lipschitz() > 0.0
+    assert pot.singular == (math.isfinite(lo) and math.isfinite(hi))
+    assert pot.mean_admissible(float(np.mean(sample)))
+    if pot.singular:
+        assert pot.convex_value(np.array([lo - 0.1]))[0] == math.inf
 
 
 # ----------------------------------------------------- split and smoothness

@@ -55,3 +55,10 @@ def test_readme_config_block_names_every_key(section):
                        re.M | re.S).group(1)
     keys = cli.parse_config("").values[section]
     assert set(keys) <= set(re.findall(r"\w+", listed))
+
+
+def test_readme_package_layout_names_every_module():
+    block = _readme_block("## Package layout")
+    listed = set(re.findall(r"^  (\w+\.py) ", block, re.M))
+    modules = {p.name for p in (ROOT / "src" / "mchks").glob("*.py")}
+    assert not modules - {"__init__.py"} - listed
