@@ -42,8 +42,10 @@ def main():
     every = max(1, int(round(config.solver.t_end / config.solver.dt)) // 25)
 
     def states(state0):
-        return run(state0, config.params, config.solver,
-                   record_every=10**9, keep_states=every).states
+        out = []
+        run(state0, config.params, config.solver, record_every=10**9,
+            on_state=lambda s: out.append(s.copy()), state_every=every)
+        return out
 
     base = states(base0)
     print(f"{'amplitude':>10} {'lhs total':>12} {'rhs total':>12} "

@@ -51,8 +51,42 @@ def _scalar_fields(cls):
 
 _PARAM_SCALARS = _scalar_fields(ModelParams)
 
+# variant table: slot -> name -> (class, {config key: constructor argument});
+# a slot defaults to its first variant, and each key takes its type and
+# default from the class field it feeds
+_VARIANTS = {
+    "potential": {
+        "flory_huggins": (FloryHuggins, {"c1": "c1", "c2": "c2"}),
+        "quartic": (RegularQuartic, {"c3": "c3"}),
+        "double_obstacle": (DoubleObstacle, {"c3": "c3"}),
+        "single_well": (SingleWellLJ, {"r_star": "r_star", "lj_shift": "kappa"}),
+    },
+    "mobility_m": {
+        "constant": (ConstantMobility, {"mobility_m_value": "value"}),
+        "kozeny_carman": (KozenyCarman, {"mobility_m_b": "b_phi",
+                                         "mobility_m_lambda": "lam"}),
+    },
+    "mobility_n": {
+        "constant": (ConstantMobility, {"mobility_n_value": "value"}),
+        "endothelial": (EndothelialProduct, {"mobility_n_m0": "m0",
+                                             "mobility_n_mup": "m_up"}),
+    },
+}
+
+
+def _variant_schema():
+    schema = {}
+    for slot, variants in _VARIANTS.items():
+        schema[slot] = (str, next(iter(variants)))
+        for cls, args in variants.values():
+            fields = _scalar_fields(cls)
+            for key, arg in args.items():
+                schema.setdefault(key, fields[arg])
+    return schema
+
+
 # schema: section -> key -> (type, default); the scalar model and solver
-# defaults live on ModelParams and SolverConfig
+# defaults live on ModelParams, SolverConfig and the variant classes
 _SCHEMA = {
     "grid": {
         "nx": (int, 64),
@@ -60,23 +94,7 @@ _SCHEMA = {
         "lx": (float, 12.8),
         "ly": (float, 12.8),
     },
-    "params": {
-        **_PARAM_SCALARS,
-        "potential": (str, "flory_huggins"),
-        "c1": (float, 1.0),
-        "c2": (float, 3.0),
-        "c3": (float, 1.0),
-        "r_star": (float, 0.6),
-        "lj_shift": (float, 0.0),
-        "mobility_m": (str, "constant"),
-        "mobility_m_value": (float, 1.0),
-        "mobility_m_b": (float, 1.0),
-        "mobility_m_lambda": (float, 1.0),
-        "mobility_n": (str, "constant"),
-        "mobility_n_value": (float, 1.0),
-        "mobility_n_m0": (float, 0.5),
-        "mobility_n_mup": (float, 1.0),
-    },
+    "params": {**_PARAM_SCALARS, **_variant_schema()},
     "solver": _scalar_fields(SolverConfig),
     "initial": {
         "preset": (str, "spheroid"),
@@ -192,17 +210,10 @@ def _build_config(values) -> RunConfig:
 
     p = values["params"]
     try:
-        potential = _build_potential(p)
-        mobility_m = _build_mobility_m(p)
-        mobility_n = _build_mobility_n(p)
+        variants = {slot: _build_variant(slot, p) for slot in _VARIANTS}
     except ValueError as exc:
         raise ValidationError(str(exc))
-    params = ModelParams(
-        **{key: p[key] for key in _PARAM_SCALARS},
-        potential=potential,
-        mobility_m=mobility_m,
-        mobility_n=mobility_n,
-    )
+    params = ModelParams(**{key: p[key] for key in _PARAM_SCALARS}, **variants)
 
     try:
         solver = SolverConfig(**values["solver"])
@@ -215,35 +226,11 @@ def _build_config(values) -> RunConfig:
     return RunConfig(grid, params, solver, values)
 
 
-def _build_potential(p):
-    name = p["potential"]
-    if name == "quartic":
-        return RegularQuartic(c3=p["c3"])
-    if name == "flory_huggins":
-        return FloryHuggins(c1=p["c1"], c2=p["c2"])
-    if name == "double_obstacle":
-        return DoubleObstacle(c3=p["c3"])
-    if name == "single_well":
-        return SingleWellLJ(r_star=p["r_star"], kappa=p["lj_shift"])
-    raise ValidationError(f"unknown potential {name!r}")
-
-
-def _build_mobility_m(p):
-    name = p["mobility_m"]
-    if name == "constant":
-        return ConstantMobility(p["mobility_m_value"])
-    if name == "kozeny_carman":
-        return KozenyCarman(b_phi=p["mobility_m_b"], lam=p["mobility_m_lambda"])
-    raise ValidationError(f"unknown mobility_m {name!r}")
-
-
-def _build_mobility_n(p):
-    name = p["mobility_n"]
-    if name == "constant":
-        return ConstantMobility(p["mobility_n_value"])
-    if name == "endothelial":
-        return EndothelialProduct(m0=p["mobility_n_m0"], m_up=p["mobility_n_mup"])
-    raise ValidationError(f"unknown mobility_n {name!r}")
+def _build_variant(slot, p):
+    if p[slot] not in _VARIANTS[slot]:
+        raise ValidationError(f"unknown {slot} {p[slot]!r}")
+    cls, args = _VARIANTS[slot][p[slot]]
+    return cls(**{arg: p[key] for key, arg in args.items()})
 
 
 # ----------------------------------------------------------------- presets
@@ -502,8 +489,10 @@ def cmd_twin(args) -> int:
     every = max(1, int(round(solver.t_end / solver.dt)) // 50)
 
     def job(state0):
-        return run(state0, params, solver, record_every=10**9,
-                   keep_states=every).states
+        states = []
+        run(state0, params, solver, record_every=10**9,
+            on_state=lambda s: states.append(s.copy()), state_every=every)
+        return states
 
     states1 = job(base0)
     states2 = job(pert0)

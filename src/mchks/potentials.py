@@ -16,9 +16,10 @@ approximation of the convex slope, which is Lipschitz on the whole line.
 Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
 the slope of its Yosida approximation (the graph corners of the obstacle and
 single-well variants included); ``YosidaRegularization`` builds the Yosida
-approximation, its derivative and the Moreau envelope on top of them.  A
+approximation and the Moreau envelope on top of them.  A
 ``ConvexEvaluation`` holds the convex part (regularized or exact) at one
-array: slope, curvature and density all read its one resolvent solve.  The
+array: slope, curvature (the derivative of the Yosida approximation, which
+the Newton Jacobian reads) and density all read its one resolvent solve.  The
 quartic and Flory-Huggins resolvents share one safeguarded Newton solve.
 The pointwise maps here and in ``regularize`` take and return float arrays.
 ``elementwise`` is the one scalar-or-array rule: the maps it wraps
@@ -48,17 +49,14 @@ _RESOLVENT_MAXIT = 100
 def elementwise(method):
     """Run ``method(self, *args)`` on its arguments as float arrays; when
     every argument is 0-d it runs on one-element arrays and the caller gets
-    a float back (a tuple of floats for a tuple of arrays)."""
+    a float back."""
 
     @functools.wraps(method)
     def wrapper(self, *args):
         args = [np.asarray(a, dtype=float) for a in args]
         if any(a.ndim for a in args):
             return method(self, *args)
-        out = method(self, *(a.reshape(1) for a in args))
-        if isinstance(out, tuple):
-            return tuple(float(o[0]) for o in out)
-        return float(out[0])
+        return float(method(self, *(a.reshape(1) for a in args))[0])
 
     return wrapper
 
@@ -450,10 +448,10 @@ class YosidaRegularization:
 
         envelope(r) = eps/2 * yosida(r)^2 + convex_value(J(r)).
 
-    The potential supplies J (``Potential.resolvent``) and the derivative
-    of the Yosida approximation (``Potential.yosida_slope``); every solve
-    goes through ``resolvent`` here, and the other maps read one
-    ``ConvexEvaluation`` each.
+    The potential supplies J (``Potential.resolvent``); every solve goes
+    through ``resolvent`` here, and ``yosida`` and ``envelope`` read one
+    ``ConvexEvaluation`` each.  The derivative of the Yosida approximation
+    is that evaluation's ``curvature`` (``Potential.yosida_slope``).
     """
 
     potential: Potential
@@ -471,28 +469,6 @@ class YosidaRegularization:
     def yosida(self, r):
         return ConvexEvaluation(self.potential, r, self).slope
 
-    def yosida_derivative(self, r):
-        """Derivative of the Yosida approximation (piecewise for graph corners)."""
-        return self.slope_and_curvature(r)[1]
-
-    @elementwise
-    def slope_and_curvature(self, r):
-        """(yosida(r), yosida_derivative(r)) from one resolvent solve."""
-        ev = ConvexEvaluation(self.potential, r, self)
-        return ev.slope, ev.curvature
-
     @elementwise
     def envelope(self, r):
         return ConvexEvaluation(self.potential, r, self).density
-
-
-def growth_constant(potential, lo=-10.0, hi=10.0, n=20001):
-    """Fitted constant c with |F'(r)| <= c (F(r) + 1) on a sampled range.
-
-    The smooth quartic admits such a constant on any bounded range; this
-    reports the tightest one seen on the sample.
-    """
-    r = np.linspace(lo, hi, n)
-    f = potential.value(r)
-    fp = potential.derivative(r)
-    return float(np.max(np.abs(fp) / (f + 1.0)))

@@ -22,24 +22,13 @@ from .fields import (
     laplacian,
     mean,
 )
-from .potentials import (
-    DoubleObstacle,
-    FloryHuggins,
-    RegularQuartic,
-    SingleWellLJ,
-    YosidaRegularization,
-)
+from .potentials import Potential, YosidaRegularization
 from .regularize import TruncationPair
 from .sources import ModelParams, proliferation, source_c, source_n, theta
 
 
 def _variants():
-    return [
-        RegularQuartic(c3=1.0),
-        FloryHuggins(1.0, 3.0),
-        DoubleObstacle(1.0),
-        SingleWellLJ(0.6, 0.0),
-    ]
+    return [cls() for cls in Potential.__subclasses__()]
 
 
 def check_potential_split():

@@ -177,7 +177,6 @@ class StepReport:
 @dataclass
 class RunResult:
     records: list
-    states: list
     final_state: State
     reports: list
 
@@ -489,7 +488,6 @@ def run(
     params: ModelParams,
     cfg: SolverConfig,
     record_every: int = 1,
-    keep_states: int = 0,
     *,
     on_record=None,
     on_state=None,
@@ -503,7 +501,6 @@ def run(
     tracker = diagnostics.DiagnosticsTracker(params, state)
 
     records = [tracker.observe(state, cfg.dt)]
-    states = [state.copy()] if keep_states else []
     reports = []
     if not state_every:
         on_state = None
@@ -526,9 +523,7 @@ def run(
             records.append(rec)
             if on_record:
                 on_record(rec)
-        if keep_states and (k % keep_states == 0 or k == n_steps):
-            states.append(state.copy())
         if on_state and (k % state_every == 0 or k == n_steps):
             on_state(state)
 
-    return RunResult(records, states, state, reports)
+    return RunResult(records, state, reports)

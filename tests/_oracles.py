@@ -4,7 +4,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from mchks.fields import Grid2D, ScalarField
-from mchks.solver import State
+from mchks.solver import State, run
 from mchks.sources import (
     p_switch,
     source_c,
@@ -93,19 +93,24 @@ def spheroid_state(grid: Grid2D, phi_lo=0.05, phi_hi=0.95, phi_a0=0.05,
     )
 
 
+def run_states(initial, params, cfg, every=1):
+    """Every ``every``-th state of a run plus the first and last, copied as
+    ``run`` hands them to ``on_state``."""
+    states = []
+    run(initial, params, cfg, record_every=10**9,
+        on_state=lambda s: states.append(s.copy()), state_every=every)
+    return states
+
+
 def envelope_bruteforce(pot, eps, r, n=4001, stages=3):
     """Independent oracle for the Moreau envelope: staged grid minimization
     of (t - r)^2 / (2 eps) + convex_value(t) over the proper domain
     (endpoints with finite values included, repeatedly refined around the
     running argmin so boundary-hugging minimizers are resolved)."""
-    from mchks.potentials import RegularQuartic, SingleWellLJ
-
-    if isinstance(pot, RegularQuartic):
-        lo, hi = min(0.0, r) - 1.0, max(0.0, r) + 1.0
-    elif isinstance(pot, SingleWellLJ):
-        lo, hi = 0.0, 1.0 - 1e-12
+    if pot.singular:
+        lo, hi = pot.slope_domain
     else:
-        lo, hi = 0.0, 1.0
+        lo, hi = min(0.0, r) - 1.0, max(0.0, r) + 1.0
 
     def q(t):
         return (t - r) ** 2 / (2.0 * eps) + pot.convex_value(t)

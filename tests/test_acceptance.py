@@ -15,6 +15,7 @@ from _mms import Manufactured
 from _oracles import (
     band_limited_ic,
     envelope_bruteforce,
+    run_states,
     solve_uniform_ode,
     spheroid_state,
     uniform_state,
@@ -368,9 +369,8 @@ def test_criterion_09_weak_residual_scaling():
         )
         cfg = SolverConfig(dt=dt, t_end=0.05, linear_tol=1e-12,
                            newton_tol=1e-12)
-        res = run(st, params, cfg, record_every=10**9, keep_states=1)
-        rep = diagnostics.weak_residual(res.states[-3:], params, dt)
-        return rep
+        return diagnostics.weak_residual(run_states(st, params, cfg)[-3:],
+                                         params, dt)
 
     coarse = residuals(2e-3)
     fine = residuals(1e-3)
@@ -399,8 +399,7 @@ def test_criterion_10_continuous_dependence():
         cfg = SolverConfig(dt=dt, t_end=0.25, linear_tol=1e-12,
                            newton_tol=1e-11)
         every = max(1, int(round(0.25 / dt)) // 25)
-        return run(state0, params, cfg, record_every=10**9,
-                   keep_states=every).states
+        return run_states(state0, params, cfg, every)
 
     dt = 2e-3
     base = states(base0, dt)

@@ -22,8 +22,9 @@ from mchks.cli import (
 from mchks.errors import ParseError, ValidationError
 from mchks.fields import read_snapshot
 from mchks.galerkin import cross_errors, integrate_galerkin
-from mchks.potentials import FloryHuggins, SingleWellLJ
-from mchks.solver import run, validate_initial_data
+from mchks.potentials import FloryHuggins, Potential, SingleWellLJ
+from mchks.solver import SolverConfig, run, validate_initial_data
+from mchks.sources import ModelParams
 
 TINY = """
 [grid]
@@ -117,6 +118,38 @@ def test_manifest_round_trip(potential, mobilities):
     assert again.initial == config.initial
     assert again.output == config.output
     assert serialize_config(again) == text
+
+
+def test_empty_config_gives_the_dataclass_defaults():
+    config = parse_config("")
+    assert config.params == ModelParams()
+    assert config.solver == SolverConfig()
+
+
+def test_potential_slot_lists_every_variant_once():
+    classes = [cls for cls, _ in cli._VARIANTS["potential"].values()]
+    assert len(classes) == len(set(classes))
+    assert set(classes) == set(Potential.__subclasses__())
+
+
+def test_every_variant_builds_its_class_default():
+    for slot, variants in cli._VARIANTS.items():
+        for name, (cls, _) in variants.items():
+            params = parse_config(f"[params]\n{slot} = {name}\n").params
+            assert getattr(params, slot) == cls(), (slot, name)
+        with pytest.raises(ValidationError, match=rf"^unknown {slot} 'bogus'$"):
+            parse_config(f"[params]\n{slot} = bogus\n")
+
+
+def test_a_key_shared_by_variants_has_one_default():
+    declared = {}
+    for variants in cli._VARIANTS.values():
+        for cls, args in variants.values():
+            for key, arg in args.items():
+                declared.setdefault(key, []).append(cli._scalar_fields(cls)[arg])
+    assert len(declared["c3"]) == 2
+    for key, entries in declared.items():
+        assert set(entries) == {cli._SCHEMA["params"][key]}, key
 
 
 def test_overrides():

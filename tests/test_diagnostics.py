@@ -3,7 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import band_limited_state, spheroid_state, uniform_state
+from _oracles import (
+    band_limited_state,
+    run_states,
+    spheroid_state,
+    uniform_state,
+)
 
 from mchks import diagnostics
 from mchks.diagnostics import (
@@ -258,7 +263,7 @@ def test_weak_residual_matches_per_test_function_weak_forms(params):
     # with the gradient pairings summed over faces
     grid = Grid2D(24, 24, 2 * np.pi, 2 * np.pi)
     cfg = SolverConfig(dt=1e-3, t_end=2e-3)
-    s0, s1 = run(band_limited_state(grid), params, cfg, keep_states=1).states[-2:]
+    s0, s1 = run_states(band_limited_state(grid), params, cfg)[-2:]
     rep = weak_residual([s0, s1], params, dt=cfg.dt)
 
     phi, phia, n, c, mu = (getattr(s1, k).values
@@ -302,9 +307,9 @@ def test_weak_residual_needs_two_states():
 
 def test_twin_distance_identical_runs_vanish():
     grid = Grid2D(16, 16, 8.0, 8.0)
-    res = run(spheroid_state(grid), FH, SolverConfig(dt=2e-3, t_end=0.01),
-              keep_states=1)
-    dist = twin_run_distance(res.states, res.states, FH)
+    states = run_states(spheroid_state(grid), FH,
+                        SolverConfig(dt=2e-3, t_end=0.01))
+    dist = twin_run_distance(states, states, FH)
     assert dist.lhs_total == 0.0
     assert dist.rhs_total == 0.0
     assert math.isnan(dist.ratio)
@@ -325,7 +330,7 @@ def test_twin_distance_small_perturbation_linear():
     grid = Grid2D(16, 16, 8.0, 8.0)
     base0 = spheroid_state(grid)
     cfg = SolverConfig(dt=2e-3, t_end=0.02)
-    base = run(base0, FH, cfg, keep_states=2).states
+    base = run_states(base0, FH, cfg, every=2)
     scales = {}
     for amp in (1e-2, 5e-3):
         pert0 = base0.copy()
@@ -334,7 +339,7 @@ def test_twin_distance_small_perturbation_linear():
             base0.phi.values
             + amp * (0.3 + 0.5 * np.cos(np.pi * grid.centers()[0] / grid.lx)),
         )
-        pert = run(pert0, FH, cfg, keep_states=2).states
+        pert = run_states(pert0, FH, cfg, every=2)
         scales[amp] = twin_run_distance(base, pert, FH).lhs_total / amp
     assert scales[1e-2] == pytest.approx(scales[5e-3], rel=0.05)
 

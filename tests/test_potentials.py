@@ -9,13 +9,13 @@ from scipy.special import expit
 from mchks import potentials
 from mchks.errors import ConvergenceError, DomainError
 from mchks.potentials import (
+    ConvexEvaluation,
     DoubleObstacle,
     FloryHuggins,
     Potential,
     RegularQuartic,
     SingleWellLJ,
     YosidaRegularization,
-    growth_constant,
 )
 from mchks.regularize import TruncationPair
 
@@ -169,6 +169,14 @@ def test_single_well_truncation_c1_and_lipschitz():
     assert np.max(np.abs(slopes)) <= sw.perturbation_lipschitz() + 1e-9
 
 
+def growth_constant(potential, lo=-10.0, hi=10.0, n=20001):
+    """Fitted constant c with |F'(r)| <= c (F(r) + 1) on a sampled range:
+    the tightest one seen on the sample."""
+    r = np.linspace(lo, hi, n)
+    return float(np.max(np.abs(potential.derivative(r))
+                        / (potential.value(r) + 1.0)))
+
+
 def test_quartic_growth_constant_is_finite():
     c = growth_constant(RegularQuartic(c3=4.0))
     assert np.isfinite(c)
@@ -279,7 +287,8 @@ def test_yosida_derivative_matches_finite_difference():
         r = np.linspace(-1.5, 2.5, 37)
         h = 1e-6
         fd = (reg.yosida(r + h) - reg.yosida(r - h)) / (2 * h)
-        ok = np.abs(reg.yosida_derivative(r) - fd) < 1e-4 * (1 + np.abs(fd))
+        curv = ConvexEvaluation(pot, r, reg).curvature
+        ok = np.abs(curv - fd) < 1e-4 * (1 + np.abs(fd))
         # graph corners give one-sided derivatives; allow isolated mismatches
         assert ok.sum() >= len(r) - 3
 
@@ -322,16 +331,6 @@ def test_yosida_envelope_bound_constant_is_finite():
             c_fit = np.max(eps * np.abs(reg.yosida(r)) / (reg.envelope(r) + 1.0))
             assert np.isfinite(c_fit)
             assert c_fit <= 10.0
-
-
-@pytest.mark.parametrize("eps", [0.1, 1e-3])
-@pytest.mark.parametrize("pot", ALL_VARIANTS, ids=lambda p: type(p).__name__)
-def test_slope_and_curvature_matches_separate_calls(pot, eps):
-    reg = YosidaRegularization(pot, eps=eps)
-    r = np.linspace(-2.0, 3.0, 2001)
-    slope, curv = reg.slope_and_curvature(r)
-    assert np.array_equal(slope, reg.yosida(r))
-    assert np.array_equal(curv, reg.yosida_derivative(r))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.02, 0.01, 1e-3, 1e-4])
@@ -431,7 +430,7 @@ def _elementwise_cases():
         cases += [(f"{type(pot).__name__}.value", pot.value),
                   (f"{type(pot).__name__}.derivative", pot.derivative)]
     cases += [(f"Yosida.{m}", getattr(reg, m))
-              for m in ("resolvent", "yosida", "slope_and_curvature", "envelope")]
+              for m in ("resolvent", "yosida", "envelope")]
     cases += [(f"TruncationPair.{m}", getattr(pair, m))
               for m in ("truncate", "entropy", "entropy_prime", "entropy_second")]
     return [pytest.param(fn, id=name) for name, fn in cases]
@@ -441,16 +440,9 @@ def _elementwise_cases():
 def test_elementwise_scalar_and_array_calls(fn):
     r = np.linspace(0.05, 0.95, 12).reshape(3, 4)
     scalar = fn(0.3)
-    one = fn(np.array([0.3]))
-    if isinstance(one, tuple):
-        assert type(scalar) is tuple
-        assert all(type(v) is float for v in scalar)
-        assert scalar == tuple(float(v[0]) for v in one)
-        assert all(v.shape == (3, 4) for v in fn(r))
-    else:
-        assert type(scalar) is float
-        assert scalar == float(one[0])
-        assert fn(r).shape == (3, 4)
+    assert type(scalar) is float
+    assert scalar == float(fn(np.array([0.3]))[0])
+    assert fn(r).shape == (3, 4)
 
 
 # ------------------------------------------------------ property sampling

@@ -426,10 +426,12 @@ def test_first_krylov_solve_of_a_step_is_inexact(monkeypatch):
 @pytest.mark.parametrize("params", ALL_POTENTIALS)
 def test_every_accepted_step_meets_the_newton_test(params):
     cfg = SolverConfig(dt=1e-3, t_end=0.01)
+    states = []
     result = run(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params, cfg,
-                 record_every=10**9, keep_states=1)
-    assert len(result.states) == len(result.reports) + 1
-    for old, report in zip(result.states, result.reports):
+                 record_every=10**9, on_state=lambda s: states.append(s.copy()),
+                 state_every=1)
+    assert len(states) == len(result.reports) + 1
+    for old, report in zip(states, result.reports):
         phi_o = old.phi.values
         scale = max(1.0, float(np.sqrt(np.mean((phi_o / cfg.dt) ** 2))))
         assert report.newton_residual <= cfg.newton_tol * scale

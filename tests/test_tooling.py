@@ -48,7 +48,8 @@ def test_readme_lists_the_csv_columns():
     assert [c.strip() for c in block.split(",")] == cli.CSV_COLUMNS
 
 
-@pytest.mark.parametrize("section", ["grid", "solver", "initial", "output"])
+@pytest.mark.parametrize("section",
+                         ["grid", "params", "solver", "initial", "output"])
 def test_readme_config_block_names_every_key(section):
     block = _readme_block("### Config format")
     listed = re.search(rf"^\[{section}\](.*?)(?=^\[|\Z)", block,
