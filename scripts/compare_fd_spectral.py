@@ -12,28 +12,27 @@ import time
 
 import numpy as np
 
+from mchks.cli import band_limited_initial
 from mchks.fields import Grid2D, ScalarField
-from mchks.galerkin import (
-    EigenBasis,
-    cross_errors,
-    initial_galerkin_state,
-    integrate_galerkin,
-)
+from mchks.galerkin import cross_errors, integrate_galerkin
 from mchks.potentials import RegularQuartic
 from mchks.solver import SolverConfig, State, run
 from mchks.sources import ModelParams
 
 
-def band_limited_ic(L):
-    return {
-        "phi": lambda x, y: 0.45
-        + 0.10 * np.cos(np.pi * x / L) * np.cos(np.pi * y / L)
-        + 0.05 * np.cos(2 * np.pi * x / L),
-        "phi_a": lambda x, y: 0.40 + 0.10 * np.cos(np.pi * y / L),
-        "n": lambda x, y: 0.60 + 0.15 * np.cos(np.pi * x / L),
-        "c": lambda x, y: 0.40
-        + 0.10 * np.cos(np.pi * x / L) * np.cos(np.pi * y / L),
-    }
+def band_limited_state(grid):
+    """Low-mode fields on the smooth branches of every source."""
+    x, y = grid.centers()
+    cx, cy = np.cos(np.pi * x / grid.lx), np.cos(np.pi * y / grid.ly)
+    c2x = np.cos(2 * np.pi * x / grid.lx)
+    return State(
+        0.0,
+        ScalarField(grid, 0.45 + 0.10 * cx * cy + 0.05 * c2x),
+        ScalarField.constant(grid, 0.0),
+        ScalarField(grid, 0.40 + 0.10 * cy),
+        ScalarField(grid, 0.60 + 0.15 * cx),
+        ScalarField(grid, 0.40 + 0.10 * cx * cy),
+    )
 
 
 def main():
@@ -44,7 +43,6 @@ def main():
 
     L = 2.0 * np.pi
     params = ModelParams(potential=RegularQuartic(1.0), m=0.5)
-    ic = band_limited_ic(L)
 
     print(f"{'nx':>4} {'k':>3} {'dt':>9} {'phi':>10} {'phi_a':>10} "
           f"{'n':>10} {'c':>10} {'seconds':>8}")
@@ -55,20 +53,10 @@ def main():
         k = 4 * 2**level
         dt = 2e-3 / 2**level
         tic = time.perf_counter()
-        grid = Grid2D(nx, nx, L, L)
-        x, y = grid.centers()
-        fd0 = State(
-            0.0,
-            ScalarField(grid, ic["phi"](x, y)),
-            ScalarField.constant(grid, 0.0),
-            ScalarField(grid, ic["phi_a"](x, y)),
-            ScalarField(grid, ic["n"](x, y)),
-            ScalarField(grid, ic["c"](x, y)),
-        )
+        fd0, g0, basis = band_limited_initial(
+            band_limited_state(Grid2D(nx, nx, L, L)), k)
         cfg = SolverConfig(dt=dt, t_end=args.t_end, linear_tol=1e-12)
         fd = run(fd0, params, cfg, record_every=10**9).final_state
-        basis = EigenBasis(L, L, k)
-        g0 = initial_galerkin_state(basis, params, ic)
         gs = integrate_galerkin(g0, params, basis, args.t_end)[-1]
         errs = list(cross_errors(fd, gs, basis).values())
         print(f"{nx:4d} {k:3d} {dt:9.1e} "

@@ -298,22 +298,21 @@ def twin_perturbation(state: State, amplitude: float) -> State:
     return out
 
 
-def band_limited_initial(config: RunConfig, k: int):
-    """Project the configured initial data onto k modes, for `compare`.
+def band_limited_initial(state: State, k: int):
+    """Project an FD state onto k modes: the start of `compare`.
 
-    Returns (FD initial state on the config grid, Galerkin initial state,
+    Returns (FD initial state on the state's grid, Galerkin initial state,
     basis): both solvers then start from the same band-limited fields,
-    which needs 0 <= k < min(nx, ny).  A
-    constant field is kept exactly on both sides (its expansion evaluates
-    to within an ulp of it, and an ulp above 1 fails the range checks).
+    which needs 0 <= k < min(nx, ny).  A constant field is kept exactly on
+    both sides (its expansion evaluates to within an ulp of it, and an ulp
+    above 1 fails the range checks).
     """
-    grid = config.grid
+    grid = state.grid
     if not 0 <= k < min(grid.nx, grid.ny):
         raise ValidationError(f"--modes {k} outside [0, {min(grid.nx, grid.ny)})")
     basis = EigenBasis(grid.lx, grid.ly, k)
-    base = build_initial_state(config)
-    fields = {name: getattr(base, name) for name in ("phi", "phi_a", "n", "c")}
-    g0 = initial_galerkin_state(basis, config.params, fields)
+    fields = {name: getattr(state, name) for name in ("phi", "phi_a", "n", "c")}
+    g0 = initial_galerkin_state(basis, fields)
 
     def on_grid(name):
         if fields[name].is_constant():
@@ -467,7 +466,8 @@ def cmd_compare(args) -> int:
     import scipy.integrate  # noqa: F401
 
     config = _load_config(args)
-    fd0, g0, basis = band_limited_initial(config, args.modes)
+    fd0, g0, basis = band_limited_initial(build_initial_state(config),
+                                          args.modes)
     params, solver = config.params, config.solver
     # the oracle first: a refusal over its budget comes before the FD cost
     gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]

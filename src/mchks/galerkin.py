@@ -16,10 +16,12 @@ path.
 
 The projected system is the one the FD step solves: the non-differential
 terms come from ``sources.reaction_rates`` and the chemotactic flux goes
-through ``ModelParams.truncation``.  On FD data, ``project`` (midpoint sum)
-and ``evaluate_on_grid`` share one cell-centre cosine table and invert each
-other for k < min(nx, ny).  ``cross_errors`` measures how far an FD state
-lies from a Galerkin state on the FD grid.
+through ``ModelParams.truncation``.  The oracle starts from FD data.  One
+table, ``cosine_tables``, holds the basis at cell centres: on the
+quadrature cells (``EigenBasis.quad``) for the right-hand side, and on the
+FD grid for ``project`` (midpoint sum) and ``evaluate_on_grid``, which
+invert each other for k < min(nx, ny).  ``cross_errors`` measures how far
+an FD state lies from a Galerkin state on the FD grid.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ from .fields import Grid2D, ScalarField
 from .sources import ModelParams, reaction_rates
 
 RHS_EVAL_BUDGET = 50_000  # right-hand-side evaluations per integration
-
-
-def cell_cosines(length, n, k):
-    """The k+1 orthonormal Neumann cosines of [0, length] at the centres of
-    n equal cells: (centres, values (n, k+1), x-derivatives (n, k+1))."""
-    x = (np.arange(n) + 0.5) * length / n
-    i = np.arange(k + 1)
-    norm = np.sqrt(np.where(i == 0, 1.0, 2.0) / length)
-    arg = np.outer(x, i) * np.pi / length
-    return x, np.cos(arg) * norm, -np.sin(arg) * norm * (i * np.pi / length)
 
 
 @dataclass(frozen=True)
@@ -68,89 +60,82 @@ class EigenBasis:
         return ax[:, None] + ay[None, :]
 
     @cached_property
-    def _x(self):
-        return cell_cosines(self.lx, self.n_quad, self.k)
+    def quad(self):
+        """``cosine_tables`` on the n_quad x n_quad quadrature cells."""
+        return cosine_tables(self, self.n_quad, self.n_quad)
 
-    @cached_property
-    def _y(self):
-        return cell_cosines(self.ly, self.n_quad, self.k)
 
-    # quadrature points, cosines and cosine derivatives along each axis
-    x_quad = property(lambda self: self._x[0])
-    cos_x = property(lambda self: self._x[1])
-    sin_x = property(lambda self: self._x[2])
-    y_quad = property(lambda self: self._y[0])
-    cos_y = property(lambda self: self._y[1])
-    sin_y = property(lambda self: self._y[2])
+def cosine_tables(basis: EigenBasis, nx, ny):
+    """The k+1 orthonormal Neumann cosines of each side at the centres of
+    nx x ny equal cells of the basis rectangle: (x-cosines (nx, k+1), their
+    x-derivatives, y-cosines (ny, k+1), their y-derivatives, cell area)."""
 
-    @property
-    def quad_weight(self):
-        return (self.lx / self.n_quad) * (self.ly / self.n_quad)
+    def side(length, n):
+        x = (np.arange(n) + 0.5) * length / n
+        i = np.arange(basis.k + 1)
+        norm = np.sqrt(np.where(i == 0, 1.0, 2.0) / length)
+        arg = np.outer(x, i) * np.pi / length
+        return np.cos(arg) * norm, -np.sin(arg) * norm * (i * np.pi / length)
 
-    def quad_meshgrid(self):
-        return np.meshgrid(self.x_quad, self.y_quad, indexing="ij")
+    return (*side(basis.lx, nx), *side(basis.ly, ny),
+            (basis.lx / nx) * (basis.ly / ny))
 
 
 def reconstruct(basis: EigenBasis, coeffs):
     """Field values on the quadrature grid from mode coefficients."""
-    return basis.cos_x @ coeffs @ basis.cos_y.T
+    cx, _, cy, _, _ = basis.quad
+    return cx @ coeffs @ cy.T
 
 
 def gradient(basis: EigenBasis, coeffs):
-    gx = basis.sin_x @ coeffs @ basis.cos_y.T
-    gy = basis.cos_x @ coeffs @ basis.sin_y.T
-    return gx, gy
+    cx, sx, cy, sy, _ = basis.quad
+    return sx @ coeffs @ cy.T, cx @ coeffs @ sy.T
 
 
 def project_values(basis: EigenBasis, values):
     """L2 projection of quadrature-grid values onto the basis."""
-    return basis.cos_x.T @ values @ basis.cos_y * basis.quad_weight
+    cx, _, cy, _, w = basis.quad
+    return cx.T @ values @ cy * w
 
 
 def project_flux(basis: EigenBasis, vx, vy):
     """Inner products of a vector field against mode gradients."""
-    return (
-        basis.sin_x.T @ vx @ basis.cos_y + basis.cos_x.T @ vy @ basis.sin_y
-    ) * basis.quad_weight
+    cx, sx, cy, sy, w = basis.quad
+    return (sx.T @ vx @ cy + cx.T @ vy @ sy) * w
 
 
-def _grid_cosines(basis: EigenBasis, grid: Grid2D):
-    """The basis cosines at the grid's cell centres; the grid must cover the
-    basis rectangle (to 1e-12 relative), else ValueError."""
+def _check_rectangle(basis: EigenBasis, grid: Grid2D):
+    """ValueError unless the grid covers the basis rectangle (to 1e-12
+    relative)."""
     if (abs(grid.lx - basis.lx) > 1e-12 * basis.lx
             or abs(grid.ly - basis.ly) > 1e-12 * basis.ly):
         raise ValueError(
             f"grid rectangle {grid.lx:g} x {grid.ly:g} differs from the basis "
             f"rectangle {basis.lx:g} x {basis.ly:g}"
         )
-    return (cell_cosines(basis.lx, grid.nx, basis.k)[1],
-            cell_cosines(basis.ly, grid.ny, basis.k)[1])
 
 
-def project(basis: EigenBasis, f):
-    """Project a callable f(x, y), sampled on the quadrature grid, or a
-    ScalarField, summed on its cell centres (needs k < min(nx, ny))."""
-    if callable(f):
-        x, y = basis.quad_meshgrid()
-        return project_values(basis, np.asarray(f(x, y), dtype=float))
-    if isinstance(f, ScalarField):
-        if f.is_constant():
-            # the (0, 0) mode alone, exactly; the midpoint sum would leave
-            # round-off in every coefficient
-            coeffs = np.zeros((basis.k + 1, basis.k + 1))
-            coeffs[0, 0] = f.values.flat[0] * np.sqrt(basis.lx * basis.ly)
-            return coeffs
-        g = f.grid
-        if basis.k >= min(g.nx, g.ny):
-            raise ValueError(f"k = {basis.k} needs more cells than {g.nx}x{g.ny}")
-        cx, cy = _grid_cosines(basis, g)
-        return cx.T @ f.values @ cy * (basis.lx / g.nx) * (basis.ly / g.ny)
-    raise TypeError("expected a callable or ScalarField")
+def project(basis: EigenBasis, field: ScalarField):
+    """L2 projection of an FD field, summed on its cell centres (needs
+    k < min(nx, ny))."""
+    if field.is_constant():
+        # the (0, 0) mode alone, exactly; the midpoint sum would leave
+        # round-off in every coefficient
+        coeffs = np.zeros((basis.k + 1, basis.k + 1))
+        coeffs[0, 0] = field.values.flat[0] * np.sqrt(basis.lx * basis.ly)
+        return coeffs
+    g = field.grid
+    if basis.k >= min(g.nx, g.ny):
+        raise ValueError(f"k = {basis.k} needs more cells than {g.nx}x{g.ny}")
+    _check_rectangle(basis, g)
+    cx, _, cy, _, area = cosine_tables(basis, g.nx, g.ny)
+    return cx.T @ field.values @ cy * area
 
 
 def evaluate_on_grid(basis: EigenBasis, coeffs, grid: Grid2D) -> ScalarField:
     """Point evaluation of the truncated expansion at FD cell centers."""
-    cx, cy = _grid_cosines(basis, grid)
+    _check_rectangle(basis, grid)
+    cx, _, cy, _, _ = cosine_tables(basis, grid.nx, grid.ny)
     return ScalarField(grid, cx @ coeffs @ cy.T)
 
 
@@ -170,20 +155,14 @@ def cross_errors(fd_state, gstate, basis: EigenBasis) -> dict:
 class GalerkinState:
     t: float
     phi: np.ndarray
-    mu: np.ndarray
     phi_a: np.ndarray
     n: np.ndarray
     c: np.ndarray
 
 
-def mu_coefficients(basis: EigenBasis, params: ModelParams, phi_coeffs):
-    """Eliminate the chemical potential: mu_ij = alpha_ij a_ij + <F_eps'(phi), psi>."""
-    phi_q = reconstruct(basis, phi_coeffs)
-    return basis.alpha * phi_coeffs + project_values(basis, params.f_prime(phi_q))
-
-
-def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
-    """Coefficient time derivatives (a, phi_a, n, c) and the mu coefficients."""
+def galerkin_rhs(coeffs, params: ModelParams, basis: EigenBasis):
+    """Coefficient time derivatives of (phi, phi_a, n, c); the mu
+    coefficients are eliminated, b_ij = alpha_ij a_ij + <F_eps'(phi), psi>."""
     a, ca, d, e = coeffs
     phi_q = reconstruct(basis, a)
     phia_q = reconstruct(basis, ca)
@@ -210,12 +189,12 @@ def galerkin_rhs(t, coeffs, params: ModelParams, basis: EigenBasis):
 
     dd = -basis.alpha * d + project_values(basis, r_n)
     de = -basis.alpha * e + project_values(basis, r_c)
-    return (da, dca, dd, de), b
+    return da, dca, dd, de
 
 
 def galerkin_energy(basis: EigenBasis, gstate: GalerkinState, params: ModelParams):
     """Free energy assembled on the quadrature grid (spectral gradients)."""
-    w = basis.quad_weight
+    *_, w = basis.quad
     phi_q = reconstruct(basis, gstate.phi)
     phia_q = reconstruct(basis, gstate.phi_a)
     n_q = reconstruct(basis, gstate.n)
@@ -230,14 +209,10 @@ def galerkin_energy(basis: EigenBasis, gstate: GalerkinState, params: ModelParam
     return e
 
 
-def initial_galerkin_state(basis: EigenBasis, params: ModelParams, fields):
-    """Project initial data (callables or ScalarFields, keyed by name)."""
-    a = project(basis, fields["phi"])
-    ca = project(basis, fields["phi_a"])
-    d = project(basis, fields["n"])
-    e = project(basis, fields["c"])
-    b = mu_coefficients(basis, params, a)
-    return GalerkinState(0.0, a, b, ca, d, e)
+def initial_galerkin_state(basis: EigenBasis, fields):
+    """Project FD initial data (ScalarFields keyed phi, phi_a, n, c)."""
+    return GalerkinState(0.0, *(project(basis, fields[name])
+                                for name in ("phi", "phi_a", "n", "c")))
 
 
 def integrate_galerkin(
@@ -281,7 +256,7 @@ def integrate_galerkin(
         if evals > RHS_EVAL_BUDGET:
             raise refuse(f"budget of {RHS_EVAL_BUDGET} right-hand-side "
                          "evaluations spent")
-        derivs, _ = galerkin_rhs(t, unpack(y), params, basis)
+        derivs = galerkin_rhs(unpack(y), params, basis)
         return np.concatenate([d.ravel() for d in derivs])
 
     y0 = np.concatenate(
@@ -299,9 +274,5 @@ def integrate_galerkin(
     )
     if not sol.success:
         raise refuse(sol.message)
-    states = []
-    for idx, t in enumerate(sol.t):
-        a, ca, d, e = unpack(sol.y[:, idx])
-        b = mu_coefficients(basis, params, a)
-        states.append(GalerkinState(float(t), a, b, ca, d, e))
-    return states
+    return [GalerkinState(float(t), *unpack(sol.y[:, idx]))
+            for idx, t in enumerate(sol.t)]

@@ -1,12 +1,13 @@
 """Truncation and entropy toolkit for the chemotactic phase.
 
-``TruncationPair(L, M)`` bundles the clamp to [L, M] together with the C^2
-entropy density built so that (entropy'' * truncate)(r) = 1 for every r.
-The entropy is the x*log(x) density on (L, M), normalized to vanish to first
-order at 1, extended by quadratics below L and above M.  The inequality
-battery collects the pointwise bounds the a-priori energy estimates rely on;
-each check reports its slack so a runtime monitor can assert nonnegativity.
-The pointwise maps take a scalar as well through ``potentials.elementwise``.
+``TruncationPair(L)`` bundles the clamp to [L, M], M = 1/L, together with
+the C^2 entropy density built so that (entropy'' * truncate)(r) = 1 for
+every r.  The entropy is the x*log(x) density on (L, M), normalized to
+vanish to first order at 1, extended by quadratics below L and above M.
+The inequality battery collects the pointwise bounds the a-priori energy
+estimates rely on; each check reports its slack so a runtime monitor can
+assert nonnegativity.  The pointwise maps take a scalar as well through
+``potentials.elementwise``.
 """
 
 from __future__ import annotations
@@ -25,29 +26,24 @@ _INV_E = 1.0 / math.e
 
 @dataclass(frozen=True)
 class TruncationPair:
+    """The (L, 1/L) pair of the regularized entropy estimates."""
+
     L: float
-    M: float
 
     def __post_init__(self):
-        if not self.L < self.M:
-            raise ValueError("need L < M")
+        if not 0.0 < self.L < 1.0:
+            raise ValueError("need 0 < L < 1")
 
-    @classmethod
-    def entropy_pair(cls, L: float) -> "TruncationPair":
-        """The (L, 1/L) pair used by the regularized entropy estimates."""
-        return cls(L, 1.0 / L)
+    @property
+    def M(self):
+        return 1.0 / self.L
 
     @elementwise
     def truncate(self, r):
         return np.clip(r, self.L, self.M)
 
-    def _require_normalized(self):
-        if not self.L < 1.0 < self.M:
-            raise RangeError("entropy normalization needs L < 1 < M")
-
     @elementwise
     def entropy(self, r):
-        self._require_normalized()
         L, M = self.L, self.M
         rc = np.clip(r, L, M)
         with np.errstate(invalid="ignore"):
@@ -58,7 +54,6 @@ class TruncationPair:
 
     @elementwise
     def entropy_prime(self, r):
-        self._require_normalized()
         L, M = self.L, self.M
         rc = np.clip(r, L, M)
         core = np.log(rc)
@@ -68,7 +63,6 @@ class TruncationPair:
 
     @elementwise
     def entropy_second(self, r):
-        self._require_normalized()
         return 1.0 / np.clip(r, self.L, self.M)
 
     # ------------------------------------------------------------ bounds
@@ -77,12 +71,10 @@ class TruncationPair:
         """Evaluate the pointwise entropy bounds at r.
 
         Returns a dict mapping check names to (applicable, satisfied, slack).
-        The first two checks hold for any M; the remaining ones are stated
-        for the reciprocal pair M = 1/L.  ``cbar`` enables the calibrated
-        positive-part bound, whose validity range for L is
-        (0, exp(-(1+cbar)/cbar)).
+        ``cbar`` enables the calibrated positive-part bound, whose validity
+        range for L is (0, exp(-(1+cbar)/cbar)).
         """
-        L, M = self.L, self.M
+        L = self.L
         if not 0.0 < L < _INV_E:
             raise RangeError("entropy bounds need L in (0, 1/e)")
         r = float(r)
@@ -103,33 +95,26 @@ class TruncationPair:
         slack = 2.0 * e_val + 1.0 - r * e_prime
         report["moment_bound"] = (True, slack >= 0.0, slack)
 
-        reciprocal = abs(M * L - 1.0) <= 1e-12 * max(1.0, M)
-        if reciprocal:
-            slack = e_val + _E - 1.0 - abs(r)
-            report["absolute_value_bound"] = (True, slack >= 0.0, slack)
+        slack = e_val + _E - 1.0 - abs(r)
+        report["absolute_value_bound"] = (True, slack >= 0.0, slack)
 
-            slack = rp2 * e_prime + 0.5 / _E
-            report["positive_part_sign"] = (True, slack >= 0.0, slack)
+        slack = rp2 * e_prime + 0.5 / _E
+        report["positive_part_sign"] = (True, slack >= 0.0, slack)
 
-            if cbar is not None:
-                if cbar <= 0.0:
-                    raise RangeError("cbar must be positive")
-                l_max = math.exp(-(1.0 + cbar) / cbar)
-                if not L < l_max:
-                    raise RangeError(
-                        f"calibrated bound needs L < {l_max:.6g}, got {L}"
-                    )
-                const = max(
-                    math.exp(-2.0 * (1.0 + cbar) / cbar)
-                    * (cbar + 4.0 / (27.0 * cbar * cbar)),
-                    math.exp(2.0 / cbar),
+        if cbar is not None:
+            if cbar <= 0.0:
+                raise RangeError("cbar must be positive")
+            l_max = math.exp(-(1.0 + cbar) / cbar)
+            if not L < l_max:
+                raise RangeError(
+                    f"calibrated bound needs L < {l_max:.6g}, got {L}"
                 )
-                slack = cbar * (rp2 * e_prime + 0.5 / _E) + const - rp2
-                report["positive_part_calibrated"] = (True, slack >= 0.0, slack)
-        else:
-            report["absolute_value_bound"] = (False, True, math.nan)
-            report["positive_part_sign"] = (False, True, math.nan)
-            if cbar is not None:
-                raise RangeError("calibrated bound is stated for M = 1/L pairs")
+            const = max(
+                math.exp(-2.0 * (1.0 + cbar) / cbar)
+                * (cbar + 4.0 / (27.0 * cbar * cbar)),
+                math.exp(2.0 / cbar),
+            )
+            slack = cbar * (rp2 * e_prime + 0.5 / _E) + const - rp2
+            report["positive_part_calibrated"] = (True, slack >= 0.0, slack)
 
         return report

@@ -76,7 +76,7 @@ def check_entropy_identities():
     count, ok = 0, True
     for _ in range(2000):
         L = rng.uniform(1e-4, np.exp(-1.0) * 0.999)
-        tp = TruncationPair.entropy_pair(L)
+        tp = TruncationPair(L)
         r = rng.uniform(-5.0, 2.0 / L)
         ok &= abs(tp.entropy_second(r) * tp.truncate(r) - 1.0) < 1e-13
         ok &= tp.entropy(r) >= 0.0

@@ -355,7 +355,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
 
 def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
-                       rtol=None):
+                       rtol):
     """Solve J delta = rhs with J = diag0 I - A_m (diag(curv) - L).
 
     A_m is the assembled div(mob grad) of the step and L the cached
@@ -367,10 +367,9 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
 
     ``report.linear_iters["ch"]`` grows by ceil(matvecs / 2): the BiCGStab
     iterations, counting a solve that converges at its half step as one.
-    BiCGStab stops at the relative residual ``rtol`` (``cfg.linear_tol``
-    when None); the sparse-LU path solves exactly and ignores it.  A
-    BiCGStab failure falls back to sparse LU with a warning naming the
-    time t.
+    BiCGStab stops at the relative residual ``rtol``; the sparse-LU path
+    solves exactly and ignores it.  A BiCGStab failure falls back to sparse
+    LU with a warning naming the time t.
     """
     if cfg.linear_solver == "direct":
         report.used_direct = True
@@ -397,8 +396,7 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
     op = spla.LinearOperator((n, n), matvec=apply_j, dtype=np.float64)
     pre = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=np.float64)
     sol, info = spla.bicgstab(
-        op, rhs.ravel(), rtol=cfg.linear_tol if rtol is None else rtol, atol=0.0,
-        M=pre, maxiter=400,
+        op, rhs.ravel(), rtol=rtol, atol=0.0, M=pre, maxiter=400
     )
     report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + (matvecs + 1) // 2
     if info != 0:

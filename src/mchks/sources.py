@@ -236,7 +236,7 @@ class ModelParams:
     def truncation(self) -> TruncationPair:
         """T_eps: the (eps, 1/eps) truncation of the chemotactic phase in the
         flux chi_a T_eps(phi_a) grad c, together with its entropy."""
-        return TruncationPair.entropy_pair(self.eps)
+        return TruncationPair(self.eps)
 
     @property
     def wide_clamp(self):

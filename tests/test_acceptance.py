@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from _mms import Manufactured
 from _oracles import (
-    band_limited_ic,
+    band_limited_state,
     envelope_bruteforce,
     run_states,
     solve_uniform_ode,
@@ -23,12 +23,8 @@ from _oracles import (
 
 from mchks import diagnostics
 from mchks.fields import Grid2D, ScalarField
-from mchks.galerkin import (
-    EigenBasis,
-    evaluate_on_grid,
-    initial_galerkin_state,
-    integrate_galerkin,
-)
+from mchks.cli import band_limited_initial
+from mchks.galerkin import cross_errors, integrate_galerkin
 from mchks.potentials import (
     DoubleObstacle,
     FloryHuggins,
@@ -71,35 +67,18 @@ def spheroid_run():
 def fd_vs_spectral():
     """Three-level FD / spectral cross-validation (criterion 6)."""
     length = 2.0 * np.pi
-    ic = band_limited_ic(length)
     params = ModelParams(potential=RegularQuartic(1.0), m=0.5)
     t_end = 0.1
 
     def level(nx, k, dt):
-        grid = Grid2D(nx, nx, length, length)
-        x, y = grid.centers()
-        fd0 = State(
-            0.0,
-            ScalarField(grid, ic["phi"](x, y)),
-            ScalarField.constant(grid, 0.0),
-            ScalarField(grid, ic["phi_a"](x, y)),
-            ScalarField(grid, ic["n"](x, y)),
-            ScalarField(grid, ic["c"](x, y)),
-        )
+        fd0, g0, basis = band_limited_initial(
+            band_limited_state(Grid2D(nx, nx, length, length)), k)
         cfg = SolverConfig(dt=dt, t_end=t_end, linear_tol=1e-12,
                            newton_tol=1e-11)
         fd = run(fd0, params, cfg, record_every=10**9).final_state
-        basis = EigenBasis(length, length, k)
-        g0 = initial_galerkin_state(basis, params, ic)
         gs = integrate_galerkin(g0, params, basis, t_end, rtol=1e-9,
                                 atol=1e-11)[-1]
-        worst = 0.0
-        for name, coeffs in (("phi", gs.phi), ("phi_a", gs.phi_a),
-                             ("n", gs.n), ("c", gs.c)):
-            spec = evaluate_on_grid(basis, coeffs, grid)
-            diff = getattr(fd, name).values - spec.values
-            worst = max(worst, float(np.sqrt(np.mean(diff**2))))
-        return worst
+        return max(cross_errors(fd, gs, basis).values())
 
     tic = time.perf_counter()
     errors = [level(16, 4, 2e-3), level(32, 8, 1e-3), level(64, 16, 5e-4)]
@@ -120,7 +99,7 @@ def test_criterion_01_truncation_entropy_identities():
     checked = {c: 0 for c in cbars}
     for _ in range(n_samples):
         L = rng.uniform(1e-4, inv_e * 0.999)
-        tp = TruncationPair.entropy_pair(L)
+        tp = TruncationPair(L)
         r = rng.uniform(-10.0, 10.0) if rng.random() < 0.5 else rng.uniform(
             -2.0 / L, 2.0 / L
         )
@@ -354,19 +333,9 @@ def test_criterion_08_manufactured_convergence():
 def test_criterion_09_weak_residual_scaling():
     length = 2.0 * np.pi
     params = ModelParams(potential=RegularQuartic(1.0), m=0.5)
-    ic = band_limited_ic(length)
 
     def residuals(dt):
-        grid = Grid2D(48, 48, length, length)
-        x, y = grid.centers()
-        st = State(
-            0.0,
-            ScalarField(grid, ic["phi"](x, y)),
-            ScalarField.constant(grid, 0.0),
-            ScalarField(grid, ic["phi_a"](x, y)),
-            ScalarField(grid, ic["n"](x, y)),
-            ScalarField(grid, ic["c"](x, y)),
-        )
+        st = band_limited_state(Grid2D(48, 48, length, length))
         cfg = SolverConfig(dt=dt, t_end=0.05, linear_tol=1e-12,
                            newton_tol=1e-12)
         return diagnostics.weak_residual(run_states(st, params, cfg)[-3:],

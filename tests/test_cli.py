@@ -26,6 +26,8 @@ from mchks.potentials import FloryHuggins, Potential, SingleWellLJ
 from mchks.solver import SolverConfig, run, validate_initial_data
 from mchks.sources import ModelParams
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
 TINY = """
 [grid]
 nx = 8
@@ -212,7 +214,7 @@ def test_twin_perturbation_keeps_bounds_admissible(c0):
 
 def test_band_limited_initial_shares_data():
     config = parse_config(TINY)
-    fd0, g0, basis = band_limited_initial(config, k=4)
+    fd0, g0, basis = band_limited_initial(build_initial_state(config), k=4)
     from mchks.galerkin import evaluate_on_grid
 
     again = evaluate_on_grid(basis, g0.phi, config.grid)
@@ -223,7 +225,7 @@ def test_band_limited_initial_keeps_constants_exact():
     config = default_config()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fd0, g0, _ = band_limited_initial(config, 8)
+        fd0, g0, _ = band_limited_initial(build_initial_state(config), 8)
         validate_initial_data(fd0, config.params)
     assert np.all(fd0.n.values == 1.0)
     assert np.all(fd0.c.values == config.initial["c0"])
@@ -306,37 +308,32 @@ def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
     assert len(reports) == 5 and newton > 0 and krylov > 0
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the spectral oracle needs solve_ivp; run, verify and twin start
-    # without scipy.integrate (and the scipy.optimize it pulls in)
+def _python(*args):
+    """Run a fresh interpreter on args with this mchks on its path; the
+    call must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(mchks.__file__).resolve().parents[1]),
          env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mchks.cli; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the spectral oracle needs solve_ivp; run, verify and twin start
+    # without scipy.integrate (and the scipy.optimize it pulls in)
+    proc = _python(
+        "-c", "import sys, mchks.cli; print('scipy.integrate' in sys.modules)")
     assert proc.stdout.strip() == "False"
     assert cli.integrate_galerkin is galerkin.integrate_galerkin
 
 
 def test_run_spheroid_script_writes_snapshots(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_spheroid.py"
     out_dir = tmp_path / "out"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(mchks.__file__).resolve().parents[1]),
-         env.get("PYTHONPATH", "")]
-    )
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out", str(out_dir),
-         "--set", "grid.nx=8", "--set", "grid.ny=8",
-         "--set", "solver.dt=1e-2", "--set", "solver.t_end=0.1"],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    proc = _python(SCRIPTS / "run_spheroid.py", "--out", out_dir,
+                   "--set", "grid.nx=8", "--set", "grid.ny=8",
+                   "--set", "solver.dt=1e-2", "--set", "solver.t_end=0.1")
     assert "separation margin" in proc.stdout
     csv_lines = (out_dir / "diagnostics.csv").read_text().splitlines()
     assert len(csv_lines) == 12  # header + t=0 + 10 steps
@@ -346,6 +343,19 @@ def test_run_spheroid_script_writes_snapshots(tmp_path):
     _, name, t = read_snapshot(out_dir / "snap_00000010_phi.bin")
     assert name == "phi"
     assert t == pytest.approx(0.1)
+
+
+def test_compare_fd_spectral_script_errors_decrease():
+    proc = _python(SCRIPTS / "compare_fd_spectral.py",
+                   "--levels", "2", "--t-end", "0.02")
+    assert proc.stdout.splitlines()[-1] == "monotone decrease: True"
+
+
+def test_twin_perturbation_script_prints_a_row_per_amplitude():
+    proc = _python(SCRIPTS / "twin_perturbation_study.py",
+                   "--amplitudes", "1e-2", "5e-3", "--set", "solver.t_end=0.02")
+    rows = proc.stdout.splitlines()[1:]
+    assert [float(row.split()[0]) for row in rows] == [1e-2, 5e-3]
 
 
 def test_verify_subcommand():
@@ -382,7 +392,7 @@ def test_oracle_error_shrinks_under_joint_refinement_at_production_eps():
     for nx, k in ((32, 8), (64, 16)):
         config = parse_config("", overrides=[
             f"grid.nx={nx}", f"grid.ny={nx}", "solver.t_end=0.1"])
-        fd0, g0, basis = band_limited_initial(config, k)
+        fd0, g0, basis = band_limited_initial(build_initial_state(config), k)
         gs = integrate_galerkin(g0, config.params, basis, 0.1)[-1]
         fd = run(fd0, config.params, config.solver,
                  record_every=10**9).final_state

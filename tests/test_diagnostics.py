@@ -48,7 +48,7 @@ def test_energy_uniform_state_closed_form():
 
 def test_energy_entropy_uses_regularized_density():
     st = uniform_state(GRID, 0.4, 2.0, 0.7, 0.0)
-    tp = TruncationPair.entropy_pair(FH.eps)
+    tp = TruncationPair(FH.eps)
     ent = diagnostics.entropy_integral(st, FH)
     assert ent == pytest.approx(GRID.area * tp.entropy(2.0), rel=1e-12)
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from _oracles import band_limited_ic, solve_uniform_ode
+from _oracles import band_limited_state, solve_uniform_ode
 
 from mchks import galerkin
 from mchks.errors import StepSizeUnderflow
@@ -16,8 +16,8 @@ from mchks.galerkin import (
     galerkin_rhs,
     initial_galerkin_state,
     integrate_galerkin,
-    mu_coefficients,
     project,
+    project_values,
     reconstruct,
 )
 from mchks.potentials import RegularQuartic
@@ -26,16 +26,20 @@ from mchks.sources import ModelParams, source_phi
 PARAMS = ModelParams(potential=RegularQuartic(1.0), m=0.5)
 
 
-def constant_fields(values):
-    return {
-        name: (lambda v: (lambda x, y: np.full_like(x, v)))(val)
-        for name, val in values.items()
-    }
+def constant_fields(grid, values):
+    return {name: ScalarField.constant(grid, val) for name, val in values.items()}
+
+
+def band_limited_fields(grid):
+    state = band_limited_state(grid)
+    return {name: getattr(state, name) for name in ("phi", "phi_a", "n", "c")}
 
 
 def test_project_constant_hits_only_mean_mode():
     basis = EigenBasis(2.0, 1.0, 4)
-    coeffs = project(basis, lambda x, y: np.ones_like(x))
+    ones = ScalarField.from_function(Grid2D(8, 6, 2.0, 1.0),
+                                     lambda x, y: np.ones_like(x))
+    coeffs = project(basis, ones)
     assert coeffs[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     off = np.abs(coeffs).sum() - abs(coeffs[0, 0])
     assert off < 1e-12
@@ -52,7 +56,7 @@ def test_project_mode_is_orthonormal():
             * np.cos(2.0 * np.pi * y / 1.0)
         )
 
-    coeffs = project(basis, mode)
+    coeffs = project(basis, ScalarField.from_function(Grid2D(12, 8, 2.0, 1.0), mode))
     assert coeffs[1, 2] == pytest.approx(1.0, abs=1e-12)
     assert np.abs(coeffs).sum() - abs(coeffs[1, 2]) < 1e-11
 
@@ -67,8 +71,9 @@ def test_band_limited_roundtrip():
             + 0.1 * np.cos(2 * np.pi * x / 3.0)
         )
 
-    coeffs = project(basis, f)
-    x, y = basis.quad_meshgrid()
+    coeffs = project(basis, ScalarField.from_function(Grid2D(9, 7, 3.0, 2.0), f))
+    # the quadrature cells are the centres of an n_quad x n_quad grid
+    x, y = Grid2D(basis.n_quad, basis.n_quad, 3.0, 2.0).centers()
     assert np.allclose(reconstruct(basis, coeffs), f(x, y), atol=1e-12)
 
 
@@ -79,23 +84,31 @@ def test_project_scalar_field_matches_callable():
     def f(x, y):
         return 0.5 + 0.25 * np.cos(np.pi * x / 2.0)
 
-    direct = project(basis, f)
+    # the orthonormal modes of f: 0.5 sqrt(4) psi_00 + 0.25 sqrt(2) psi_10
+    exact = np.zeros((4, 4))
+    exact[0, 0], exact[1, 0] = 1.0, 0.25 * np.sqrt(2.0)
     sampled = project(basis, ScalarField.from_function(grid, f))
-    # the midpoint sum over the cells is itself O(dx^2) accurate
-    assert np.allclose(direct, sampled, atol=5e-4)
+    # the midpoint sum of a band-limited field is exact to round-off
+    assert np.allclose(sampled, exact, atol=1e-14)
 
 
 @pytest.mark.parametrize("nx, ny, lx, ly, k", [
     (17, 23, 2.0, 3.5, 16),
     (64, 48, 12.8, 9.6, 8),
     (64, 64, 2 * np.pi, 2 * np.pi, 16),
+    (10, 10, 3.0, 1.5, 4),
 ])
 def test_project_inverts_evaluate_on_grid(nx, ny, lx, ly, k):
     grid = Grid2D(nx, ny, lx, ly)
     basis = EigenBasis(lx, ly, k)
     a = np.random.default_rng(nx * ny + k).standard_normal((k + 1, k + 1))
-    back = project(basis, evaluate_on_grid(basis, a, grid))
+    values = evaluate_on_grid(basis, a, grid).values
+    back = project(basis, ScalarField(grid, values))
     assert np.max(np.abs(back - a)) <= 1e-13
+    if (nx, ny) == (basis.n_quad, basis.n_quad):
+        # on the quadrature cells the FD grid reads the same cosine table
+        assert np.array_equal(reconstruct(basis, a), values)
+        assert np.array_equal(project_values(basis, values), back)
 
 
 def test_project_needs_more_cells_than_modes():
@@ -125,12 +138,6 @@ def test_grid_must_cover_the_basis_rectangle():
     assert evaluate_on_grid(basis, coeffs, near).values.shape == (16, 16)
 
 
-def test_project_rejects_other_types():
-    basis = EigenBasis(1.0, 1.0, 2)
-    with pytest.raises(TypeError):
-        project(basis, np.zeros((4, 4)))
-
-
 def test_alpha_starts_at_zero_and_orders():
     basis = EigenBasis(2.0, 1.0, 3)
     assert basis.alpha[0, 0] == 0.0
@@ -140,10 +147,9 @@ def test_alpha_starts_at_zero_and_orders():
 
 def test_mean_channel_carries_source_mean():
     basis = EigenBasis(2.0, 1.0, 0)
-    g0 = initial_galerkin_state(
-        basis, PARAMS, constant_fields(dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1))
-    )
-    derivs, _ = galerkin_rhs(0.0, (g0.phi, g0.phi_a, g0.n, g0.c), PARAMS, basis)
+    g0 = initial_galerkin_state(basis, constant_fields(
+        Grid2D(4, 4, 2.0, 1.0), dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1)))
+    derivs = galerkin_rhs((g0.phi, g0.phi_a, g0.n, g0.c), PARAMS, basis)
     area = 2.0 * 1.0
     expected = source_phi(PARAMS, 0.4, 0.9) * np.sqrt(area)
     assert derivs[0][0, 0] == pytest.approx(expected, rel=1e-12)
@@ -155,7 +161,7 @@ def test_zero_state_zero_sources_is_stationary():
     basis = EigenBasis(1.0, 1.0, 2)
     zero = np.zeros((3, 3))
     coeffs = (zero, zero, zero, zero)
-    derivs, _ = galerkin_rhs(0.0, coeffs, params, basis)
+    derivs = galerkin_rhs(coeffs, params, basis)
     # n picks up its structural supply term unless sources vanish identically;
     # with phi = phi_a = 0 that supply is (1 - q(0)) * 1 = 1, so check phi/phi_a
     assert np.allclose(derivs[0], 0.0, atol=1e-14)
@@ -165,7 +171,7 @@ def test_zero_state_zero_sources_is_stationary():
 def test_k0_reduction_matches_scalar_ode():
     basis = EigenBasis(2.0, 1.0, 0)
     y0 = dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1)
-    g0 = initial_galerkin_state(basis, PARAMS, constant_fields(y0))
+    g0 = initial_galerkin_state(basis, constant_fields(Grid2D(4, 4, 2.0, 1.0), y0))
     final = integrate_galerkin(g0, PARAMS, basis, 0.5, rtol=1e-10, atol=1e-12)[-1]
     exact = solve_uniform_ode(PARAMS, list(y0.values()), 0.5)(0.5)
     root = np.sqrt(2.0)
@@ -174,24 +180,20 @@ def test_k0_reduction_matches_scalar_ode():
 
 
 def test_initial_projection_matches_data():
-    basis = EigenBasis(2 * np.pi, 2 * np.pi, 4)
-    ic = band_limited_ic(2 * np.pi)
-    g0 = initial_galerkin_state(basis, PARAMS, ic)
-    x, y = basis.quad_meshgrid()
-    assert np.allclose(reconstruct(basis, g0.phi), ic["phi"](x, y), atol=1e-10)
-    # mu coefficients solve the projected chemical potential relation
-    b = mu_coefficients(basis, PARAMS, g0.phi)
-    assert np.allclose(b, g0.mu, atol=1e-12)
+    L = 2 * np.pi
+    basis = EigenBasis(L, L, 4)
+    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
+    quad = band_limited_state(Grid2D(basis.n_quad, basis.n_quad, L, L))
+    assert np.allclose(reconstruct(basis, g0.phi), quad.phi.values, atol=1e-10)
 
 
 def test_spectral_self_consistency_under_k_doubling():
     L = 2 * np.pi
-    ic = band_limited_ic(L)
     grid = Grid2D(48, 48, L, L)
     finals = {}
     for k in (2, 4, 8, 16):
         basis = EigenBasis(L, L, k)
-        g0 = initial_galerkin_state(basis, PARAMS, ic)
+        g0 = initial_galerkin_state(basis, band_limited_fields(grid))
         gs = integrate_galerkin(g0, PARAMS, basis, 0.02, rtol=1e-9,
                                 atol=1e-11)[-1]
         finals[k] = evaluate_on_grid(basis, gs.phi, grid).values
@@ -207,9 +209,8 @@ def test_energy_lyapunov_zero_sources():
     L = 2 * np.pi
     params = ModelParams(potential=RegularQuartic(1.0), m=0.0, delta_n=1.0,
                          kappa0=0.0, kappa_inf=0.0)
-    ic = band_limited_ic(L)
     basis = EigenBasis(L, L, 6)
-    g0 = initial_galerkin_state(basis, params, ic)
+    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
     times = np.linspace(0.0, 0.05, 11)
     states = integrate_galerkin(g0, params, basis, 0.05, rtol=1e-9, atol=1e-11,
                                 t_eval=times)
@@ -221,7 +222,7 @@ def test_evaluation_budget_refusal_names_eps_k_and_t(monkeypatch):
     monkeypatch.setattr(galerkin, "RHS_EVAL_BUDGET", 30)
     L = 2 * np.pi
     basis = EigenBasis(L, L, 4)
-    g0 = initial_galerkin_state(basis, PARAMS, band_limited_ic(L))
+    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
     with pytest.raises(StepSizeUnderflow) as exc:
         integrate_galerkin(g0, PARAMS, basis, 0.1)
     msg = str(exc.value)
@@ -238,9 +239,8 @@ def test_mean_channel_respects_mass_corridor():
     from mchks.sources import proliferation
 
     L = 2 * np.pi
-    ic = band_limited_ic(L)
     basis = EigenBasis(L, L, 6)
-    g0 = initial_galerkin_state(basis, PARAMS, ic)
+    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
     times = np.linspace(0.0, 0.2, 9)
     states = integrate_galerkin(g0, PARAMS, basis, 0.2, rtol=1e-9, atol=1e-11,
                                 t_eval=times)

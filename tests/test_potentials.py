@@ -424,7 +424,7 @@ def _elementwise_cases():
     # every decorated method, as pytest params; 0.3 and [0.05, 0.95] lie
     # inside every domain
     reg = YosidaRegularization(FloryHuggins(1.0, 3.0), eps=0.05)
-    pair = TruncationPair.entropy_pair(0.1)
+    pair = TruncationPair(0.1)
     cases = []
     for pot in ALL_VARIANTS:
         cases += [(f"{type(pot).__name__}.value", pot.value),

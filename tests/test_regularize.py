@@ -10,39 +10,39 @@ from mchks.regularize import TruncationPair
 
 
 def test_truncate_clamps():
-    tp = TruncationPair(0.1, 10.0)
+    tp = TruncationPair(0.1)
     assert tp.truncate(5.0) == 5.0
     assert tp.truncate(-1.0) == 0.1
     assert tp.truncate(100.0) == 10.0
 
 
 def test_entropy_normalization_at_one():
-    tp = TruncationPair(0.1, 10.0)
+    tp = TruncationPair(0.1)
     assert tp.entropy(1.0) == pytest.approx(0.0, abs=1e-15)
     assert tp.entropy_prime(1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_entropy_values_at_e():
-    tp = TruncationPair(0.01, 100.0)
+    tp = TruncationPair(0.01)
     assert tp.entropy_prime(math.e) == pytest.approx(1.0, abs=1e-14)
     assert tp.entropy(math.e) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_second_derivative_times_truncation_is_one():
-    tp = TruncationPair(0.1, 10.0)
+    tp = TruncationPair(0.1)
     for r in (-3.0, 0.05, 1.0, 7.0, 20.0):
         assert tp.entropy_second(r) * tp.truncate(r) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_entropy_piecewise_continuity():
-    tp = TruncationPair(0.2, 5.0)
+    tp = TruncationPair(0.2)
     for seam in (0.2, 5.0):
         for f in (tp.entropy, tp.entropy_prime, tp.entropy_second):
             assert f(seam - 1e-10) == pytest.approx(f(seam + 1e-10), abs=1e-8)
 
 
 def test_entropy_derivatives_match_finite_differences():
-    tp = TruncationPair(0.15, 8.0)
+    tp = TruncationPair(0.15)
     r = np.concatenate([np.linspace(-2, 0.1, 13), np.linspace(0.3, 10, 17)])
     h = 1e-6
     fd1 = (tp.entropy(r + h) - tp.entropy(r - h)) / (2 * h)
@@ -51,14 +51,15 @@ def test_entropy_derivatives_match_finite_differences():
     assert np.allclose(tp.entropy_second(r), fd2, atol=1e-6)
 
 
-def test_entropy_requires_normalization_range():
-    tp = TruncationPair(2.0, 3.0)
-    with pytest.raises(RangeError):
-        tp.entropy(1.0)
+def test_pair_needs_l_between_zero_and_one():
+    for L in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError):
+            TruncationPair(L)
+    assert TruncationPair(0.25).M == 4.0
 
 
 def test_lower_quadratic_bound_example():
-    tp = TruncationPair(0.1, 10.0)
+    tp = TruncationPair(0.1)
     # at r = -1: (1 - 0.01)/0.2 + (log 0.1 - 1)(-1) + 1 = 9.252585...
     expected = 0.99 / 0.2 + (1.0 - math.log(0.1)) + 1.0
     assert tp.entropy(-1.0) == pytest.approx(expected, abs=1e-12)
@@ -69,38 +70,30 @@ def test_lower_quadratic_bound_example():
 
 
 def test_moment_bound_trivial_at_one():
-    tp = TruncationPair(0.1, 10.0)
+    tp = TruncationPair(0.1)
     app, ok, slack = tp.inequality_report(1.0)["moment_bound"]
     assert app and ok
     assert slack == pytest.approx(1.0, abs=1e-14)
 
 
 def test_positive_part_sign_at_zero():
-    tp = TruncationPair.entropy_pair(0.1)
+    tp = TruncationPair(0.1)
     app, ok, slack = tp.inequality_report(0.0)["positive_part_sign"]
     assert app and ok
     assert slack == pytest.approx(0.5 / math.e, abs=1e-15)
 
 
-def test_reciprocal_only_bounds_marked_inapplicable():
-    tp = TruncationPair(0.1, 5.0)  # M != 1/L
-    report = tp.inequality_report(0.3)
-    assert report["absolute_value_bound"][0] is False
-    with pytest.raises(RangeError):
-        tp.inequality_report(0.3, cbar=1.0)
-
-
 def test_range_error_outside_inv_e():
-    tp = TruncationPair(0.5, 2.0)  # L > 1/e
+    tp = TruncationPair(0.5)  # L > 1/e
     with pytest.raises(RangeError):
         tp.inequality_report(0.0)
 
 
 def test_calibrated_bound_l_range():
     # cbar = 1 requires L < exp(-2) ~ 0.1353
-    tp_ok = TruncationPair.entropy_pair(0.1)
+    tp_ok = TruncationPair(0.1)
     tp_ok.inequality_report(2.0, cbar=1.0)
-    tp_bad = TruncationPair.entropy_pair(0.2)
+    tp_bad = TruncationPair(0.2)
     with pytest.raises(RangeError):
         tp_bad.inequality_report(2.0, cbar=1.0)
 
@@ -111,7 +104,7 @@ def test_calibrated_bound_holds_on_samples(cbar):
     rng = np.random.default_rng(3)
     for _ in range(200):
         L = rng.uniform(1e-4, 0.999 * l_max)
-        tp = TruncationPair.entropy_pair(L)
+        tp = TruncationPair(L)
         r = rng.uniform(-10.0, 10.0)
         app, ok, slack = tp.inequality_report(r, cbar=cbar)[
             "positive_part_calibrated"
@@ -125,7 +118,7 @@ def test_calibrated_bound_holds_on_samples(cbar):
     L=st.floats(1e-4, 0.36, exclude_max=True),
 )
 def test_inequalities_hold_randomly(r, L):
-    tp = TruncationPair.entropy_pair(L)
+    tp = TruncationPair(L)
     assert tp.entropy(r) >= 0.0
     assert tp.entropy_second(r) > 0.0
     assert tp.entropy_second(r) * tp.truncate(r) == pytest.approx(1.0, abs=1e-14)
@@ -139,7 +132,7 @@ def test_inequalities_hold_randomly(r, L):
 def test_chain_rule_identity_pointwise():
     # T(r) * E''(r) = 1 implies the gradient identity
     # T(r(s)) d/ds E'(r(s)) = d/ds r(s) along any differentiable path
-    tp = TruncationPair.entropy_pair(0.05)
+    tp = TruncationPair(0.05)
     s = np.linspace(0.0, 1.0, 200)
     r = 2.0 * np.sin(3 * s) - 0.3  # crosses both truncation thresholds
     h = 1e-6

@@ -7,7 +7,7 @@ from _mms import Manufactured
 from _oracles import solve_uniform_ode, spheroid_state, uniform_state
 
 import mchks.solver
-from mchks.cli import band_limited_initial, parse_config
+from mchks.cli import band_limited_initial, build_initial_state, parse_config
 from mchks.diagnostics import DiagnosticsTracker
 from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
 from mchks.fields import (
@@ -217,7 +217,8 @@ def test_krylov_and_direct_paths_solve_the_stencil_operator():
 
     a_m = div_mob_grad_matrix(grid, mob)
     sol_k = mchks.solver._solve_ch_jacobian(
-        grid, a_m, float(np.mean(mob)), curv, diag0, rhs, cfg, StepReport(), 0.0
+        grid, a_m, float(np.mean(mob)), curv, diag0, rhs, cfg, StepReport(), 0.0,
+        cfg.linear_tol,
     )
     sol_d = mchks.solver._solve_ch_direct(grid, a_m, curv, diag0, rhs)
     bound = 10 * cfg.linear_tol * np.linalg.norm(rhs)
@@ -441,7 +442,7 @@ def test_extrapolated_start_needs_one_newton_iteration_on_smooth_data():
     config = parse_config("[grid]\nnx = 32\nny = 32\n"
                           "[params]\npotential = quartic\n"
                           "[solver]\nt_end = 0.03\n")
-    fd0, _, _ = band_limited_initial(config, 8)
+    fd0, _, _ = band_limited_initial(build_initial_state(config), 8)
     result = run(fd0, config.params, config.solver, record_every=10**9)
     iters = [r.newton_iters for r in result.reports[5:]]
     assert np.mean(iters) <= 1.2
