@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Three-level cross-validation of the FD solver against the spectral oracle.
 
-Both solvers start from the same band-limited fields; the FD grid and time
-step are refined while the mode count doubles, and the reported L2 errors
-must shrink monotonically.
+Each level runs `mchks.cli.cross_validate`, the sequence behind `mchks
+compare`: both solvers start from the same band-limited fields.  The FD grid
+and time step are refined while the mode count doubles, and the reported L2
+errors must shrink monotonically.
 """
 
 import argparse
@@ -12,11 +13,10 @@ import time
 
 import numpy as np
 
-from mchks.cli import band_limited_initial
+from mchks.cli import cross_validate
 from mchks.fields import Grid2D, ScalarField
-from mchks.galerkin import cross_errors, integrate_galerkin
 from mchks.potentials import RegularQuartic
-from mchks.solver import SolverConfig, State, run
+from mchks.solver import SolverConfig, State
 from mchks.sources import ModelParams
 
 
@@ -53,12 +53,9 @@ def main():
         k = 4 * 2**level
         dt = 2e-3 / 2**level
         tic = time.perf_counter()
-        fd0, g0, basis = band_limited_initial(
-            band_limited_state(Grid2D(nx, nx, L, L)), k)
         cfg = SolverConfig(dt=dt, t_end=args.t_end, linear_tol=1e-12)
-        fd = run(fd0, params, cfg, record_every=10**9).final_state
-        gs = integrate_galerkin(g0, params, basis, args.t_end)[-1]
-        errs = list(cross_errors(fd, gs, basis).values())
+        errs = list(cross_validate(band_limited_state(Grid2D(nx, nx, L, L)),
+                                   params, cfg, k).values())
         print(f"{nx:4d} {k:3d} {dt:9.1e} "
               + " ".join(f"{e:10.3e}" for e in errs)
               + f" {time.perf_counter() - tic:8.1f}")

@@ -223,6 +223,8 @@ def _build_config(values) -> RunConfig:
     preset = values["initial"]["preset"]
     if preset not in ("spheroid", "uniform", "random-perturbation"):
         raise ValidationError(f"unknown initial preset {preset!r}")
+    if values["output"]["diagnostics_every"] < 1:
+        raise ValidationError("output.diagnostics_every must be at least 1")
     return RunConfig(grid, params, solver, values)
 
 
@@ -382,8 +384,12 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides=args.set or [])
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(0, args.config, f"cannot read config ({exc.strerror})")
+    return parse_config(text, overrides=args.set or [])
 
 
 def write_run(config: RunConfig):
@@ -442,9 +448,14 @@ def solver_summary(reports) -> str:
 
 
 def cmd_run(args) -> int:
-    result, csv_path = write_run(_load_config(args))
+    config = _load_config(args)
+    result, csv_path = write_run(config)
     violations = sum(r.any_violation for r in result.records)
+    t0 = 0.1 * config.solver.t_end
+    _, margins = diagnostics.separation_margins(result.records, t0=t0)
     print(f"completed {len(result.records)} records -> {csv_path}")
+    print(f"separation margin: {margins[0]:.4f} -> {margins[-1]:.4f} "
+          f"(t >= {t0:g})")
     print(f"records with violation flags: {violations}")
     print(solver_summary(result.reports))
     return 0 if violations == 0 else 1
@@ -459,6 +470,18 @@ def cmd_verify(_args) -> int:
     return 0 if failed == 0 else 1
 
 
+def cross_validate(state: State, params: ModelParams, solver: SolverConfig,
+                   k: int):
+    """Start the spectral oracle and the FD solver from the projection of
+    ``state`` onto k modes (``band_limited_initial``), integrate both to
+    solver.t_end and return their RMS cross-errors per field."""
+    fd0, g0, basis = band_limited_initial(state, k)
+    # the oracle first: a refusal over its budget comes before the FD cost
+    gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]
+    fd = run(fd0, params, solver, record_every=0).final_state
+    return cross_errors(fd, gs, basis)
+
+
 def cmd_compare(args) -> int:
     # compare loads the oracle's integrator at start-up, before it reads the
     # config; galerkin imports it lazily so that run, verify and twin start
@@ -466,15 +489,10 @@ def cmd_compare(args) -> int:
     import scipy.integrate  # noqa: F401
 
     config = _load_config(args)
-    fd0, g0, basis = band_limited_initial(build_initial_state(config),
-                                          args.modes)
-    params, solver = config.params, config.solver
-    # the oracle first: a refusal over its budget comes before the FD cost
-    gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]
-    fd = run(fd0, params, solver, record_every=10**9).final_state
-
+    errors = cross_validate(build_initial_state(config), config.params,
+                            config.solver, args.modes)
     worst = 0.0
-    for name, err in cross_errors(fd, gs, basis).items():
+    for name, err in errors.items():
         print(f"cross-error {name}: {err:.6e}")
         worst = max(worst, err)
     print(f"cross-error max: {worst:.6e} (threshold {args.threshold:.3e})")
@@ -484,25 +502,26 @@ def cmd_compare(args) -> int:
 def cmd_twin(args) -> int:
     config = _load_config(args)
     base0 = build_initial_state(config)
-    pert0 = twin_perturbation(base0, args.perturb)
+    # every amplitude is validated before the first solve
+    perturbed = [twin_perturbation(base0, amp) for amp in args.perturb]
     params, solver = config.params, config.solver
-    every = max(1, int(round(solver.t_end / solver.dt)) // 50)
+    every = max(1, solver.steps // 50)
 
     def job(state0):
         states = []
-        run(state0, params, solver, record_every=10**9,
+        run(state0, params, solver, record_every=0,
             on_state=lambda s: states.append(s.copy()), state_every=every)
         return states
 
-    states1 = job(base0)
-    states2 = job(pert0)
-
-    dist = diagnostics.twin_run_distance(states1, states2, params)
-    for name, val in dist.components_lhs.items():
-        print(f"lhs {name}: {val:.6e}")
-    for name, val in dist.components_rhs.items():
-        print(f"rhs {name}: {val:.6e}")
-    print(f"stability ratio: {dist.ratio:.6f}")
+    base = job(base0)
+    for amp, pert0 in zip(args.perturb, perturbed):
+        dist = diagnostics.twin_run_distance(base, job(pert0), params)
+        print(f"perturbation: {amp:g}")
+        for name, val in dist.components_lhs.items():
+            print(f"lhs {name}: {val:.6e}")
+        for name, val in dist.components_rhs.items():
+            print(f"rhs {name}: {val:.6e}")
+        print(f"stability ratio: {dist.ratio:.6f}")
     return 0
 
 
@@ -532,7 +551,7 @@ def main(argv=None) -> int:
     p_twin = sub.add_parser("twin", help="twin runs with perturbed data")
     p_twin.add_argument("-c", "--config", required=True)
     p_twin.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p_twin.add_argument("--perturb", type=float, default=1e-3)
+    p_twin.add_argument("--perturb", type=float, nargs="+", default=[1e-3])
     p_twin.set_defaults(fn=cmd_twin)
 
     args = parser.parse_args(argv)

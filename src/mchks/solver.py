@@ -163,6 +163,13 @@ class SolverConfig:
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.stabilization < 0:
             raise ValueError("stabilization must be nonnegative")
+        if abs(self.steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError("t_end must be an integer number of steps")
+
+    @property
+    def steps(self) -> int:
+        """The number of steps of length dt from 0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -491,32 +498,31 @@ def run(
     on_state=None,
     state_every: int = 0,
 ):
-    """Advance to t_end, collecting diagnostics records along the way;
+    """Advance to t_end, recording diagnostics every record_every-th step
+    and at the first and last states (none when record_every is 0);
     ``on_record`` gets every record, ``on_state`` every state_every-th state
     and the first and last ones (none when state_every is 0)."""
     validate_initial_data(initial, params)
     state = initialize_mu(initial.copy(), params)
-    tracker = diagnostics.DiagnosticsTracker(params, state)
-
-    records = [tracker.observe(state, cfg.dt)]
+    records = []
     reports = []
     if not state_every:
         on_state = None
-    if on_record:
-        on_record(records[0])
+    if record_every:
+        tracker = diagnostics.DiagnosticsTracker(params, state)
+        records.append(tracker.observe(state, cfg.dt))
+        if on_record:
+            on_record(records[0])
     if on_state:
         on_state(state)
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
-        raise ValueError("t_end must be an integer number of steps")
-
+    n_steps = cfg.steps
     residual_sum = 0.0
     for k in range(1, n_steps + 1):
         state, rep = step(state, params, cfg)
         reports.append(rep)
         residual_sum += rep.newton_residual
-        if k % record_every == 0 or k == n_steps:
+        if record_every and (k % record_every == 0 or k == n_steps):
             rec = tracker.observe(state, cfg.dt, residual_sum)
             records.append(rec)
             if on_record:

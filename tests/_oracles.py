@@ -97,7 +97,7 @@ def run_states(initial, params, cfg, every=1):
     """Every ``every``-th state of a run plus the first and last, copied as
     ``run`` hands them to ``on_state``."""
     states = []
-    run(initial, params, cfg, record_every=10**9,
+    run(initial, params, cfg, record_every=0,
         on_state=lambda s: states.append(s.copy()), state_every=every)
     return states
 

@@ -19,9 +19,9 @@ from mchks.cli import (
     serialize_config,
     twin_perturbation,
 )
+from mchks.diagnostics import separation_margins
 from mchks.errors import ParseError, ValidationError
 from mchks.fields import read_snapshot
-from mchks.galerkin import cross_errors, integrate_galerkin
 from mchks.potentials import FloryHuggins, Potential, SingleWellLJ
 from mchks.solver import SolverConfig, run, validate_initial_data
 from mchks.sources import ModelParams
@@ -155,7 +155,8 @@ def test_a_key_shared_by_variants_has_one_default():
 
 
 def test_overrides():
-    config = parse_config(TINY, overrides=["solver.dt=2e-2", "grid.nx=16"])
+    config = parse_config(TINY, overrides=["solver.dt=2e-2", "solver.t_end=0.1",
+                                            "grid.nx=16"])
     assert config.solver.dt == 2e-2
     assert config.grid.nx == 16
     with pytest.raises(ParseError):
@@ -284,7 +285,8 @@ def test_run_without_proliferation_keeps_its_corridor(tmp_path, overrides):
     assert main(["run", "-c", str(cfg_path)] + sets) == 0
 
 
-def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
+def _kept_runs(monkeypatch):
+    """Route `cli.run` through `run`, keeping every RunResult."""
     results = []
 
     def kept(*args, **kwargs):
@@ -292,6 +294,11 @@ def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
         return results[-1]
 
     monkeypatch.setattr(cli, "run", kept)
+    return results
+
+
+def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
+    results = _kept_runs(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
     assert main(["run", "-c", str(cfg_path)]) == 0
@@ -306,6 +313,47 @@ def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
         f"iterations per step, {krylov / newton:.3f} CH Krylov iterations "
         f"per solve, 0 sparse-LU steps, worst Newton residual {worst:.3e}")
     assert len(reports) == 5 and newton > 0 and krylov > 0
+
+
+def test_run_prints_the_separation_margin_after_the_transient(
+        tmp_path, monkeypatch, capsys):
+    results = _kept_runs(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    _, margins = separation_margins(results[0].records, t0=0.1 * 5e-2)
+    assert len(lines) == 4
+    assert lines[0].startswith("completed 6 records -> ")
+    assert lines[1] == (f"separation margin: {margins[0]:.4f} -> "
+                        f"{margins[-1]:.4f} (t >= 0.005)")
+    assert lines[2] == "records with violation flags: 0"
+    assert lines[3].startswith("solver: 5 steps, ")
+
+
+@pytest.mark.parametrize("override", [
+    "solver.t_end=0.0105", "output.diagnostics_every=0"])
+def test_run_rejects_a_bad_schedule_before_any_output(
+        tmp_path, monkeypatch, capsys, override):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    out_dir = tmp_path / "out"
+    assert main(["run", "-c", str(cfg_path), "--set", f"output.dir={out_dir}",
+                 "--set", override]) == 2
+    assert "error: validation: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "twin"])
+def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, command):
+    missing = tmp_path / "missing.cfg"
+    assert main([command, "-c", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse: ") and str(missing) in err
 
 
 def _python(*args):
@@ -329,33 +377,10 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert cli.integrate_galerkin is galerkin.integrate_galerkin
 
 
-def test_run_spheroid_script_writes_snapshots(tmp_path):
-    out_dir = tmp_path / "out"
-    proc = _python(SCRIPTS / "run_spheroid.py", "--out", out_dir,
-                   "--set", "grid.nx=8", "--set", "grid.ny=8",
-                   "--set", "solver.dt=1e-2", "--set", "solver.t_end=0.1")
-    assert "separation margin" in proc.stdout
-    csv_lines = (out_dir / "diagnostics.csv").read_text().splitlines()
-    assert len(csv_lines) == 12  # header + t=0 + 10 steps
-    manifest = parse_config((out_dir / "manifest.txt").read_text())
-    assert manifest.output["dir"] == str(out_dir)
-    assert manifest.output["snapshot_every"] == 1
-    _, name, t = read_snapshot(out_dir / "snap_00000010_phi.bin")
-    assert name == "phi"
-    assert t == pytest.approx(0.1)
-
-
 def test_compare_fd_spectral_script_errors_decrease():
     proc = _python(SCRIPTS / "compare_fd_spectral.py",
                    "--levels", "2", "--t-end", "0.02")
     assert proc.stdout.splitlines()[-1] == "monotone decrease: True"
-
-
-def test_twin_perturbation_script_prints_a_row_per_amplitude():
-    proc = _python(SCRIPTS / "twin_perturbation_study.py",
-                   "--amplitudes", "1e-2", "5e-3", "--set", "solver.t_end=0.02")
-    rows = proc.stdout.splitlines()[1:]
-    assert [float(row.split()[0]) for row in rows] == [1e-2, 5e-3]
 
 
 def test_verify_subcommand():
@@ -392,11 +417,9 @@ def test_oracle_error_shrinks_under_joint_refinement_at_production_eps():
     for nx, k in ((32, 8), (64, 16)):
         config = parse_config("", overrides=[
             f"grid.nx={nx}", f"grid.ny={nx}", "solver.t_end=0.1"])
-        fd0, g0, basis = band_limited_initial(build_initial_state(config), k)
-        gs = integrate_galerkin(g0, config.params, basis, 0.1)[-1]
-        fd = run(fd0, config.params, config.solver,
-                 record_every=10**9).final_state
-        worst.append(max(cross_errors(fd, gs, basis).values()))
+        errors = cli.cross_validate(build_initial_state(config),
+                                    config.params, config.solver, k)
+        worst.append(max(errors.values()))
     assert worst[1] < 0.2 * worst[0]
     assert worst[1] <= 1e-3
 
@@ -437,6 +460,29 @@ def test_twin_subcommand(tmp_path):
         "[initial]\nn0 = 0.95\nc0 = 0.3\n"
     )
     assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-3"]) == 0
+
+
+def test_twin_prints_a_block_per_amplitude_from_one_base_run(
+        tmp_path, monkeypatch, capsys):
+    results = _kept_runs(monkeypatch)
+    cfg_path = tmp_path / "twin.cfg"
+    cfg_path.write_text(TINY + "[initial]\nn0 = 0.95\nc0 = 0.3\n")
+    assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-2", "5e-3"]) == 0
+    assert len(results) == 3
+    blocks = capsys.readouterr().out.split("perturbation: ")[1:]
+    assert [b.splitlines()[0] for b in blocks] == ["0.01", "0.005"]
+    for block in blocks:
+        lines = block.splitlines()
+        assert lines[-1].startswith("stability ratio: ")
+        assert all(line.startswith(("lhs ", "rhs ")) for line in lines[1:-1])
+
+
+def test_twin_rejects_an_amplitude_before_any_run(tmp_path, monkeypatch):
+    results = _kept_runs(monkeypatch)
+    cfg_path = tmp_path / "twin.cfg"
+    cfg_path.write_text(TINY)
+    assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-2", "2"]) == 2
+    assert results == []
 
 
 def test_twin_subcommand_default_config(tmp_path):

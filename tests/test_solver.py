@@ -261,7 +261,7 @@ def test_manufactured_spatial_convergence_quick():
         grid = Grid2D(nx, nx, L, L)
         cfg = SolverConfig(dt=0.1 / steps, t_end=0.1, forcing=mms.forcing(),
                            linear_tol=1e-12, newton_tol=1e-12)
-        res = run(mms.initial_state(grid), params, cfg, record_every=10**9)
+        res = run(mms.initial_state(grid), params, cfg, record_every=0)
         errs.append(mms.error_at(res.final_state))
     assert np.log2(errs[0] / errs[1]) > 1.7
 
@@ -300,6 +300,19 @@ def test_run_rejects_fractional_step_count():
     st = uniform_state(grid, 0.4, 0.1, 0.9, 0.2)
     with pytest.raises(ValueError):
         run(st, FH, SolverConfig(dt=3e-3, t_end=1e-2))
+
+
+def test_run_without_records_builds_no_tracker(monkeypatch):
+    def no_tracker(*args, **kwargs):
+        raise AssertionError("tracker built")
+
+    monkeypatch.setattr(mchks.solver.diagnostics, "DiagnosticsTracker",
+                        no_tracker)
+    st = uniform_state(Grid2D(8, 8, 4.0, 4.0), 0.4, 0.1, 0.9, 0.2)
+    cfg = SolverConfig(dt=1e-3, t_end=3e-3)
+    result = run(st, FH, cfg, record_every=0)
+    assert cfg.steps == 3
+    assert result.records == [] and len(result.reports) == 3
 
 
 def test_step_solves_resolvent_once_per_newton_iterate(monkeypatch):
@@ -429,7 +442,7 @@ def test_every_accepted_step_meets_the_newton_test(params):
     cfg = SolverConfig(dt=1e-3, t_end=0.01)
     states = []
     result = run(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params, cfg,
-                 record_every=10**9, on_state=lambda s: states.append(s.copy()),
+                 record_every=0, on_state=lambda s: states.append(s.copy()),
                  state_every=1)
     assert len(states) == len(result.reports) + 1
     for old, report in zip(states, result.reports):
@@ -443,7 +456,7 @@ def test_extrapolated_start_needs_one_newton_iteration_on_smooth_data():
                           "[params]\npotential = quartic\n"
                           "[solver]\nt_end = 0.03\n")
     fd0, _, _ = band_limited_initial(build_initial_state(config), 8)
-    result = run(fd0, config.params, config.solver, record_every=10**9)
+    result = run(fd0, config.params, config.solver, record_every=0)
     iters = [r.newton_iters for r in result.reports[5:]]
     assert np.mean(iters) <= 1.2
 
@@ -459,9 +472,9 @@ def test_default_tolerances_stay_within_the_gate_bound(params):
     steps = 20
     cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3)
     tight = replace(cfg, newton_tol=1e-13, linear_tol=1e-13)
-    got = run(spheroid_state(grid), params, cfg, record_every=10**9).final_state
+    got = run(spheroid_state(grid), params, cfg, record_every=0).final_state
     ref = run(spheroid_state(grid), params, tight,
-              record_every=10**9).final_state
+              record_every=0).final_state
     bound = 100 * steps * max(cfg.newton_tol, cfg.linear_tol)
     assert np.max(np.abs(got.phi.values - ref.phi.values)) <= bound
     assert np.max(np.abs(got.mu.values - ref.mu.values)) <= bound / params.eps

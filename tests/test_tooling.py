@@ -63,3 +63,9 @@ def test_readme_package_layout_names_every_module():
     listed = set(re.findall(r"^  (\w+\.py) ", block, re.M))
     modules = {p.name for p in (ROOT / "src" / "mchks").glob("*.py")}
     assert not modules - {"__init__.py"} - listed
+
+
+def test_readme_scripts_block_names_exactly_the_scripts():
+    block = _readme_block("## Scripts")
+    listed = set(re.findall(r"scripts/(\w+\.py)", block))
+    assert listed == {p.name for p in (ROOT / "scripts").glob("*.py")}
