@@ -272,14 +272,15 @@ def twin_perturbation(state: State, amplitude: float) -> State:
 
     The patterns carry both a mean shift and low-mode structure so every
     norm group of the continuous-dependence estimate is exercised.  Any
-    admissible base stays admissible for 0 <= amplitude <= 1: the phi_a
+    admissible base stays admissible for 0 < amplitude <= 1: the phi_a
     pattern is nonnegative and the n pattern nonpositive, and c is pulled
     by the fraction ``amplitude`` toward a target inside [0, 1], so c stays
-    in [0, 1] even where the base sits on a bound.
+    in [0, 1] even where the base sits on a bound.  Amplitude 0 is refused:
+    both sides of the stability estimate would vanish.
     """
-    if not 0.0 <= amplitude <= 1.0:
+    if not 0.0 < amplitude <= 1.0:
         raise ValidationError(
-            f"twin perturbation amplitude {amplitude} outside [0, 1]"
+            f"twin perturbation amplitude {amplitude} outside (0, 1]"
         )
     grid = state.grid
     x, y = grid.centers()
@@ -452,7 +453,8 @@ def cmd_run(args) -> int:
     result, csv_path = write_run(config)
     violations = sum(r.any_violation for r in result.records)
     t0 = 0.1 * config.solver.t_end
-    _, margins = diagnostics.separation_margins(result.records, t0=t0)
+    _, margins = diagnostics.separation_margins(result.records, t0,
+                                                config.params.potential)
     print(f"completed {len(result.records)} records -> {csv_path}")
     print(f"separation margin: {margins[0]:.4f} -> {margins[-1]:.4f} "
           f"(t >= {t0:g})")
@@ -515,7 +517,7 @@ def cmd_twin(args) -> int:
 
     base = job(base0)
     for amp, pert0 in zip(args.perturb, perturbed):
-        dist = diagnostics.twin_run_distance(base, job(pert0), params)
+        dist = diagnostics.twin_run_distance(base, job(pert0))
         print(f"perturbation: {amp:g}")
         for name, val in dist.components_lhs.items():
             print(f"lhs {name}: {val:.6e}")

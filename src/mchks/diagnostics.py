@@ -26,7 +26,6 @@ from .fields import (
     grad_sq_integral_array,
     inner,
     mean,
-    norm_l2,
 )
 from .sources import ModelParams, proliferation, reaction_rates
 
@@ -224,25 +223,27 @@ class DiagnosticsTracker:
         )
 
 
-def separation_margins(records, t0: float, two_sided: bool = True):
+def separation_margins(records, t0: float, potential):
     """Post-transient separation monitor.
 
     Restarts the running min/max of phi at the first record with t >= t0 and
-    returns (times, margins) with margin = min(delta_star, 1 - delta_upper).
-    Single-well potentials only confine phi away from 1, so for them the
-    monitor is called with ``two_sided=False`` and the margin is
-    1 - delta_upper alone.
+    returns (times, margins), the margin being the distance of that range
+    from the ends of ``potential.slope_domain`` that repel phi
+    (``Potential.repelling_ends``); it is inf when no end repels.
     """
     post = [r for r in records if r.t >= t0]
     if not post:
         raise ValueError("no records after the transient")
+    lower, upper = potential.slope_domain
+    repelling = potential.repelling_ends
     lo, hi = math.inf, -math.inf
     times, margins = [], []
     for r in post:
         lo = min(lo, r.extrema["phi"][0])
         hi = max(hi, r.extrema["phi"][1])
         times.append(r.t)
-        margins.append(min(lo, 1.0 - hi) if two_sided else 1.0 - hi)
+        margins.append(min(lo - lower if lower in repelling else math.inf,
+                           upper - hi if upper in repelling else math.inf))
     return np.array(times), np.array(margins)
 
 
@@ -323,11 +324,7 @@ class TwinDistance:
     ratio: float
 
 
-def _trapezoid(times, values):
-    return float(np.trapezoid(values, times))
-
-
-def twin_run_distance(states1, states2, params: ModelParams) -> TwinDistance:
+def twin_run_distance(states1, states2) -> TwinDistance:
     """Continuous-dependence metric between two sampled trajectories.
 
     Assembles the dual-norm / L2 / V-norm groups of the stability estimate
@@ -343,54 +340,43 @@ def twin_run_distance(states1, states2, params: ModelParams) -> TwinDistance:
         raise GridMismatch("trajectories sampled at different times")
 
     grid = states1[0].grid
-    phi_dual, phi_mean = [], []
-    phia_dual, phia_l2, phia_mean = [], [], []
-    n_l2, n_v2, c_l2, c_v2 = [], [], [], []
-    for s1, s2 in zip(states1, states2):
-        d_phi = ScalarField(grid, s1.phi.values - s2.phi.values)
-        d_phia = ScalarField(grid, s1.phi_a.values - s2.phi_a.values)
-        d_n = s1.n.values - s2.n.values
-        d_c = s1.c.values - s2.c.values
-        phi_dual.append(dual_norm(d_phi))
-        phi_mean.append(abs(mean(d_phi)))
-        phia_dual.append(dual_norm(d_phia))
-        phia_l2.append(norm_l2(d_phia))
-        phia_mean.append(abs(mean(d_phia)))
-        n_l2.append(float(np.sqrt(np.sum(d_n**2) * grid.cell_area)))
-        n_v2.append(
-            np.sum(d_n**2) * grid.cell_area
-            + grad_sq_integral_array(d_n, grid.dx, grid.dy)
-        )
-        c_l2.append(float(np.sqrt(np.sum(d_c**2) * grid.cell_area)))
-        c_v2.append(
-            np.sum(d_c**2) * grid.cell_area
-            + grad_sq_integral_array(d_c, grid.dx, grid.dy)
-        )
+    diffs = {name: [getattr(s1, name).values - getattr(s2, name).values
+                    for s1, s2 in zip(states1, states2)]
+             for name in ("phi", "phi_a", "n", "c")}
+    dual, mean_abs, l2_sq, grad_sq = {}, {}, {}, {}
+    for name, ds in diffs.items():
+        l2_sq[name] = np.array([np.sum(d * d) * grid.cell_area for d in ds])
+        if name in ("phi", "phi_a"):
+            dual[name] = np.array([dual_norm(ScalarField(grid, d)) for d in ds])
+            mean_abs[name] = np.array([abs(float(np.mean(d))) for d in ds])
+        else:
+            grad_sq[name] = np.array(
+                [grad_sq_integral_array(d, grid.dx, grid.dy) for d in ds])
+    l2 = {name: np.sqrt(sq) for name, sq in l2_sq.items()}
+
+    def sup(series):
+        return float(np.max(series))
+
+    def time_l2(series_sq):
+        return math.sqrt(float(np.trapezoid(series_sq, times)))
 
     lhs = {
-        "phi_dual_sup": float(np.max(phi_dual)),
-        "phi_mean_sup": float(np.max(phi_mean)),
-        "phi_a_dual_sup_l2": max(
-            float(np.max(phia_dual)),
-            math.sqrt(_trapezoid(times, np.array(phia_l2) ** 2)),
-        ),
-        "phi_a_mean_sup": float(np.max(phia_mean)),
-        "n_linf_l2v": max(
-            float(np.max(n_l2)), math.sqrt(_trapezoid(times, np.array(n_v2)))
-        ),
-        "c_linf_l2v": max(
-            float(np.max(c_l2)), math.sqrt(_trapezoid(times, np.array(c_v2)))
-        ),
+        "phi_dual_sup": sup(dual["phi"]),
+        "phi_mean_sup": sup(mean_abs["phi"]),
+        "phi_a_dual_sup_l2": max(sup(dual["phi_a"]), time_l2(l2["phi_a"] ** 2)),
+        "phi_a_mean_sup": sup(mean_abs["phi_a"]),
+        "n_linf_l2v": max(sup(l2["n"]), time_l2(l2_sq["n"] + grad_sq["n"])),
+        "c_linf_l2v": max(sup(l2["c"]), time_l2(l2_sq["c"] + grad_sq["c"])),
     }
 
     # the initial-data norms are the first samples of the series above
     rhs = {
-        "phi0_dual": phi_dual[0],
-        "phi0_mean": phi_mean[0],
-        "phi_a0_dual": phia_dual[0],
-        "phi_a0_mean": phia_mean[0],
-        "n0_l2": n_l2[0],
-        "c0_l2": c_l2[0],
+        "phi0_dual": float(dual["phi"][0]),
+        "phi0_mean": float(mean_abs["phi"][0]),
+        "phi_a0_dual": float(dual["phi_a"][0]),
+        "phi_a0_mean": float(mean_abs["phi_a"][0]),
+        "n0_l2": float(l2["n"][0]),
+        "c0_l2": float(l2["c"][0]),
     }
     lhs_total = float(sum(lhs.values()))
     rhs_total = float(sum(rhs.values()))

@@ -8,11 +8,12 @@ single-well potential of Lennard-Jones type.  Each one is split as
 
 where the convex part may be singular (finite only on a bounded interval) and
 the perturbation always has a Lipschitz derivative.  ``Potential`` states
-the protocol once; a variant overrides ``slope_domain`` (default (0, 1)) or
-``zero_in_convex_graph`` (default True) only where it differs, and
-``singular`` is read from ``slope_domain``.  The implicit phase-field solver
-never evaluates the singular slope directly; it goes through the Yosida
-approximation of the convex slope, which is Lipschitz on the whole line.
+the protocol once.  ``slope_domain`` (default (0, 1)) is a variant's only
+domain declaration: ``singular``, the ends that repel phi and the
+admissible means are read from it and the convex slope.  The implicit
+phase-field solver never evaluates the singular slope directly; it goes
+through the Yosida approximation of the convex slope, which is Lipschitz
+on the whole line.
 Each variant owns its resolvent J = (I + eps * convex slope)^-1 and
 the slope of its Yosida approximation (the graph corners of the obstacle and
 single-well variants included); ``YosidaRegularization`` builds the Yosida
@@ -100,24 +101,42 @@ class Potential:
     (the minimal section of the convex slope graph), ``convex_curvature``,
     ``concave_value`` and ``concave_slope``, which take and return float
     arrays; ``resolvent(r, eps)``, J = (I + eps * convex slope)^-1 on a
-    float array; ``perturbation_lipschitz()``, the Lipschitz constant of the
-    perturbation slope; and ``mean_admissible(y)``, whether a spatial mean
-    y lies in the domain of the slope graph (a constraint on the initial
-    data of the conserved phase).
+    float array; and ``perturbation_lipschitz()``, the Lipschitz constant
+    of the perturbation slope.
 
     ``slope_domain`` is the open interval on which the convex slope is
-    single valued and finite; the potential is singular exactly when that
-    interval is bounded.  ``zero_in_convex_graph`` says whether the slope
-    graph contains (0, 0), the normalization under which the Yosida
-    approximation vanishes at the origin.
+    single valued and finite, and the one domain fact a variant declares.
+    The potential is singular exactly when that interval is bounded.  A
+    finite end where the convex slope is finite is reachable; one where it
+    is infinite repels phi (``repelling_ends``).
     """
 
     slope_domain = (0.0, 1.0)
-    zero_in_convex_graph = True
 
     @property
     def singular(self) -> bool:
         return math.isfinite(self.slope_domain[0])
+
+    def _ends(self, reachable: bool) -> tuple:
+        """The finite ends of ``slope_domain`` that are reachable (the convex
+        slope is finite there) or, with ``reachable=False``, that repel."""
+        ends = np.array([e for e in self.slope_domain if math.isfinite(e)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            finite = np.isfinite(self.convex_slope(ends))
+        return tuple(float(e) for e in ends[finite == reachable])
+
+    @property
+    def repelling_ends(self) -> tuple:
+        """The ends of ``slope_domain`` where the convex slope is infinite,
+        from which phi stays separated."""
+        return self._ends(reachable=False)
+
+    def mean_admissible(self, y) -> bool:
+        """Whether a spatial mean y lies in the domain of the slope graph
+        (the open ``slope_domain`` plus its reachable ends), a constraint on
+        the initial data of the conserved phase."""
+        lo, hi = self.slope_domain
+        return bool(lo < y < hi) or y in self._ends(reachable=True)
 
     @elementwise
     def value(self, r):
@@ -162,9 +181,6 @@ class RegularQuartic(Potential):
     def __post_init__(self):
         if self.c3 <= 0:
             raise ValueError("c3 must be positive")
-
-    def mean_admissible(self, y):
-        return bool(np.isfinite(y))
 
     # Split: convex = (c3/4)(r^4 - 2 r^3 + 1.5 r^2), concave = -(c3/8) r^2.
     # The convex part has curvature (3 c3/4)(2r-1)^2 >= 0 and equals
@@ -214,13 +230,6 @@ class FloryHuggins(Potential):
     def __post_init__(self):
         if not 0 < self.c1 < self.c2:
             raise ValueError("need 0 < c1 < c2")
-
-    # The convex slope diverges to -inf at 0+, so the subdifferential at 0
-    # is empty and no normalization can place (0, 0) on the graph.
-    zero_in_convex_graph = False
-
-    def mean_admissible(self, y):
-        return 0.0 < y < 1.0
 
     def convex_value(self, r):
         out = np.full(r.shape, np.inf)
@@ -281,9 +290,6 @@ class DoubleObstacle(Potential):
         if self.c3 <= 0:
             raise ValueError("c3 must be positive")
 
-    def mean_admissible(self, y):
-        return 0.0 <= y <= 1.0
-
     def convex_value(self, r):
         out = np.zeros(r.shape)
         out[(r < 0.0) | (r > 1.0)] = np.inf
@@ -331,9 +337,6 @@ class SingleWellLJ(Potential):
             raise ValueError("r_star must lie in (0, 1)")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
-
-    def mean_admissible(self, y):
-        return 0.0 <= y < 1.0
 
     @property
     def _b(self):

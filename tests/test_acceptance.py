@@ -146,7 +146,7 @@ def test_criterion_02_moreau_yosida_suite():
             dy, dr = np.diff(y), np.diff(r)
             assert np.all(dy >= -1e-9)
             assert np.all(dy <= dr / eps * (1.0 + 1e-9) + 1e-12)
-            if pot.zero_in_convex_graph:
+            if pot.convex_slope(np.zeros(1))[0] == 0.0:
                 assert abs(reg.yosida(0.0)) <= 1e-10
             else:
                 # Flory-Huggins: the convex slope graph provably misses
@@ -377,7 +377,7 @@ def test_criterion_10_continuous_dependence():
     ratio_a1 = None
     for amp in amps:
         dist = diagnostics.twin_run_distance(
-            base, states(twin_perturbation(base0, amp), dt), params
+            base, states(twin_perturbation(base0, amp), dt)
         )
         lhs_per_amp[amp] = dist.lhs_total / amp
         if amp == amps[0]:
@@ -388,7 +388,7 @@ def test_criterion_10_continuous_dependence():
 
     base_h = states(base0, dt / 2)
     pert_h = states(twin_perturbation(base0, amps[0]), dt / 2)
-    ratio_h = diagnostics.twin_run_distance(base_h, pert_h, params).ratio
+    ratio_h = diagnostics.twin_run_distance(base_h, pert_h).ratio
     assert abs(ratio_h / ratio_a1 - 1.0) < 0.10
     report(10, f"lhs/amplitude spread {max(lhs_per_amp.values()) / s0 - 1.0:+.3f}"
                f" (<= 25%), K-hat {ratio_a1:.4f} -> {ratio_h:.4f} under dt/2 "
@@ -399,8 +399,9 @@ def test_criterion_10_continuous_dependence():
 
 
 def test_criterion_11_separation_monitor(spheroid_run):
-    result, _params, _cfg, _elapsed = spheroid_run
-    times, margins = diagnostics.separation_margins(result.records, t0=0.1)
+    result, params, _cfg, _elapsed = spheroid_run
+    times, margins = diagnostics.separation_margins(result.records, 0.1,
+                                                    params.potential)
     assert np.all(margins > 0.0)
     assert margins[-1] >= 0.5 * margins[0]
     report(11, f"separation margin {margins[0]:.4f} at t=0.1 -> "

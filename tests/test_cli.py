@@ -322,13 +322,34 @@ def test_run_prints_the_separation_margin_after_the_transient(
     cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
     assert main(["run", "-c", str(cfg_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    _, margins = separation_margins(results[0].records, t0=0.1 * 5e-2)
+    _, margins = separation_margins(results[0].records, 0.1 * 5e-2,
+                                    FloryHuggins())
     assert len(lines) == 4
     assert lines[0].startswith("completed 6 records -> ")
     assert lines[1] == (f"separation margin: {margins[0]:.4f} -> "
                         f"{margins[-1]:.4f} (t >= 0.005)")
     assert lines[2] == "records with violation flags: 0"
     assert lines[3].startswith("solver: 5 steps, ")
+
+
+def test_run_separation_margin_follows_the_repelling_ends(
+        tmp_path, monkeypatch, capsys):
+    # single-well repels phi only from 1, quartic from no end at all
+    results = _kept_runs(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
+    assert main(["run", "-c", str(cfg_path), "--set",
+                 "params.potential=single_well", "--set",
+                 "initial.phi_hi=0.7"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    post = [r for r in results[0].records if r.t >= 0.1 * 5e-2]
+    upper = np.maximum.accumulate([r.extrema["phi"][1] for r in post])
+    assert line == (f"separation margin: {1.0 - upper[0]:.4f} -> "
+                    f"{1.0 - upper[-1]:.4f} (t >= 0.005)")
+    assert main(["run", "-c", str(cfg_path), "--set",
+                 "params.potential=quartic"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line == "separation margin: inf -> inf (t >= 0.005)"
 
 
 @pytest.mark.parametrize("override", [
@@ -482,6 +503,8 @@ def test_twin_rejects_an_amplitude_before_any_run(tmp_path, monkeypatch):
     cfg_path = tmp_path / "twin.cfg"
     cfg_path.write_text(TINY)
     assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-2", "2"]) == 2
+    # amplitude 0 would read 0/0 as the stability ratio
+    assert main(["twin", "-c", str(cfg_path), "--perturb", "0", "1e-3"]) == 2
     assert results == []
 
 

@@ -309,7 +309,7 @@ def test_twin_distance_identical_runs_vanish():
     grid = Grid2D(16, 16, 8.0, 8.0)
     states = run_states(spheroid_state(grid), FH,
                         SolverConfig(dt=2e-3, t_end=0.01))
-    dist = twin_run_distance(states, states, FH)
+    dist = twin_run_distance(states, states)
     assert dist.lhs_total == 0.0
     assert dist.rhs_total == 0.0
     assert math.isnan(dist.ratio)
@@ -321,9 +321,9 @@ def test_twin_distance_grid_mismatch():
     s1 = [spheroid_state(g1)]
     s2 = [spheroid_state(g2)]
     with pytest.raises(GridMismatch):
-        twin_run_distance(s1, s2, FH)
+        twin_run_distance(s1, s2)
     with pytest.raises(GridMismatch):
-        twin_run_distance(s1, [], FH)
+        twin_run_distance(s1, [])
 
 
 def test_twin_distance_small_perturbation_linear():
@@ -340,7 +340,7 @@ def test_twin_distance_small_perturbation_linear():
             + amp * (0.3 + 0.5 * np.cos(np.pi * grid.centers()[0] / grid.lx)),
         )
         pert = run_states(pert0, FH, cfg, every=2)
-        scales[amp] = twin_run_distance(base, pert, FH).lhs_total / amp
+        scales[amp] = twin_run_distance(base, pert).lhs_total / amp
     assert scales[1e-2] == pytest.approx(scales[5e-3], rel=0.05)
 
 
@@ -368,8 +368,8 @@ def test_separation_margins_monitor():
     grid = Grid2D(24, 24, 12.0, 12.0)
     res = run(spheroid_state(grid), FH, SolverConfig(dt=1e-3, t_end=0.05),
               record_every=5)
-    times, margins = separation_margins(res.records, t0=0.01)
+    times, margins = separation_margins(res.records, 0.01, FH.potential)
     assert np.all(margins > 0.0)
     assert margins[-1] >= 0.5 * margins[0]
     with pytest.raises(ValueError):
-        separation_margins(res.records, t0=1e9)
+        separation_margins(res.records, 1e9, FH.potential)

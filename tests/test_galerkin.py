@@ -260,7 +260,8 @@ def test_mean_channel_respects_mass_corridor():
 
 
 def test_separation_monitor_single_well_variant():
-    # single-well runs only monitor the upper margin 1 - delta_upper
+    # the single-well potential repels phi only from 1: the margin is
+    # 1 - delta_upper
     from mchks.diagnostics import separation_margins
     from mchks.solver import SolverConfig, run
     from mchks.potentials import SingleWellLJ
@@ -270,5 +271,5 @@ def test_separation_monitor_single_well_variant():
     params = ModelParams(potential=SingleWellLJ(0.6, 0.0), m=0.5)
     st = spheroid_state(grid, phi_lo=0.02, phi_hi=0.8)
     res = run(st, params, SolverConfig(dt=1e-3, t_end=0.02), record_every=4)
-    times, margins = separation_margins(res.records, t0=0.0, two_sided=False)
+    times, margins = separation_margins(res.records, 0.0, params.potential)
     assert np.all(margins > 0.0)

@@ -118,6 +118,29 @@ def test_every_variant_supplies_the_protocol(variant):
         assert pot.convex_value(np.array([lo - 0.1]))[0] == math.inf
 
 
+_PROBES = (-math.inf, -1.0, -1e-12, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0,
+           math.inf, math.nan)
+# per variant: the probes that are admissible means, the ends that repel
+# phi, and whether the convex slope graph holds (0, 0)
+_DOMAIN_FACTS = {
+    "RegularQuartic": ((-1.0, -1e-12, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0),
+                       (), True),
+    "FloryHuggins": ((0.5,), (0.0, 1.0), False),
+    "DoubleObstacle": ((0.0, 0.5, 1.0), (), True),
+    "SingleWellLJ": ((0.0, 0.5), (1.0,), True),
+}
+
+
+@pytest.mark.parametrize("variant", Potential.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_domain_facts_are_read_from_slope_domain(variant):
+    admissible, repelling, zero_slope = _DOMAIN_FACTS[variant.__name__]
+    pot = variant()
+    assert [p for p in _PROBES if pot.mean_admissible(p)] == list(admissible)
+    assert pot.repelling_ends == repelling
+    assert (pot.convex_slope(np.zeros(1))[0] == 0.0) == zero_slope
+
+
 # ----------------------------------------------------- split and smoothness
 
 
@@ -192,7 +215,7 @@ def test_quartic_growth_constant_is_finite():
 def test_resolvent_fixed_point_at_zero():
     for pot in ALL_VARIANTS:
         reg = YosidaRegularization(pot, eps=0.1)
-        if pot.zero_in_convex_graph:
+        if pot.convex_slope(np.zeros(1))[0] == 0.0:
             assert reg.resolvent(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -229,7 +252,7 @@ def test_yosida_values_double_obstacle():
 def test_yosida_zero_at_zero_for_normalized_graphs():
     for pot in ALL_VARIANTS:
         reg = YosidaRegularization(pot, eps=0.1)
-        if pot.zero_in_convex_graph:
+        if pot.convex_slope(np.zeros(1))[0] == 0.0:
             assert reg.yosida(0.0) == pytest.approx(0.0, abs=1e-11)
 
 

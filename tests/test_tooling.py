@@ -1,4 +1,5 @@
-"""Guards for the benchmark's per-layer metrics and the README's tables.
+"""Guards for the benchmark's per-layer metrics, the README's tables and
+the one domain declaration of the potential variants.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from mchks import cli
+from mchks.potentials import Potential
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -34,6 +36,14 @@ def test_span_site_resolves(site):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("variant", Potential.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_variants_inherit_mean_admissibility(variant):
+    # admissible means are derived from slope_domain, so a new variant
+    # declares its domain once
+    assert "mean_admissible" not in vars(variant)
 
 
 def _readme_block(heading):
