@@ -15,12 +15,13 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, selfcheck
-from .errors import ParseError, ValidationError
+from .errors import InitialDataError, ParseError, ValidationError
 from .fields import Grid2D, ScalarField, write_snapshot
 from .galerkin import (
     EigenBasis,
@@ -35,7 +36,7 @@ from .potentials import (
     RegularQuartic,
     SingleWellLJ,
 )
-from .solver import SolverConfig, State, run
+from .solver import SolverConfig, State, run, validate_initial_data
 from .sources import ConstantMobility, EndothelialProduct, KozenyCarman, ModelParams
 
 
@@ -116,15 +117,9 @@ _SCHEMA = {
     },
 }
 
-CSV_COLUMNS = [
-    "t", "energy",
-    "phi_mean", "phi_a_mean", "n_mean", "c_mean",
-    "phi_min", "phi_max", "mu_min", "mu_max", "phi_a_min", "phi_a_max",
-    "n_min", "n_max", "c_min", "c_max",
-    "corridor_lo", "corridor_hi", "entropy",
-    "flag_c_min", "flag_c_max", "flag_n_min", "flag_n_max",
-    "flag_phi_a_neg", "flag_corridor",
-]
+# the record's fields are the diagnostics.csv columns, h_sup apart
+CSV_COLUMNS = [f.name for f in dataclasses.fields(diagnostics.DiagnosticsRecord)
+               if f.name != "h_sup"]
 
 
 @dataclass
@@ -225,6 +220,8 @@ def _build_config(values) -> RunConfig:
         raise ValidationError(f"unknown initial preset {preset!r}")
     if values["output"]["diagnostics_every"] < 1:
         raise ValidationError("output.diagnostics_every must be at least 1")
+    if values["output"]["snapshot_every"] < 0:
+        raise ValidationError("output.snapshot_every must be nonnegative")
     return RunConfig(grid, params, solver, values)
 
 
@@ -239,6 +236,8 @@ def _build_variant(slot, p):
 
 
 def build_initial_state(config: RunConfig) -> State:
+    """The configured initial state; inadmissible data are a
+    ValidationError, so every subcommand refuses them before it solves."""
     grid = config.grid
     init = config.initial
     preset = init["preset"]
@@ -257,7 +256,7 @@ def build_initial_state(config: RunConfig) -> State:
         rng = np.random.default_rng(init["seed"])
         bump = rng.uniform(-1.0, 1.0, (grid.nx, grid.ny))
         phi = ScalarField(grid, phi.values + init["amplitude"] * bump)
-    return State(
+    state = State(
         0.0,
         phi,
         zero.copy(),
@@ -265,6 +264,13 @@ def build_initial_state(config: RunConfig) -> State:
         ScalarField.constant(grid, init["n0"]),
         ScalarField.constant(grid, init["c0"]),
     )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # run() repeats the check and warns
+            validate_initial_data(state, config.params)
+    except InitialDataError as exc:
+        raise ValidationError(str(exc)) from exc
+    return state
 
 
 def twin_perturbation(state: State, amplitude: float) -> State:
@@ -345,19 +351,7 @@ def _fmt(x):
 
 
 def record_to_row(rec: diagnostics.DiagnosticsRecord) -> str:
-    ext = rec.extrema
-    cells = [
-        rec.t, rec.energy,
-        rec.phi_mean, rec.phi_a_mean, rec.n_mean, rec.c_mean,
-        ext["phi"][0], ext["phi"][1], ext["mu"][0], ext["mu"][1],
-        ext["phi_a"][0], ext["phi_a"][1],
-        ext["n"][0], ext["n"][1], ext["c"][0], ext["c"][1],
-        rec.corridor_lo, rec.corridor_hi, rec.entropy,
-        rec.flags["c_min"], rec.flags["c_max"],
-        rec.flags["n_min"], rec.flags["n_max"],
-        rec.flags["phi_a_neg"], rec.flags["corridor"],
-    ]
-    return ",".join(_fmt(c) for c in cells)
+    return ",".join(_fmt(getattr(rec, column)) for column in CSV_COLUMNS)
 
 
 def _manifest_value(value) -> str:
@@ -399,14 +393,16 @@ def write_run(config: RunConfig):
     Writes manifest.txt, diagnostics.csv (a row every
     output.diagnostics_every steps) and the five field snapshots every
     output.snapshot_every steps (none when 0); returns (RunResult, csv path).
+    Inadmissible initial data are a ValidationError before anything is
+    written.
     """
+    state0 = build_initial_state(config)
     out_dir = config.output["dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(config))
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    state0 = build_initial_state(config)
     snap_every = config.output["snapshot_every"]
 
     with open(csv_path, "w", encoding="utf-8") as csv_fh:

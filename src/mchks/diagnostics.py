@@ -12,7 +12,7 @@ module mutates a state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,21 +62,6 @@ def energy(state, params: ModelParams, *, f_density=None, entropy=None) -> float
     e -= params.chi_phi * inner(state.n, state.phi)
     e -= params.chi_a * inner(state.phi_a, state.c)
     return e
-
-
-def check_minmax(state, params: ModelParams):
-    """Confinement flags; smooth-mode n is exempt from the n bounds."""
-    phia_tol = PHIA_NEG_TOL_PER_EPS * params.eps
-    c = state.c.values
-    n = state.n.values
-    flags = {
-        "c_min": bool(np.min(c) < -MINMAX_TOL),
-        "c_max": bool(np.max(c) > 1.0 + MINMAX_TOL),
-        "n_min": bool(params.singular and np.min(n) < -MINMAX_TOL),
-        "n_max": bool(params.singular and np.max(n) > 1.0 + MINMAX_TOL),
-        "phi_a_neg": bool(np.min(state.phi_a.values) < -phia_tol),
-    }
-    return flags
 
 
 def mass_corridor(y0: float, H: float, m: float, t: float, dt: float = 0.0):
@@ -133,22 +118,41 @@ def smallness_advisory(
 
 @dataclass
 class DiagnosticsRecord:
+    """One record; the fields before ``h_sup`` are the ``diagnostics.csv``
+    columns, in order.  A flag is True where its confinement bound or the
+    mass corridor is broken."""
+
     t: float
     energy: float
     phi_mean: float
     phi_a_mean: float
     n_mean: float
     c_mean: float
-    extrema: dict
-    entropy: float
+    phi_min: float
+    phi_max: float
+    mu_min: float
+    mu_max: float
+    phi_a_min: float
+    phi_a_max: float
+    n_min: float
+    n_max: float
+    c_min: float
+    c_max: float
     corridor_lo: float
     corridor_hi: float
+    entropy: float
+    flag_c_min: bool
+    flag_c_max: bool
+    flag_n_min: bool
+    flag_n_max: bool
+    flag_phi_a_neg: bool
+    flag_corridor: bool
     h_sup: float
-    flags: dict = field(default_factory=dict)
 
     @property
     def any_violation(self):
-        return any(self.flags.values())
+        return any(getattr(self, f.name) for f in fields(self)
+                   if f.name.startswith("flag_"))
 
 
 class DiagnosticsTracker:
@@ -181,16 +185,15 @@ class DiagnosticsTracker:
         prol = proliferation(params, state.phi.values, state.n.values)
         self.h_sup = max(self.h_sup, float(np.max(np.abs(prol))))
 
-        extrema = {}
+        ext = {}
         for name in ("phi", "mu", "phi_a", "n", "c"):
             vals = getattr(state, name).values
-            extrema[name] = (float(np.min(vals)), float(np.max(vals)))
-        phi_min, phi_max = extrema["phi"]
-        self.delta_star = min(self.delta_star, phi_min)
-        self.delta_upper = max(self.delta_upper, phi_max)
+            ext[f"{name}_min"] = float(np.min(vals))
+            ext[f"{name}_max"] = float(np.max(vals))
+        self.delta_star = min(self.delta_star, ext["phi_min"])
+        self.delta_upper = max(self.delta_upper, ext["phi_max"])
 
         y = mean(state.phi)
-        flags = check_minmax(state, params)
         if params.m > 0:
             lo, hi = mass_corridor(self.y0, self.h_sup, params.m,
                                    state.t - self.t0, dt)
@@ -198,10 +201,10 @@ class DiagnosticsTracker:
             phi_abs = max(abs(self.delta_star), abs(self.delta_upper))
             slack = (dt * (self.h_sup + residual_sum)
                      + steps * np.finfo(float).eps * phi_abs)
-            flags["corridor"] = bool(y < lo - slack or y > hi + slack)
+            off_corridor = bool(y < lo - slack or y > hi + slack)
         else:
             lo = hi = math.nan
-            flags["corridor"] = False
+            off_corridor = False
 
         # the step's last evaluation at this phi, when the state carries it
         f_density = params.f_density(state.phi.values, state.convex)
@@ -214,12 +217,18 @@ class DiagnosticsTracker:
             phi_a_mean=mean(state.phi_a),
             n_mean=mean(state.n),
             c_mean=mean(state.c),
-            extrema=extrema,
-            entropy=entropy,
+            **ext,
             corridor_lo=lo,
             corridor_hi=hi,
+            entropy=entropy,
+            flag_c_min=ext["c_min"] < -MINMAX_TOL,
+            flag_c_max=ext["c_max"] > 1.0 + MINMAX_TOL,
+            # smooth-mode n is exempt from the n bounds
+            flag_n_min=params.singular and ext["n_min"] < -MINMAX_TOL,
+            flag_n_max=params.singular and ext["n_max"] > 1.0 + MINMAX_TOL,
+            flag_phi_a_neg=ext["phi_a_min"] < -PHIA_NEG_TOL_PER_EPS * params.eps,
+            flag_corridor=off_corridor,
             h_sup=self.h_sup,
-            flags=flags,
         )
 
 
@@ -239,8 +248,8 @@ def separation_margins(records, t0: float, potential):
     lo, hi = math.inf, -math.inf
     times, margins = [], []
     for r in post:
-        lo = min(lo, r.extrema["phi"][0])
-        hi = max(hi, r.extrema["phi"][1])
+        lo = min(lo, r.phi_min)
+        hi = max(hi, r.phi_max)
         times.append(r.t)
         margins.append(min(lo - lower if lower in repelling else math.inf,
                            upper - hi if upper in repelling else math.inf))

@@ -159,6 +159,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.newton_tol <= 0 or self.linear_tol <= 0:
+            raise ValueError("newton_tol and linear_tol must be positive")
         if self.linear_solver not in ("krylov", "direct"):
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.stabilization < 0:

@@ -188,21 +188,19 @@ def test_criterion_02_moreau_yosida_suite():
 def test_criterion_03_minmax_principles(spheroid_run):
     result, params, cfg, elapsed = spheroid_run
     assert elapsed < 120.0
-    c_min = min(r.extrema["c"][0] for r in result.records)
-    c_max = max(r.extrema["c"][1] for r in result.records)
-    n_min = min(r.extrema["n"][0] for r in result.records)
-    n_max = max(r.extrema["n"][1] for r in result.records)
-    phia_min = min(r.extrema["phi_a"][0] for r in result.records)
+    c_min = min(r.c_min for r in result.records)
+    c_max = max(r.c_max for r in result.records)
+    n_min = min(r.n_min for r in result.records)
+    n_max = max(r.n_max for r in result.records)
+    phia_min = min(r.phi_a_min for r in result.records)
     assert c_min >= -1e-10
     assert c_max <= 1.0 + 1e-10
     assert n_min >= -1e-10
     assert n_max <= 1.0 + 1e-10
     assert phia_min >= -1e-8
     for rec in result.records:
-        assert not any(
-            rec.flags[k] for k in ("c_min", "c_max", "n_min", "n_max",
-                                   "phi_a_neg")
-        )
+        assert not any((rec.flag_c_min, rec.flag_c_max, rec.flag_n_min,
+                        rec.flag_n_max, rec.flag_phi_a_neg))
     report(3, f"c in [{c_min:.2e}, {c_max:.10f}], n in [{n_min:.2e}, "
               f"{n_max:.10f}], min phi_a {phia_min:.2e}, run {elapsed:.0f}s")
 
@@ -220,7 +218,7 @@ def test_criterion_04_mass_corridor(spheroid_run):
         assert lo - slack <= rec.phi_mean <= hi + slack, rec.t
         worst_slack = max(worst_slack,
                           max(lo - rec.phi_mean, rec.phi_mean - hi))
-        assert not rec.flags["corridor"]
+        assert not rec.flag_corridor
     report(4, f"phi mean inside the decay corridor at all "
               f"{len(result.records)} steps (worst overhang "
               f"{worst_slack:.2e} vs slack dt*H)")

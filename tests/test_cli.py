@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +344,7 @@ def test_run_separation_margin_follows_the_repelling_ends(
                  "initial.phi_hi=0.7"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     post = [r for r in results[0].records if r.t >= 0.1 * 5e-2]
-    upper = np.maximum.accumulate([r.extrema["phi"][1] for r in post])
+    upper = np.maximum.accumulate([r.phi_max for r in post])
     assert line == (f"separation margin: {1.0 - upper[0]:.4f} -> "
                     f"{1.0 - upper[-1]:.4f} (t >= 0.005)")
     assert main(["run", "-c", str(cfg_path), "--set",
@@ -353,7 +354,9 @@ def test_run_separation_margin_follows_the_repelling_ends(
 
 
 @pytest.mark.parametrize("override", [
-    "solver.t_end=0.0105", "output.diagnostics_every=0"])
+    "solver.t_end=0.0105", "output.diagnostics_every=0",
+    "output.snapshot_every=-1", "solver.newton_tol=-1", "solver.linear_tol=-1",
+    "initial.c0=2"])
 def test_run_rejects_a_bad_schedule_before_any_output(
         tmp_path, monkeypatch, capsys, override):
     def no_solve(*args, **kwargs):
@@ -365,8 +368,45 @@ def test_run_rejects_a_bad_schedule_before_any_output(
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(cfg_path), "--set", f"output.dir={out_dir}",
                  "--set", override]) == 2
-    assert "error: validation: " in capsys.readouterr().err
+    # the message names the key, or the constraint on the data it sets
+    key = override.partition(".")[2].partition("=")[0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and key in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["compare", "--modes", "4"], ["twin"]],
+                         ids=["compare", "twin"])
+def test_inadmissible_initial_data_exit_2_before_any_solve(
+        tmp_path, monkeypatch, capsys, command):
+    results = _kept_runs(monkeypatch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TINY)
+    assert main(command + ["-c", str(cfg_path), "--set", "initial.c0=2"]) == 2
+    assert capsys.readouterr().err.startswith("error: validation: c0-range: ")
+    assert results == []
+
+
+@pytest.mark.parametrize("potential, flagged", [
+    ("flory_huggins", 3), ("quartic", 0)])
+def test_run_reports_a_fired_flag_in_the_csv_and_the_exit_code(
+        tmp_path, capsys, potential, flagged):
+    # n0 above 1: singular mode warns and flags n_max at every record,
+    # smooth mode is exempt from the n bounds
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    sets = ["grid.nx=8", "grid.ny=8", "solver.t_end=2e-3", "initial.n0=1.5",
+            f"params.potential={potential}", f"output.dir={tmp_path}"]
+    argv = ["run", "-c", str(cfg_path)] + [a for s in sets for a in ("--set", s)]
+    with (pytest.warns(UserWarning, match="nutrient confinement") if flagged
+          else nullcontext()):
+        rc = main(argv)
+    assert rc == (1 if flagged else 0)
+    out = capsys.readouterr().out
+    assert f"records with violation flags: {flagged}\n" in out
+    header, *rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    col = header.split(",").index("flag_n_max")
+    assert [row.split(",")[col] for row in rows] == ["1" if flagged else "0"] * 3
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "twin"])

@@ -13,7 +13,6 @@ from _oracles import (
 from mchks import diagnostics
 from mchks.diagnostics import (
     DiagnosticsTracker,
-    check_minmax,
     energy,
     mass_corridor,
     separation_margins,
@@ -69,21 +68,25 @@ def test_zero_state_zero_energy():
 # ----------------------------------------------------------------- minmax
 
 
+def _observed(state, params):
+    return DiagnosticsTracker(params, state).observe(state, 1e-3)
+
+
 def test_minmax_flags_fire_and_clear():
     ok = uniform_state(GRID, 0.4, 0.1, 0.9, 0.2)
-    assert not any(check_minmax(ok, FH).values())
+    assert not _observed(ok, FH).any_violation
     bad_c = uniform_state(GRID, 0.4, 0.1, 0.9, 0.2)
     bad_c.c.values[3, 3] = 1.2
-    assert check_minmax(bad_c, FH)["c_max"]
+    assert _observed(bad_c, FH).flag_c_max
     bad_n = uniform_state(GRID, 0.4, 0.1, 1.4, 0.2)
-    assert check_minmax(bad_n, FH)["n_max"]
+    assert _observed(bad_n, FH).flag_n_max
     # smooth mode is exempt from the n bounds
-    assert not check_minmax(bad_n, QUARTIC)["n_max"]
+    assert not _observed(bad_n, QUARTIC).flag_n_max
     bad_a = uniform_state(GRID, 0.4, 0.0, 0.9, 0.2)
     bad_a.phi_a.values[0, 0] = -1e-6
-    assert check_minmax(bad_a, FH)["phi_a_neg"]
+    assert _observed(bad_a, FH).flag_phi_a_neg
     bad_a.phi_a.values[0, 0] = -1e-9  # within the eps-scaled tolerance
-    assert not check_minmax(bad_a, FH)["phi_a_neg"]
+    assert not _observed(bad_a, FH).flag_phi_a_neg
 
 
 # --------------------------------------------------------------- corridor
@@ -115,7 +118,7 @@ def test_tracker_respects_corridor_on_run():
     grid = Grid2D(24, 24, 12.0, 12.0)
     res = run(spheroid_state(grid), FH, SolverConfig(dt=1e-3, t_end=0.02))
     for rec in res.records:
-        assert not rec.flags["corridor"]
+        assert not rec.flag_corridor
         assert rec.corridor_lo - 1e-3 <= rec.phi_mean <= rec.corridor_hi + 1e-3
 
 
@@ -134,7 +137,7 @@ def test_corridor_flag_on_a_run_without_proliferation():
     cfg = SolverConfig(dt=1e-3, t_end=0.05)
     res = run(st0, FH, cfg)
     assert res.records[-1].h_sup == 0.0
-    assert not any(rec.flags["corridor"] for rec in res.records)
+    assert not any(rec.flag_corridor for rec in res.records)
     final = res.final_state
     # the continuous envelope exp(-m t) lies below this mean
     assert np.mean(final.phi.values) > mass_corridor(0.3, 0.0, FH.m, final.t)[1]
@@ -143,7 +146,7 @@ def test_corridor_flag_on_a_run_without_proliferation():
         moved = ScalarField(GRID, final.phi.values + shift)
         rec = DiagnosticsTracker(FH, st0).observe(
             replace(final, phi=moved, convex=None), cfg.dt, residual_sum)
-        assert rec.flags["corridor"], shift
+        assert rec.flag_corridor, shift
 
 
 def test_observe_integrates_the_entropy_once(monkeypatch):
@@ -354,7 +357,8 @@ def test_tracker_running_extremes_and_h():
     rec = tracker.observe(st, 1e-3)
     assert tracker.delta_star == np.min(st.phi.values)
     assert tracker.delta_upper == np.max(st.phi.values)
-    assert rec.extrema["phi"] == (tracker.delta_star, tracker.delta_upper)
+    assert (rec.phi_min, rec.phi_max) == (tracker.delta_star,
+                                          tracker.delta_upper)
     assert rec.h_sup == tracker.h_sup > 0.0
     assert rec.entropy >= 0.0
     # the running extremes keep the widest phi range seen so far

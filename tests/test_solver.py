@@ -127,11 +127,11 @@ def test_singular_minmax_short_run():
     cfg = SolverConfig(dt=1e-3, t_end=0.05, linear_tol=1e-12)
     res = run(st, FH, cfg)
     for rec in res.records:
-        assert not any(rec.flags.values()), rec.flags
-        assert rec.extrema["c"][0] >= -1e-10
-        assert rec.extrema["c"][1] <= 1.0 + 1e-10
-        assert rec.extrema["n"][0] >= -1e-10
-        assert rec.extrema["n"][1] <= 1.0 + 1e-10
+        assert not rec.any_violation, rec
+        assert rec.c_min >= -1e-10
+        assert rec.c_max <= 1.0 + 1e-10
+        assert rec.n_min >= -1e-10
+        assert rec.n_max <= 1.0 + 1e-10
 
 
 def test_energy_decrease_short_source_free_run():

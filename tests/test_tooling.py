@@ -1,12 +1,15 @@
-"""Guards for the benchmark's per-layer metrics, the README's tables and
-the one domain declaration of the potential variants.
+"""Guards for the benchmark's per-layer metrics and columns, the README's
+tables and the one domain declaration of the potential variants.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
-resolves makes its metrics read null without an error.  The file is read
-as text here, so nothing under ``perfbench/`` is imported or changed.
+resolves makes its metrics read null without an error.
+``perfbench/gate.py`` reads ``diagnostics.csv`` by column name.  Both files
+are read as text here, so nothing under ``perfbench/`` is imported or
+changed.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -18,6 +21,7 @@ from mchks.potentials import Potential
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+GATE = ROOT / "perfbench" / "gate.py"
 SITE = re.compile(r'"(mchks(?:\.\w+)*:\w+(?:\.\w+)*)"')
 
 
@@ -44,6 +48,23 @@ def test_variants_inherit_mean_admissibility(variant):
     # admissible means are derived from slope_domain, so a new variant
     # declares its domain once
     assert "mean_admissible" not in vars(variant)
+
+
+def _gate_list(name):
+    """The literal list assigned to ``name`` in perfbench/gate.py."""
+    tree = ast.parse(GATE.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not assigned in {GATE.name}")
+
+
+@pytest.mark.parametrize("name", ["REFERENCE_COLUMNS", "FLAG_COLUMNS"])
+def test_gate_reads_columns_the_csv_has(name):
+    # the gate reads diagnostics.csv by column name, so a renamed column
+    # would fail every benchmark invocation
+    columns = _gate_list(name)
+    assert columns and set(columns) <= set(cli.CSV_COLUMNS)
 
 
 def _readme_block(heading):
