@@ -146,9 +146,12 @@ def _convert(raw, typ, line, key):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ParseError(line, key, f"cannot parse {raw!r} as {typ.__name__}")
+    if typ is float and not math.isfinite(value):
+        raise ParseError(line, key, f"{raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str, overrides=None) -> RunConfig:
@@ -218,6 +221,8 @@ def _build_config(values) -> RunConfig:
     preset = values["initial"]["preset"]
     if preset not in ("spheroid", "uniform", "random-perturbation"):
         raise ValidationError(f"unknown initial preset {preset!r}")
+    if values["initial"]["seed"] < 0:
+        raise ValidationError("initial.seed must be nonnegative")
     if values["output"]["diagnostics_every"] < 1:
         raise ValidationError("output.diagnostics_every must be at least 1")
     if values["output"]["snapshot_every"] < 0:

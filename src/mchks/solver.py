@@ -33,11 +33,14 @@ One time step advances the five fields in four substeps:
 
 The step assembles div(mob grad) once for each of its two mobilities
 (``fields.div_mob_grad_matrix``) and reads the cached Laplacian matrix
-(``fields.laplacian_matrix``).  The CG solves, the Newton residual and both
+(``fields.laplacian_matrix``).  Substeps 1-3 are one implicit solve,
+(1/dt + loss - A) u = u_o/dt + explicit + g by CG started from the old value
+u_o (``_helmholtz_solve``), where A is the Laplacian L for n and c and the
+assembled A_n = div(b_n grad) for phi_a.  The Newton residual and both
 Jacobian paths (BiCGStab and the sparse-LU fallback) apply the operators
-through those matrices, so the Krylov and LU paths solve one operator.  The
-explicit chemotaxis flux, one application with its own coefficient, uses
-the face-flux stencil.
+through the same matrices, so the Krylov and LU paths solve one operator.
+The explicit chemotaxis flux, one application with its own coefficient,
+uses the face-flux stencil.
 
 Each substep is an implicit (proximal) step of the shared free energy in its
 own variable with the others frozen at their most recent values, so with the
@@ -198,16 +201,16 @@ def _apply(mat, v):
     return (mat @ v.ravel()).reshape(v.shape)
 
 
-def _helmholtz_solve(grid, diag_coef, rhs, rel_tol):
-    """CG solve of (diag_coef - lap) u = rhs; diag_coef > 0 cellwise."""
-    lap = laplacian_matrix(grid)
-    diag_flat = diag_coef.ravel()
+def _helmholtz_solve(a, diag_coef, rhs, x0, rel_tol):
+    """CG solve of (diag_coef - A) u = rhs from x0, for an operator A the step
+    assembled and diag_coef > 0 cellwise (or a scalar)."""
+    diag_flat = np.ravel(diag_coef)
 
     def apply_op(v):
-        return diag_flat * v - lap @ v
+        return diag_flat * v - a @ v
 
-    u, iters = cg_solve(apply_op, rhs.ravel(), x0=None, rel_tol=rel_tol)
-    return u.reshape(grid.nx, grid.ny), iters
+    u, iters = cg_solve(apply_op, rhs.ravel(), x0=x0.ravel(), rel_tol=rel_tol)
+    return u.reshape(rhs.shape), iters
 
 
 @contextmanager
@@ -248,49 +251,38 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     a_m = div_mob_grad_matrix(grid, mob_m_o)
     a_n = div_mob_grad_matrix(grid, mob_n_o)
 
-    # substeps 1-3 solve (1/dt + loss - div grad) u = u_o/dt + production +
-    # gain + g with the (gain, loss) split of their source at the old state;
-    # sources_off zeroes the n and c splits
-    zero = np.zeros_like(n_o)
+    def implicit(label, u_o, explicit, loss, a):
+        """Substeps 1-3: the CG solve of (1/dt + loss - A) u = u_o/dt +
+        explicit + g from u_o; the label ends in the field's name."""
+        name = label.rpartition(" ")[2]
+        rhs = u_o / dt + explicit + forcing.eval(name, grid, t_new)
+        with _substep(label, t_new):
+            u, report.linear_iters[name] = _helmholtz_solve(
+                a, 1.0 / dt + loss, rhs, u_o, cfg.linear_tol)
+        return u
 
-    def split(source_split, *fields):
-        return (zero, zero) if cfg.sources_off else source_split(params, *fields)
+    # n and c take the (gain, loss) split of their source at the old state,
+    # which sources_off zeroes, and add their production explicitly
+    sources = not cfg.sources_off
 
     # 1. nutrient --------------------------------------------------------
-    gain, loss = split(nutrient_split, phi_o, phia_o)
+    gain, loss = nutrient_split(params, phi_o, phia_o) if sources else (0.0, 0.0)
     if not params.singular:
         # smooth mode keeps the whole nutrient source explicit
-        gain, loss = gain - loss * h(n_o), zero
-    rhs = (n_o / dt + params.chi_phi * p_switch(params, phi_o) + gain
-           + forcing.eval("n", grid, t_new))
-    with _substep("nutrient n", t_new):
-        n_new, it_n = _helmholtz_solve(grid, 1.0 / dt + loss, rhs,
-                                       cfg.linear_tol)
-    report.linear_iters["n"] = it_n
+        gain, loss = gain - loss * h(n_o), 0.0
+    n_new = implicit("nutrient n", n_o,
+                     params.chi_phi * p_switch(params, phi_o) + gain, loss, lap)
 
     # 2. signal ----------------------------------------------------------
-    gain, loss = split(signal_split, phi_o, phia_o, n_o)
-    rhs = (c_o / dt + params.chi_a * positive_part(phia_o) + gain
-           + forcing.eval("c", grid, t_new))
-    with _substep("signal c", t_new):
-        c_new, it_c = _helmholtz_solve(grid, 1.0 / dt + loss, rhs,
-                                       cfg.linear_tol)
-    report.linear_iters["c"] = it_c
+    gain, loss = signal_split(params, phi_o, phia_o, n_o) if sources else (0.0, 0.0)
+    c_new = implicit("signal c", c_o,
+                     params.chi_a * positive_part(phia_o) + gain, loss, lap)
 
     # 3. endothelial phase ------------------------------------------------
     chem_coef = params.truncation.truncate(phia_o) * mob_n_o
     chem = div_mob_grad_array(chem_coef, c_new, grid.dx, grid.dy)
-    loss_flat = endothelial_loss(params, phi_o, phia_o, c_o).ravel()
-
-    def apply_phia(v):
-        return v / dt + loss_flat * v - a_n @ v
-
-    rhs_a = phia_o / dt - params.chi_a * chem + forcing.eval("phi_a", grid, t_new)
-    with _substep("endothelial phi_a", t_new):
-        phia_new, it_a = cg_solve(apply_phia, rhs_a.ravel(), x0=phia_o.ravel(),
-                                  rel_tol=cfg.linear_tol)
-    phia_new = phia_new.reshape(grid.nx, grid.ny)
-    report.linear_iters["phi_a"] = it_a
+    phia_new = implicit("endothelial phi_a", phia_o, -params.chi_a * chem,
+                        endothelial_loss(params, phi_o, phia_o, c_o), a_n)
 
     # 4. Cahn-Hilliard pair ----------------------------------------------
     g_phi = forcing.eval("phi", grid, t_new)

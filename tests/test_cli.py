@@ -353,10 +353,14 @@ def test_run_separation_margin_follows_the_repelling_ends(
     assert line == "separation margin: inf -> inf (t >= 0.005)"
 
 
+NON_FINITE = ["solver.newton_tol=nan", "params.m=nan", "solver.linear_tol=inf",
+              "params.kappa0=inf"]
+
+
 @pytest.mark.parametrize("override", [
     "solver.t_end=0.0105", "output.diagnostics_every=0",
     "output.snapshot_every=-1", "solver.newton_tol=-1", "solver.linear_tol=-1",
-    "initial.c0=2"])
+    "initial.c0=2", "initial.seed=-1", *NON_FINITE])
 def test_run_rejects_a_bad_schedule_before_any_output(
         tmp_path, monkeypatch, capsys, override):
     def no_solve(*args, **kwargs):
@@ -368,10 +372,12 @@ def test_run_rejects_a_bad_schedule_before_any_output(
     out_dir = tmp_path / "out"
     assert main(["run", "-c", str(cfg_path), "--set", f"output.dir={out_dir}",
                  "--set", override]) == 2
-    # the message names the key, or the constraint on the data it sets
+    # the message names the key, or the constraint on the data it sets; a
+    # number that is not finite does not parse
     key = override.partition(".")[2].partition("=")[0]
+    kind = "parse" if override in NON_FINITE else "validation"
     err = capsys.readouterr().err
-    assert err.startswith("error: validation: ") and key in err
+    assert err.startswith(f"error: {kind}: ") and key in err
     assert not out_dir.exists()
 
 

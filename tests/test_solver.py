@@ -527,6 +527,29 @@ def test_cg_failure_names_time_and_substep(monkeypatch, failing_call, substep):
     assert isinstance(exc.value.__cause__, ConvergenceError)
 
 
+def test_substep_solves_start_from_the_old_value_and_report_their_count(
+        monkeypatch):
+    starts, counts = [], []
+    cg_solve = mchks.solver.cg_solve
+
+    def recording(apply_op, b, x0=None, rel_tol=1e-10):
+        starts.append(None if x0 is None else x0.copy())
+        u, iters = cg_solve(apply_op, b, x0=x0, rel_tol=rel_tol)
+        counts.append(iters)
+        return u, iters
+
+    monkeypatch.setattr(mchks.solver, "cg_solve", recording)
+    # n, c and phi_a away from zero, so a zero start differs from each
+    st0 = spheroid_state(Grid2D(8, 8, 6.4, 6.4), n0=0.8, c0=0.3)
+    _, report = step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
+    assert len(starts) == 3
+    for x0, old in zip(starts, (st0.n, st0.c, st0.phi_a)):
+        assert x0 is not None and np.array_equal(x0.reshape(old.values.shape),
+                                                  old.values)
+    assert [report.linear_iters[k] for k in ("n", "c", "phi_a")] == counts
+    assert all(k > 0 for k in counts)
+
+
 def test_resolvent_failure_names_time_and_substep(monkeypatch):
     def stalled(self, r, eps):
         raise ConvergenceError("Flory-Huggins resolvent stalled, worst residual 1e-3")

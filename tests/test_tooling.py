@@ -1,5 +1,6 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
-tables and the one domain declaration of the potential variants.
+tables, the one domain declaration of the potential variants and the one CG
+call of the solver.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -22,6 +23,7 @@ from mchks.potentials import Potential
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 GATE = ROOT / "perfbench" / "gate.py"
+SOLVER = ROOT / "src" / "mchks" / "solver.py"
 SITE = re.compile(r'"(mchks(?:\.\w+)*:\w+(?:\.\w+)*)"')
 
 
@@ -48,6 +50,20 @@ def test_variants_inherit_mean_admissibility(variant):
     # admissible means are derived from slope_domain, so a new variant
     # declares its domain once
     assert "mean_admissible" not in vars(variant)
+
+
+def _callers(tree, callee):
+    """The top-level function around each call of ``callee``, by name."""
+    return [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and callee in (getattr(node.func, "id", None),
+                           getattr(node.func, "attr", None))]
+
+
+def test_substeps_share_one_cg_solve():
+    # substeps 1-3 are one implicit solve, so CG is called in one place
+    tree = ast.parse(SOLVER.read_text(encoding="utf-8"))
+    assert _callers(tree, "cg_solve") == ["_helmholtz_solve"]
 
 
 def _gate_list(name):
