@@ -479,18 +479,13 @@ def cross_validate(state: State, params: ModelParams, solver: SolverConfig,
     ``state`` onto k modes (``band_limited_initial``), integrate both to
     solver.t_end and return their RMS cross-errors per field."""
     fd0, g0, basis = band_limited_initial(state, k)
-    # the oracle first: a refusal over its budget comes before the FD cost
+    # the oracle first: a non-finite oracle stops before the FD cost
     gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]
     fd = run(fd0, params, solver, record_every=0).final_state
     return cross_errors(fd, gs, basis)
 
 
 def cmd_compare(args) -> int:
-    # compare loads the oracle's integrator at start-up, before it reads the
-    # config; galerkin imports it lazily so that run, verify and twin start
-    # without it
-    import scipy.integrate  # noqa: F401
-
     config = _load_config(args)
     errors = cross_validate(build_initial_state(config), config.params,
                             config.solver, args.modes)

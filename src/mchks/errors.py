@@ -58,9 +58,5 @@ class ValidationError(ValueError):
     """Config parsed but violates a model constraint."""
 
 
-class StepSizeUnderflow(RuntimeError):
-    """Adaptive ODE integration stalled (stiffness flag)."""
-
-
 class BoundsViolation(UserWarning):
     """Mobility evaluated outside its declared bounds (diagnostic, non-fatal)."""

@@ -7,12 +7,12 @@ with the chemical potential coefficients eliminated algebraically each
 evaluation.  Nonlinear terms are evaluated pseudo-spectrally on a midpoint
 quadrature grid with 2x oversampling; for products of band-limited
 factors the midpoint rule is exact, and for the non-polynomial regularized
-terms the aliasing error stays below integrator tolerance at oracle scales.
-Integration is by adaptive explicit embedded Runge-Kutta, stiff as the top
-mode's (k pi / L)^4; an integration that would spend more than
-``RHS_EVAL_BUDGET`` (50 000) right-hand-side evaluations is refused with
-``StepSizeUnderflow``.  It is a cross-validation oracle, not a production
-path.
+terms the aliasing error stays below the integrator's error at oracle
+scales.  Integration is by fixed-step ETDRK4 (Cox & Matthews 2002): the
+stiff linear part, diagonal in the basis, is integrated exactly, so the
+step ``ETD_STEP`` is set by accuracy and the top mode's (k pi / L)^4 costs
+nothing; a non-finite stage raises ``NonFiniteField``.  It is a
+cross-validation oracle, not a production path.
 
 The projected system is the one the FD step solves: the non-differential
 terms come from ``sources.reaction_rates`` and the chemotactic flux goes
@@ -26,16 +26,17 @@ an FD state lies from a Galerkin state on the FD grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import StepSizeUnderflow
+from .errors import NonFiniteField
 from .fields import Grid2D, ScalarField
 from .sources import ModelParams, reaction_rates
 
-RHS_EVAL_BUDGET = 50_000  # right-hand-side evaluations per integration
+ETD_STEP = 5e-3  # longest oracle step; set by accuracy, not stiffness
 
 
 @dataclass(frozen=True)
@@ -192,27 +193,27 @@ def galerkin_rhs(coeffs, params: ModelParams, basis: EigenBasis):
     return da, dca, dd, de
 
 
-def galerkin_energy(basis: EigenBasis, gstate: GalerkinState, params: ModelParams):
-    """Free energy assembled on the quadrature grid (spectral gradients)."""
-    *_, w = basis.quad
-    phi_q = reconstruct(basis, gstate.phi)
-    phia_q = reconstruct(basis, gstate.phi_a)
-    n_q = reconstruct(basis, gstate.n)
-    c_q = reconstruct(basis, gstate.c)
-    entropy = params.truncation.entropy(phia_q)
-    e = float(np.sum(params.f_density(phi_q) + entropy)) * w
-    for coeffs in (gstate.phi, gstate.n, gstate.c):
-        gx, gy = gradient(basis, coeffs)
-        e += 0.5 * float(np.sum(gx * gx + gy * gy)) * w
-    e -= params.chi_phi * float(np.sum(n_q * phi_q)) * w
-    e -= params.chi_a * float(np.sum(phia_q * c_q)) * w
-    return e
-
-
 def initial_galerkin_state(basis: EigenBasis, fields):
     """Project FD initial data (ScalarFields keyed phi, phi_a, n, c)."""
     return GalerkinState(0.0, *(project(basis, fields[name])
                                 for name in ("phi", "phi_a", "n", "c")))
+
+
+def _etd_weights(lin, h):
+    """exp(L h / 2), exp(L h) and the three Cox-Matthews ETDRK4 weights of
+    the diagonal L, each a contour mean over 32 points on the unit circle
+    around L h (Kassam & Trefethen), which stays accurate as L h -> 0."""
+    z = (lin * h)[..., None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    ez = np.exp(z)
+
+    def mean(num):
+        return h * np.mean(num.real, axis=-1)
+
+    q = mean((np.exp(z / 2) - 1) / z)
+    f1 = mean((-4 - z + ez * (4 - 3 * z + z * z)) / z**3)
+    f2 = mean((2 + z + ez * (z - 2)) / z**3)
+    f3 = mean((-4 - 3 * z - z * z + ez * (4 - z)) / z**3)
+    return np.exp(lin * h / 2), np.exp(lin * h), q, f1, f2, f3
 
 
 def integrate_galerkin(
@@ -220,59 +221,58 @@ def integrate_galerkin(
     params: ModelParams,
     basis: EigenBasis,
     t_end: float,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     t_eval=None,
 ):
-    """Adaptive explicit Runge-Kutta integration of the projected system.
+    """Fixed-step ETDRK4 integration of the projected system.
 
-    Returns the list of GalerkinStates at the requested times (final time
-    only by default).  Raises StepSizeUnderflow, naming eps, k and the time
-    reached, when the integrator fails or when it would need more than
-    ``RHS_EVAL_BUDGET`` right-hand-side evaluations; the fourth-order mode
-    stiffness (k pi / L)^4 sets that count.
+    The linear part L, diagonal in the basis, is integrated exactly:
+    -mbar_m alpha^2 for phi, -mbar_n alpha for phi_a and -alpha for n and c,
+    with mbar the mean of each mobility over the initial quadrature values.
+    Only N(y) = galerkin_rhs(y) - L y is explicit, in the Cox-Matthews
+    stages, so the step is set by accuracy, not by the top mode's stiffness:
+    each interval between output times is cut into ceil(length / ETD_STEP)
+    equal steps, and the output times are hit exactly.
+
+    Returns the list of GalerkinStates at the times ``t_eval`` (``t_end``
+    only by default).  Raises NonFiniteField, naming eps, k and the time
+    reached, when a stage turns non-finite.
     """
-    # imported here: scipy.integrate pulls in scipy.optimize and
-    # scipy.spatial, which only the oracle needs
-    from scipy.integrate import solve_ivp
+    t = g0.t
+    y = np.stack([g0.phi, g0.phi_a, g0.n, g0.c])
+    phi_q, phia_q, n_q, c_q = (reconstruct(basis, a) for a in y)
+    mbar_m = float(np.mean(params.mobility_m(phi_q, phia_q, n_q)))
+    mbar_n = float(np.mean(params.mobility_n(phia_q, c_q)))
+    alpha = basis.alpha
+    lin = np.stack([-mbar_m * alpha**2, -mbar_n * alpha, -alpha, -alpha])
 
-    shape = (basis.k + 1, basis.k + 1)
-    size = shape[0] * shape[1]
+    def nonlinear(u):
+        out = np.stack(galerkin_rhs(u, params, basis)) - lin * u
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteField(
+                f"spectral oracle stopped at t = {t:.6g} of {t_end:g} "
+                f"(eps = {params.eps:g}, k = {basis.k}): non-finite stage"
+            )
+        return out
 
-    def unpack(y):
-        return [y[i * size : (i + 1) * size].reshape(shape) for i in range(4)]
-
-    evals, t_last = 0, g0.t
-
-    def refuse(reason):
-        return StepSizeUnderflow(
-            f"spectral oracle stopped at t = {t_last:.6g} of {t_end:g} "
-            f"(eps = {params.eps:g}, k = {basis.k}): {reason}"
-        )
-
-    def fun(t, y):
-        nonlocal evals, t_last
-        evals, t_last = evals + 1, t
-        if evals > RHS_EVAL_BUDGET:
-            raise refuse(f"budget of {RHS_EVAL_BUDGET} right-hand-side "
-                         "evaluations spent")
-        derivs = galerkin_rhs(unpack(y), params, basis)
-        return np.concatenate([d.ravel() for d in derivs])
-
-    y0 = np.concatenate(
-        [g0.phi.ravel(), g0.phi_a.ravel(), g0.n.ravel(), g0.c.ravel()]
-    )
-    sol = solve_ivp(
-        fun,
-        (g0.t, t_end),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise refuse(sol.message)
-    return [GalerkinState(float(t), *unpack(sol.y[:, idx]))
-            for idx, t in enumerate(sol.t)]
+    weights = {}
+    states = []
+    for t_out in [t_end] if t_eval is None else t_eval:
+        # the 1e-12 keeps a rounded interval of n steps at n steps
+        steps = math.ceil((t_out - t) / ETD_STEP * (1 - 1e-12))
+        if steps > 0:
+            h = (t_out - t) / steps
+            if h not in weights:
+                weights[h] = _etd_weights(lin, h)
+            e2, e, q, f1, f2, f3 = weights[h]
+            for _ in range(steps):
+                nu = nonlinear(y)
+                a = e2 * y + q * nu
+                na = nonlinear(a)
+                b = e2 * y + q * na
+                nb = nonlinear(b)
+                c = e2 * a + q * (2 * nb - nu)
+                y = e * y + f1 * nu + 2 * f2 * (na + nb) + f3 * nonlinear(c)
+                t += h
+        t = float(t_out)
+        states.append(GalerkinState(t, *y))
+    return states

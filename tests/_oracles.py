@@ -4,6 +4,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from mchks.fields import Grid2D, ScalarField
+from mchks.galerkin import GalerkinState, galerkin_rhs, gradient, reconstruct
 from mchks.solver import State, run
 from mchks.sources import (
     p_switch,
@@ -38,6 +39,55 @@ def solve_uniform_ode(params, y0, t_end, rtol=1e-10, atol=1e-12):
     )
     assert sol.success
     return sol.sol
+
+
+def galerkin_rk45(g0, params, basis, t_end, rtol=1e-12, atol=1e-14):
+    """The Galerkin system by adaptive RK45 to tight tolerance: a reference
+    for the ETDRK4 oracle (final state only)."""
+    shape = g0.phi.shape
+
+    def rhs(t, y):
+        derivs = galerkin_rhs(y.reshape((4, *shape)), params, basis)
+        return np.concatenate([d.ravel() for d in derivs])
+
+    y0 = np.concatenate([a.ravel() for a in (g0.phi, g0.phi_a, g0.n, g0.c)])
+    sol = solve_ivp(rhs, (g0.t, t_end), y0, rtol=rtol, atol=atol)
+    assert sol.success
+    return GalerkinState(t_end, *sol.y[:, -1].reshape((4, *shape)))
+
+
+def nan_galerkin_rhs(finite_calls):
+    """``galerkin_rhs`` that returns NaN from evaluation finite_calls + 1
+    on: a Galerkin integration that blows up."""
+    calls = 0
+
+    def rhs(coeffs, params, basis):
+        nonlocal calls
+        calls += 1
+        derivs = galerkin_rhs(coeffs, params, basis)
+        if calls <= finite_calls:
+            return derivs
+        return tuple(np.full_like(d, np.nan) for d in derivs)
+
+    return rhs
+
+
+def galerkin_energy(basis, gstate, params):
+    """Free energy of a Galerkin state, assembled on the quadrature grid
+    with spectral gradients."""
+    *_, w = basis.quad
+    phi_q = reconstruct(basis, gstate.phi)
+    phia_q = reconstruct(basis, gstate.phi_a)
+    n_q = reconstruct(basis, gstate.n)
+    c_q = reconstruct(basis, gstate.c)
+    entropy = params.truncation.entropy(phia_q)
+    e = float(np.sum(params.f_density(phi_q) + entropy)) * w
+    for coeffs in (gstate.phi, gstate.n, gstate.c):
+        gx, gy = gradient(basis, coeffs)
+        e += 0.5 * float(np.sum(gx * gx + gy * gy)) * w
+    e -= params.chi_phi * float(np.sum(n_q * phi_q)) * w
+    e -= params.chi_a * float(np.sum(phia_q * c_q)) * w
+    return e
 
 
 def uniform_state(grid: Grid2D, phi, phi_a, n, c) -> State:

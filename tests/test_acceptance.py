@@ -76,8 +76,7 @@ def fd_vs_spectral():
         cfg = SolverConfig(dt=dt, t_end=t_end, linear_tol=1e-12,
                            newton_tol=1e-11)
         fd = run(fd0, params, cfg, record_every=0).final_state
-        gs = integrate_galerkin(g0, params, basis, t_end, rtol=1e-9,
-                                atol=1e-11)[-1]
+        gs = integrate_galerkin(g0, params, basis, t_end)[-1]
         return max(cross_errors(fd, gs, basis).values())
 
     tic = time.perf_counter()

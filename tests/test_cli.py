@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import nan_galerkin_rhs
 
 import mchks
 from mchks import cli, galerkin
@@ -435,12 +436,17 @@ def _python(*args):
                           capture_output=True, text=True, check=True)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the spectral oracle needs solve_ivp; run, verify and twin start
-    # without scipy.integrate (and the scipy.optimize it pulls in)
-    proc = _python(
-        "-c", "import sys, mchks.cli; print('scipy.integrate' in sys.modules)")
-    assert proc.stdout.strip() == "False"
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # not even compare: the ETDRK4 oracle needs no scipy.integrate, nor the
+    # scipy.optimize and scipy.spatial that it pulls in
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(TINY + "[params]\npotential = quartic\n")
+    proc = _python("-c", (
+        "import sys; from mchks import cli; "
+        f"rc = cli.main(['compare', '-c', {str(cfg_path)!r}, '--modes', '4']); "
+        "print(rc, *(m in sys.modules for m in "
+        "('scipy.integrate', 'scipy.optimize', 'scipy.spatial')))"))
+    assert proc.stdout.splitlines()[-1] == "0 False False False"
     assert cli.integrate_galerkin is galerkin.integrate_galerkin
 
 
@@ -504,18 +510,18 @@ def test_compare_rejects_modes_outside_grid_before_solving(
     assert main(["compare", "-c", str(cfg_path), "--modes", modes]) == 2
 
 
-def test_compare_exits_3_over_oracle_budget_before_fd_run(
+def test_compare_exits_3_on_non_finite_oracle_before_fd_run(
         tmp_path, monkeypatch, capsys):
     def no_fd(*args, **kwargs):
         raise AssertionError("FD run reached")
 
-    monkeypatch.setattr(galerkin, "RHS_EVAL_BUDGET", 20)
+    monkeypatch.setattr(galerkin, "galerkin_rhs", nan_galerkin_rhs(20))
     monkeypatch.setattr(cli, "run", no_fd)
     cfg_path = tmp_path / "cmp.cfg"
     cfg_path.write_text(TINY)
     assert main(["compare", "-c", str(cfg_path), "--modes", "4"]) == 3
     err = capsys.readouterr().err
-    assert "StepSizeUnderflow" in err
+    assert "NonFiniteField" in err
     assert "eps = 0.001" in err and "k = 4" in err and "t = " in err
 
 
