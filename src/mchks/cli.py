@@ -269,13 +269,18 @@ def build_initial_state(config: RunConfig) -> State:
         ScalarField.constant(grid, init["n0"]),
         ScalarField.constant(grid, init["c0"]),
     )
+    _check_admissible(state, config.params)
+    return state
+
+
+def _check_admissible(state: State, params: ModelParams):
+    """``validate_initial_data`` with inadmissible data a ValidationError."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # run() repeats the check and warns
-            validate_initial_data(state, config.params)
+            validate_initial_data(state, params)
     except InitialDataError as exc:
         raise ValidationError(str(exc)) from exc
-    return state
 
 
 def twin_perturbation(state: State, amplitude: float) -> State:
@@ -396,10 +401,10 @@ def write_run(config: RunConfig):
     """Run the configured scenario and write its output under output.dir.
 
     Writes manifest.txt, diagnostics.csv (a row every
-    output.diagnostics_every steps) and the five field snapshots every
-    output.snapshot_every steps (none when 0); returns (RunResult, csv path).
-    Inadmissible initial data are a ValidationError before anything is
-    written.
+    output.diagnostics_every steps and at the first and last states) and the
+    five field snapshots on the same rule with output.snapshot_every (none
+    when 0); returns (records, step reports, csv path).  Inadmissible
+    initial data are a ValidationError before anything is written.
     """
     state0 = build_initial_state(config)
     out_dir = config.output["dir"]
@@ -408,30 +413,27 @@ def write_run(config: RunConfig):
         fh.write(serialize_config(config))
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")
+    diag_every = config.output["diagnostics_every"]
     snap_every = config.output["snapshot_every"]
+    dt, steps = config.solver.dt, config.solver.steps
+    tracker = diagnostics.DiagnosticsTracker(config.params, state0)
+    records, reports, residual_sum = [], [], 0.0
 
     with open(csv_path, "w", encoding="utf-8") as csv_fh:
         csv_fh.write(",".join(CSV_COLUMNS) + "\n")
-
-        def on_record(rec):
-            csv_fh.write(record_to_row(rec) + "\n")
-
-        def on_state(state):
-            step_id = int(round(state.t / config.solver.dt))
-            for name in ("phi", "mu", "phi_a", "n", "c"):
-                path = os.path.join(out_dir, f"snap_{step_id:08d}_{name}.bin")
-                write_snapshot(path, getattr(state, name), name, state.t)
-
-        result = run(
-            state0,
-            config.params,
-            config.solver,
-            record_every=config.output["diagnostics_every"],
-            on_record=on_record,
-            on_state=on_state,
-            state_every=snap_every,
-        )
-    return result, csv_path
+        for k, (state, report) in enumerate(
+                run(state0, config.params, config.solver)):
+            if report is not None:
+                reports.append(report)
+                residual_sum += report.newton_residual
+            if k % diag_every == 0 or k == steps:
+                records.append(tracker.observe(state, dt, residual_sum))
+                csv_fh.write(record_to_row(records[-1]) + "\n")
+            if snap_every and (k % snap_every == 0 or k == steps):
+                for name in ("phi", "mu", "phi_a", "n", "c"):
+                    path = os.path.join(out_dir, f"snap_{k:08d}_{name}.bin")
+                    write_snapshot(path, getattr(state, name), name, state.t)
+    return records, reports, csv_path
 
 
 def solver_summary(reports) -> str:
@@ -451,16 +453,16 @@ def solver_summary(reports) -> str:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    result, csv_path = write_run(config)
-    violations = sum(r.any_violation for r in result.records)
+    records, reports, csv_path = write_run(config)
+    violations = sum(r.any_violation for r in records)
     t0 = 0.1 * config.solver.t_end
-    _, margins = diagnostics.separation_margins(result.records, t0,
+    _, margins = diagnostics.separation_margins(records, t0,
                                                 config.params.potential)
-    print(f"completed {len(result.records)} records -> {csv_path}")
+    print(f"completed {len(records)} records -> {csv_path}")
     print(f"separation margin: {margins[0]:.4f} -> {margins[-1]:.4f} "
           f"(t >= {t0:g})")
     print(f"records with violation flags: {violations}")
-    print(solver_summary(result.reports))
+    print(solver_summary(reports))
     return 0 if violations == 0 else 1
 
 
@@ -477,11 +479,15 @@ def cross_validate(state: State, params: ModelParams, solver: SolverConfig,
                    k: int):
     """Start the spectral oracle and the FD solver from the projection of
     ``state`` onto k modes (``band_limited_initial``), integrate both to
-    solver.t_end and return their RMS cross-errors per field."""
+    solver.t_end and return their RMS cross-errors per field.  A projection
+    that leaves the admissible set (it can overshoot the potential's domain)
+    is a ValidationError before either solver starts."""
     fd0, g0, basis = band_limited_initial(state, k)
+    _check_admissible(fd0, params)
     # the oracle first: a non-finite oracle stops before the FD cost
     gs = integrate_galerkin(g0, params, basis, solver.t_end)[-1]
-    fd = run(fd0, params, solver, record_every=0).final_state
+    for fd, _ in run(fd0, params, solver):
+        pass
     return cross_errors(fd, gs, basis)
 
 
@@ -506,10 +512,10 @@ def cmd_twin(args) -> int:
     every = max(1, solver.steps // 50)
 
     def job(state0):
-        states = []
-        run(state0, params, solver, record_every=0,
-            on_state=lambda s: states.append(s.copy()), state_every=every)
-        return states
+        """Every every-th state of the run, the first and the last."""
+        return [state.copy()
+                for k, (state, _) in enumerate(run(state0, params, solver))
+                if k % every == 0 or k == solver.steps]
 
     base = job(base0)
     for amp, pert0 in zip(args.perturb, perturbed):

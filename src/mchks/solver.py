@@ -61,7 +61,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn
 
-from . import diagnostics
 from .errors import (
     ConvergenceError,
     InitialDataError,
@@ -184,13 +183,6 @@ class StepReport:
     linear_iters: dict = field(default_factory=dict)
     used_direct: bool = False
     wall_time: float = 0.0
-
-
-@dataclass
-class RunResult:
-    records: list
-    final_state: State
-    reports: list
 
 
 # ------------------------------------------------------------- utilities
@@ -482,46 +474,17 @@ def initialize_mu(state: State, params: ModelParams) -> State:
     return replace(state, mu=ScalarField(grid, mu), convex=convex)
 
 
-def run(
-    initial: State,
-    params: ModelParams,
-    cfg: SolverConfig,
-    record_every: int = 1,
-    *,
-    on_record=None,
-    on_state=None,
-    state_every: int = 0,
-):
-    """Advance to t_end, recording diagnostics every record_every-th step
-    and at the first and last states (none when record_every is 0);
-    ``on_record`` gets every record, ``on_state`` every state_every-th state
-    and the first and last ones (none when state_every is 0)."""
+def run(initial: State, params: ModelParams, cfg: SolverConfig):
+    """The trajectory from the initial data to t_end: yields (start, None),
+    then (state, report) after each of the cfg.steps steps.
+
+    Iteration begins by validating the data (``validate_initial_data``) and
+    filling mu from phi (``initialize_mu``); the caller takes what it needs
+    from each pair.
+    """
     validate_initial_data(initial, params)
     state = initialize_mu(initial.copy(), params)
-    records = []
-    reports = []
-    if not state_every:
-        on_state = None
-    if record_every:
-        tracker = diagnostics.DiagnosticsTracker(params, state)
-        records.append(tracker.observe(state, cfg.dt))
-        if on_record:
-            on_record(records[0])
-    if on_state:
-        on_state(state)
-
-    n_steps = cfg.steps
-    residual_sum = 0.0
-    for k in range(1, n_steps + 1):
-        state, rep = step(state, params, cfg)
-        reports.append(rep)
-        residual_sum += rep.newton_residual
-        if record_every and (k % record_every == 0 or k == n_steps):
-            rec = tracker.observe(state, cfg.dt, residual_sum)
-            records.append(rec)
-            if on_record:
-                on_record(rec)
-        if on_state and (k % state_every == 0 or k == n_steps):
-            on_state(state)
-
-    return RunResult(records, state, reports)
+    yield state, None
+    for _ in range(cfg.steps):
+        state, report = step(state, params, cfg)
+        yield state, report

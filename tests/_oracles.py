@@ -3,6 +3,7 @@
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from mchks.diagnostics import DiagnosticsTracker
 from mchks.fields import Grid2D, ScalarField
 from mchks.galerkin import GalerkinState, galerkin_rhs, gradient, reconstruct
 from mchks.solver import State, run
@@ -144,12 +145,24 @@ def spheroid_state(grid: Grid2D, phi_lo=0.05, phi_hi=0.95, phi_a0=0.05,
 
 
 def run_states(initial, params, cfg, every=1):
-    """Every ``every``-th state of a run plus the first and last, copied as
-    ``run`` hands them to ``on_state``."""
-    states = []
-    run(initial, params, cfg, record_every=0,
-        on_state=lambda s: states.append(s.copy()), state_every=every)
-    return states
+    """Every ``every``-th state of a run plus the first and last, copied."""
+    return [state.copy() for k, (state, _) in enumerate(run(initial, params, cfg))
+            if k % every == 0 or k == cfg.steps]
+
+
+def run_records(initial, params, cfg, every=1):
+    """(records, reports, final state) of a run: a diagnostics record of
+    every ``every``-th state plus the first and last, observed as
+    ``mchks run`` observes them, and the report of every step."""
+    tracker = DiagnosticsTracker(params, initial)
+    records, reports, residual_sum = [], [], 0.0
+    for k, (state, report) in enumerate(run(initial, params, cfg)):
+        if report is not None:
+            reports.append(report)
+            residual_sum += report.newton_residual
+        if k % every == 0 or k == cfg.steps:
+            records.append(tracker.observe(state, cfg.dt, residual_sum))
+    return records, reports, state
 
 
 def envelope_bruteforce(pot, eps, r, n=4001, stages=3):

@@ -15,6 +15,7 @@ from _mms import Manufactured
 from _oracles import (
     band_limited_state,
     envelope_bruteforce,
+    run_records,
     run_states,
     solve_uniform_ode,
     spheroid_state,
@@ -33,7 +34,7 @@ from mchks.potentials import (
     YosidaRegularization,
 )
 from mchks.regularize import TruncationPair
-from mchks.solver import SolverConfig, State, run, step
+from mchks.solver import SolverConfig, State, step
 from mchks.sources import ModelParams
 
 VARIANTS = [
@@ -58,9 +59,9 @@ def spheroid_run():
     params = ModelParams(potential=FloryHuggins(1.0, 3.0), m=0.5)
     cfg = SolverConfig(dt=1e-3, t_end=1.0, linear_tol=1e-13, newton_tol=1e-11)
     tic = time.perf_counter()
-    result = run(spheroid_state(grid), params, cfg, record_every=1)
+    records, _, _ = run_records(spheroid_state(grid), params, cfg)
     elapsed = time.perf_counter() - tic
-    return result, params, cfg, elapsed
+    return records, params, cfg, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ def fd_vs_spectral():
             band_limited_state(Grid2D(nx, nx, length, length)), k)
         cfg = SolverConfig(dt=dt, t_end=t_end, linear_tol=1e-12,
                            newton_tol=1e-11)
-        fd = run(fd0, params, cfg, record_every=0).final_state
+        fd = run_states(fd0, params, cfg, cfg.steps)[-1]
         gs = integrate_galerkin(g0, params, basis, t_end)[-1]
         return max(cross_errors(fd, gs, basis).values())
 
@@ -185,19 +186,19 @@ def test_criterion_02_moreau_yosida_suite():
 
 
 def test_criterion_03_minmax_principles(spheroid_run):
-    result, params, cfg, elapsed = spheroid_run
+    records, params, cfg, elapsed = spheroid_run
     assert elapsed < 120.0
-    c_min = min(r.c_min for r in result.records)
-    c_max = max(r.c_max for r in result.records)
-    n_min = min(r.n_min for r in result.records)
-    n_max = max(r.n_max for r in result.records)
-    phia_min = min(r.phi_a_min for r in result.records)
+    c_min = min(r.c_min for r in records)
+    c_max = max(r.c_max for r in records)
+    n_min = min(r.n_min for r in records)
+    n_max = max(r.n_max for r in records)
+    phia_min = min(r.phi_a_min for r in records)
     assert c_min >= -1e-10
     assert c_max <= 1.0 + 1e-10
     assert n_min >= -1e-10
     assert n_max <= 1.0 + 1e-10
     assert phia_min >= -1e-8
-    for rec in result.records:
+    for rec in records:
         assert not any((rec.flag_c_min, rec.flag_c_max, rec.flag_n_min,
                         rec.flag_n_max, rec.flag_phi_a_neg))
     report(3, f"c in [{c_min:.2e}, {c_max:.10f}], n in [{n_min:.2e}, "
@@ -208,10 +209,10 @@ def test_criterion_03_minmax_principles(spheroid_run):
 
 
 def test_criterion_04_mass_corridor(spheroid_run):
-    result, params, cfg, _elapsed = spheroid_run
-    y0 = result.records[0].phi_mean
+    records, params, cfg, _elapsed = spheroid_run
+    y0 = records[0].phi_mean
     worst_slack = -math.inf
-    for rec in result.records:
+    for rec in records:
         lo, hi = diagnostics.mass_corridor(y0, rec.h_sup, params.m, rec.t)
         slack = cfg.dt * rec.h_sup
         assert lo - slack <= rec.phi_mean <= hi + slack, rec.t
@@ -219,7 +220,7 @@ def test_criterion_04_mass_corridor(spheroid_run):
                           max(lo - rec.phi_mean, rec.phi_mean - hi))
         assert not rec.flag_corridor
     report(4, f"phi mean inside the decay corridor at all "
-              f"{len(result.records)} steps (worst overhang "
+              f"{len(records)} steps (worst overhang "
               f"{worst_slack:.2e} vs slack dt*H)")
 
 
@@ -246,8 +247,8 @@ def test_criterion_05_energy_dissipation():
     cfg = SolverConfig(dt=1e-3, t_end=1.0, sources_off=True,
                        stabilization=pot.perturbation_lipschitz(),
                        newton_tol=1e-13, linear_tol=1e-13)
-    result = run(st, params, cfg, record_every=1)
-    energies = np.array([r.energy for r in result.records])
+    records, _, _ = run_records(st, params, cfg)
+    energies = np.array([r.energy for r in records])
     increases = np.diff(energies)
     bound = 1e-12 * np.abs(energies[:-1])
     assert np.all(increases <= bound)
@@ -307,8 +308,8 @@ def test_criterion_08_manufactured_convergence():
         cfg = SolverConfig(dt=t_end / steps, t_end=t_end,
                            forcing=mms.forcing(), linear_tol=1e-12,
                            newton_tol=1e-12)
-        res = run(mms.initial_state(grid), params, cfg, record_every=0)
-        return mms.error_at(res.final_state)
+        return mms.error_at(
+            run_states(mms.initial_state(grid), params, cfg, cfg.steps)[-1])
 
     # spatial orders with dt scaled as dx^2 so the O(dt) part refines along
     spatial = [solve(16, 25), solve(32, 100), solve(64, 400)]
@@ -396,8 +397,8 @@ def test_criterion_10_continuous_dependence():
 
 
 def test_criterion_11_separation_monitor(spheroid_run):
-    result, params, _cfg, _elapsed = spheroid_run
-    times, margins = diagnostics.separation_margins(result.records, 0.1,
+    records, params, _cfg, _elapsed = spheroid_run
+    times, margins = diagnostics.separation_margins(records, 0.1,
                                                     params.potential)
     assert np.all(margins > 0.0)
     assert margins[-1] >= 0.5 * margins[0]

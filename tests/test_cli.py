@@ -288,25 +288,39 @@ def test_run_without_proliferation_keeps_its_corridor(tmp_path, overrides):
 
 
 def _kept_runs(monkeypatch):
-    """Route `cli.run` through `run`, keeping every RunResult."""
-    results = []
+    """Route `cli.run` through `run`, keeping the initial state of each call."""
+    initials = []
 
-    def kept(*args, **kwargs):
-        results.append(run(*args, **kwargs))
-        return results[-1]
+    def kept(initial, *args):
+        initials.append(initial)
+        return run(initial, *args)
 
     monkeypatch.setattr(cli, "run", kept)
-    return results
+    return initials
+
+
+def _kept_outputs(monkeypatch):
+    """Route `cli.write_run` through itself, keeping the (records, reports,
+    csv path) of each call."""
+    outputs = []
+    write_run = cli.write_run
+
+    def kept(config):
+        outputs.append(write_run(config))
+        return outputs[-1]
+
+    monkeypatch.setattr(cli, "write_run", kept)
+    return outputs
 
 
 def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
-    results = _kept_runs(monkeypatch)
+    outputs = _kept_outputs(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
     assert main(["run", "-c", str(cfg_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == "records with violation flags: 0"
-    reports = results[0].reports
+    _, reports, _ = outputs[0]
     newton = sum(r.newton_iters for r in reports)
     krylov = sum(r.linear_iters["ch"] for r in reports)
     worst = max(r.newton_residual for r in reports)
@@ -319,12 +333,13 @@ def test_run_ends_with_a_solver_summary(tmp_path, monkeypatch, capsys):
 
 def test_run_prints_the_separation_margin_after_the_transient(
         tmp_path, monkeypatch, capsys):
-    results = _kept_runs(monkeypatch)
+    outputs = _kept_outputs(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
     assert main(["run", "-c", str(cfg_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    _, margins = separation_margins(results[0].records, 0.1 * 5e-2,
+    records, _, _ = outputs[0]
+    _, margins = separation_margins(records, 0.1 * 5e-2,
                                     FloryHuggins())
     assert len(lines) == 4
     assert lines[0].startswith("completed 6 records -> ")
@@ -337,14 +352,15 @@ def test_run_prints_the_separation_margin_after_the_transient(
 def test_run_separation_margin_follows_the_repelling_ends(
         tmp_path, monkeypatch, capsys):
     # single-well repels phi only from 1, quartic from no end at all
-    results = _kept_runs(monkeypatch)
+    outputs = _kept_outputs(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
     assert main(["run", "-c", str(cfg_path), "--set",
                  "params.potential=single_well", "--set",
                  "initial.phi_hi=0.7"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
-    post = [r for r in results[0].records if r.t >= 0.1 * 5e-2]
+    records, _, _ = outputs[0]
+    post = [r for r in records if r.t >= 0.1 * 5e-2]
     upper = np.maximum.accumulate([r.phi_max for r in post])
     assert line == (f"separation margin: {1.0 - upper[0]:.4f} -> "
                     f"{1.0 - upper[-1]:.4f} (t >= 0.005)")
@@ -386,12 +402,12 @@ def test_run_rejects_a_bad_schedule_before_any_output(
                          ids=["compare", "twin"])
 def test_inadmissible_initial_data_exit_2_before_any_solve(
         tmp_path, monkeypatch, capsys, command):
-    results = _kept_runs(monkeypatch)
+    runs = _kept_runs(monkeypatch)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY)
     assert main(command + ["-c", str(cfg_path), "--set", "initial.c0=2"]) == 2
     assert capsys.readouterr().err.startswith("error: validation: c0-range: ")
-    assert results == []
+    assert runs == []
 
 
 @pytest.mark.parametrize("potential, flagged", [
@@ -510,6 +526,22 @@ def test_compare_rejects_modes_outside_grid_before_solving(
     assert main(["compare", "-c", str(cfg_path), "--modes", modes]) == 2
 
 
+def test_compare_refuses_an_inadmissible_projection_before_solving(
+        tmp_path, monkeypatch, capsys):
+    # on 8x8 the 4-mode projection of the spheroid overshoots the
+    # Flory-Huggins domain, though the data on the grid lie inside it
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    monkeypatch.setattr(cli, "integrate_galerkin", no_solve)
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(TINY)
+    assert main(["compare", "-c", str(cfg_path), "--modes", "4"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: validation: phi0-potential-domain: ")
+
+
 def test_compare_exits_3_on_non_finite_oracle_before_fd_run(
         tmp_path, monkeypatch, capsys):
     def no_fd(*args, **kwargs):
@@ -518,7 +550,8 @@ def test_compare_exits_3_on_non_finite_oracle_before_fd_run(
     monkeypatch.setattr(galerkin, "galerkin_rhs", nan_galerkin_rhs(20))
     monkeypatch.setattr(cli, "run", no_fd)
     cfg_path = tmp_path / "cmp.cfg"
-    cfg_path.write_text(TINY)
+    # quartic: the 4-mode projection of Flory-Huggins data is refused
+    cfg_path.write_text(TINY + "[params]\npotential = quartic\n")
     assert main(["compare", "-c", str(cfg_path), "--modes", "4"]) == 3
     err = capsys.readouterr().err
     assert "NonFiniteField" in err
@@ -537,11 +570,11 @@ def test_twin_subcommand(tmp_path):
 
 def test_twin_prints_a_block_per_amplitude_from_one_base_run(
         tmp_path, monkeypatch, capsys):
-    results = _kept_runs(monkeypatch)
+    runs = _kept_runs(monkeypatch)
     cfg_path = tmp_path / "twin.cfg"
     cfg_path.write_text(TINY + "[initial]\nn0 = 0.95\nc0 = 0.3\n")
     assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-2", "5e-3"]) == 0
-    assert len(results) == 3
+    assert len(runs) == 3
     blocks = capsys.readouterr().out.split("perturbation: ")[1:]
     assert [b.splitlines()[0] for b in blocks] == ["0.01", "0.005"]
     for block in blocks:
@@ -551,13 +584,13 @@ def test_twin_prints_a_block_per_amplitude_from_one_base_run(
 
 
 def test_twin_rejects_an_amplitude_before_any_run(tmp_path, monkeypatch):
-    results = _kept_runs(monkeypatch)
+    runs = _kept_runs(monkeypatch)
     cfg_path = tmp_path / "twin.cfg"
     cfg_path.write_text(TINY)
     assert main(["twin", "-c", str(cfg_path), "--perturb", "1e-2", "2"]) == 2
     # amplitude 0 would read 0/0 as the stability ratio
     assert main(["twin", "-c", str(cfg_path), "--perturb", "0", "1e-3"]) == 2
-    assert results == []
+    assert runs == []
 
 
 def test_twin_subcommand_default_config(tmp_path):

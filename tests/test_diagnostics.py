@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _oracles import (
     band_limited_state,
+    run_records,
     run_states,
     spheroid_state,
     uniform_state,
@@ -24,7 +25,7 @@ from mchks.errors import GridMismatch, RangeError
 from mchks.fields import Grid2D, ScalarField, integrate, lap_array
 from mchks.potentials import FloryHuggins, RegularQuartic
 from mchks.regularize import TruncationPair
-from mchks.solver import SolverConfig, run, step
+from mchks.solver import SolverConfig, step
 from mchks.sources import ConstantMobility, ModelParams, reaction_rates
 
 GRID = Grid2D(16, 16, 4.0, 4.0)
@@ -116,8 +117,9 @@ def test_corridor_needs_positive_rate():
 
 def test_tracker_respects_corridor_on_run():
     grid = Grid2D(24, 24, 12.0, 12.0)
-    res = run(spheroid_state(grid), FH, SolverConfig(dt=1e-3, t_end=0.02))
-    for rec in res.records:
+    records, _, _ = run_records(spheroid_state(grid), FH,
+                                SolverConfig(dt=1e-3, t_end=0.02))
+    for rec in records:
         assert not rec.flag_corridor
         assert rec.corridor_lo - 1e-3 <= rec.phi_mean <= rec.corridor_hi + 1e-3
 
@@ -135,13 +137,12 @@ def test_corridor_flag_on_a_run_without_proliferation():
     # n below delta_n: P = 0, so H = 0 and the mean follows the recursion
     st0 = uniform_state(GRID, 0.3, 0.05, 0.1, 0.0)
     cfg = SolverConfig(dt=1e-3, t_end=0.05)
-    res = run(st0, FH, cfg)
-    assert res.records[-1].h_sup == 0.0
-    assert not any(rec.flag_corridor for rec in res.records)
-    final = res.final_state
+    records, reports, final = run_records(st0, FH, cfg)
+    assert records[-1].h_sup == 0.0
+    assert not any(rec.flag_corridor for rec in records)
     # the continuous envelope exp(-m t) lies below this mean
     assert np.mean(final.phi.values) > mass_corridor(0.3, 0.0, FH.m, final.t)[1]
-    residual_sum = sum(rep.newton_residual for rep in res.reports)
+    residual_sum = sum(rep.newton_residual for rep in reports)
     for shift in (1e-6, -1e-6):
         moved = ScalarField(GRID, final.phi.values + shift)
         rec = DiagnosticsTracker(FH, st0).observe(
@@ -370,10 +371,10 @@ def test_tracker_running_extremes_and_h():
 
 def test_separation_margins_monitor():
     grid = Grid2D(24, 24, 12.0, 12.0)
-    res = run(spheroid_state(grid), FH, SolverConfig(dt=1e-3, t_end=0.05),
-              record_every=5)
-    times, margins = separation_margins(res.records, 0.01, FH.potential)
+    records, _, _ = run_records(spheroid_state(grid), FH,
+                                SolverConfig(dt=1e-3, t_end=0.05), every=5)
+    times, margins = separation_margins(records, 0.01, FH.potential)
     assert np.all(margins > 0.0)
     assert margins[-1] >= 0.5 * margins[0]
     with pytest.raises(ValueError):
-        separation_margins(res.records, 1e9, FH.potential)
+        separation_margins(records, 1e9, FH.potential)

@@ -296,13 +296,14 @@ def test_separation_monitor_single_well_variant():
     # the single-well potential repels phi only from 1: the margin is
     # 1 - delta_upper
     from mchks.diagnostics import separation_margins
-    from mchks.solver import SolverConfig, run
+    from mchks.solver import SolverConfig
     from mchks.potentials import SingleWellLJ
-    from _oracles import spheroid_state
+    from _oracles import run_records, spheroid_state
 
     grid = Grid2D(16, 16, 8.0, 8.0)
     params = ModelParams(potential=SingleWellLJ(0.6, 0.0), m=0.5)
     st = spheroid_state(grid, phi_lo=0.02, phi_hi=0.8)
-    res = run(st, params, SolverConfig(dt=1e-3, t_end=0.02), record_every=4)
-    times, margins = separation_margins(res.records, 0.0, params.potential)
+    records, _, _ = run_records(st, params, SolverConfig(dt=1e-3, t_end=0.02),
+                                every=4)
+    times, margins = separation_margins(records, 0.0, params.potential)
     assert np.all(margins > 0.0)

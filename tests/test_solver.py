@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from _mms import Manufactured
-from _oracles import solve_uniform_ode, spheroid_state, uniform_state
+from _oracles import (
+    run_records,
+    run_states,
+    solve_uniform_ode,
+    spheroid_state,
+    uniform_state,
+)
 
 import mchks.solver
 from mchks.cli import band_limited_initial, build_initial_state, parse_config
@@ -125,8 +131,8 @@ def test_singular_minmax_short_run():
     grid = Grid2D(32, 32, 12.8, 12.8)
     st = spheroid_state(grid)
     cfg = SolverConfig(dt=1e-3, t_end=0.05, linear_tol=1e-12)
-    res = run(st, FH, cfg)
-    for rec in res.records:
+    records, _, _ = run_records(st, FH, cfg)
+    for rec in records:
         assert not rec.any_violation, rec
         assert rec.c_min >= -1e-10
         assert rec.c_max <= 1.0 + 1e-10
@@ -152,8 +158,8 @@ def test_energy_decrease_short_source_free_run():
     cfg = SolverConfig(dt=1e-3, t_end=0.05, sources_off=True,
                        stabilization=pot.perturbation_lipschitz(),
                        newton_tol=1e-13, linear_tol=1e-13)
-    res = run(st, params, cfg)
-    energies = np.array([r.energy for r in res.records])
+    records, _, _ = run_records(st, params, cfg)
+    energies = np.array([r.energy for r in records])
     assert np.all(np.diff(energies) <= 1e-12 * np.abs(energies[:-1]))
 
 
@@ -261,8 +267,8 @@ def test_manufactured_spatial_convergence_quick():
         grid = Grid2D(nx, nx, L, L)
         cfg = SolverConfig(dt=0.1 / steps, t_end=0.1, forcing=mms.forcing(),
                            linear_tol=1e-12, newton_tol=1e-12)
-        res = run(mms.initial_state(grid), params, cfg, record_every=0)
-        errs.append(mms.error_at(res.final_state))
+        final = run_states(mms.initial_state(grid), params, cfg, cfg.steps)[-1]
+        errs.append(mms.error_at(final))
     assert np.log2(errs[0] / errs[1]) > 1.7
 
 
@@ -302,17 +308,22 @@ def test_run_rejects_fractional_step_count():
         run(st, FH, SolverConfig(dt=3e-3, t_end=1e-2))
 
 
-def test_run_without_records_builds_no_tracker(monkeypatch):
-    def no_tracker(*args, **kwargs):
-        raise AssertionError("tracker built")
-
-    monkeypatch.setattr(mchks.solver.diagnostics, "DiagnosticsTracker",
-                        no_tracker)
-    st = uniform_state(Grid2D(8, 8, 4.0, 4.0), 0.4, 0.1, 0.9, 0.2)
+def test_run_yields_the_start_then_each_step():
+    grid = Grid2D(8, 8, 4.0, 4.0)
+    st = uniform_state(grid, 0.4, 0.1, 0.9, 0.2)
     cfg = SolverConfig(dt=1e-3, t_end=3e-3)
-    result = run(st, FH, cfg, record_every=0)
-    assert cfg.steps == 3
-    assert result.records == [] and len(result.reports) == 3
+    pairs = list(run(st, FH, cfg))
+    assert len(pairs) == cfg.steps + 1 == 4
+    (start, first), *rest = pairs
+    assert first is None
+    assert np.array_equal(start.mu.values, initialize_mu(st, FH).mu.values)
+    assert all(isinstance(report, StepReport) for _, report in rest)
+    times = [state.t for state, _ in pairs]
+    assert np.diff(times) == pytest.approx([cfg.dt] * cfg.steps, rel=1e-12)
+    # nothing is checked before the first pair is asked for
+    trajectory = run(uniform_state(grid, 0.4, 0.1, 0.9, 1.2), FH, cfg)
+    with pytest.raises(InitialDataError):
+        next(trajectory)
 
 
 def test_step_solves_resolvent_once_per_newton_iterate(monkeypatch):
@@ -440,12 +451,8 @@ def test_first_krylov_solve_of_a_step_is_inexact(monkeypatch):
 @pytest.mark.parametrize("params", ALL_POTENTIALS)
 def test_every_accepted_step_meets_the_newton_test(params):
     cfg = SolverConfig(dt=1e-3, t_end=0.01)
-    states = []
-    result = run(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params, cfg,
-                 record_every=0, on_state=lambda s: states.append(s.copy()),
-                 state_every=1)
-    assert len(states) == len(result.reports) + 1
-    for old, report in zip(states, result.reports):
+    pairs = list(run(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params, cfg))
+    for (old, _), (_, report) in zip(pairs, pairs[1:]):
         phi_o = old.phi.values
         scale = max(1.0, float(np.sqrt(np.mean((phi_o / cfg.dt) ** 2))))
         assert report.newton_residual <= cfg.newton_tol * scale
@@ -456,8 +463,8 @@ def test_extrapolated_start_needs_one_newton_iteration_on_smooth_data():
                           "[params]\npotential = quartic\n"
                           "[solver]\nt_end = 0.03\n")
     fd0, _, _ = band_limited_initial(build_initial_state(config), 8)
-    result = run(fd0, config.params, config.solver, record_every=0)
-    iters = [r.newton_iters for r in result.reports[5:]]
+    reports = [report for _, report in run(fd0, config.params, config.solver)]
+    iters = [r.newton_iters for r in reports[6:]]
     assert np.mean(iters) <= 1.2
 
 
@@ -472,9 +479,8 @@ def test_default_tolerances_stay_within_the_gate_bound(params):
     steps = 20
     cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3)
     tight = replace(cfg, newton_tol=1e-13, linear_tol=1e-13)
-    got = run(spheroid_state(grid), params, cfg, record_every=0).final_state
-    ref = run(spheroid_state(grid), params, tight,
-              record_every=0).final_state
+    got = run_states(spheroid_state(grid), params, cfg, steps)[-1]
+    ref = run_states(spheroid_state(grid), params, tight, steps)[-1]
     bound = 100 * steps * max(cfg.newton_tol, cfg.linear_tol)
     assert np.max(np.abs(got.phi.values - ref.phi.values)) <= bound
     assert np.max(np.abs(got.mu.values - ref.mu.values)) <= bound / params.eps
@@ -576,13 +582,12 @@ def test_newton_cap_names_time_and_residual(monkeypatch):
 def test_run_determinism():
     grid = Grid2D(16, 16, 12.8, 12.8)
     cfg = SolverConfig(dt=1e-3, t_end=0.01)
-    res1 = run(spheroid_state(grid), FH, cfg)
-    res2 = run(spheroid_state(grid), FH, cfg)
-    e1 = [r.energy for r in res1.records]
-    e2 = [r.energy for r in res2.records]
+    records1, _, final1 = run_records(spheroid_state(grid), FH, cfg)
+    records2, _, final2 = run_records(spheroid_state(grid), FH, cfg)
+    e1 = [r.energy for r in records1]
+    e2 = [r.energy for r in records2]
     assert e1 == e2
-    assert np.array_equal(res1.final_state.phi.values,
-                          res2.final_state.phi.values)
+    assert np.array_equal(final1.phi.values, final2.phi.values)
 
 
 def test_forcing_hook_reaches_every_equation():

@@ -1,6 +1,6 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
-tables, the one domain declaration of the potential variants and the one CG
-call of the solver.
+tables, the one domain declaration of the potential variants, the one CG
+call of the solver and its one stepping loop.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -64,6 +64,14 @@ def test_substeps_share_one_cg_solve():
     # substeps 1-3 are one implicit solve, so CG is called in one place
     tree = ast.parse(SOLVER.read_text(encoding="utf-8"))
     assert _callers(tree, "cg_solve") == ["_helmholtz_solve"]
+
+
+def test_run_is_the_one_stepping_loop():
+    # every trajectory comes from solver.run, so step is called in one place
+    callers = [(path.stem, fn) for path in sorted(SOLVER.parent.glob("*.py"))
+               for fn in _callers(ast.parse(path.read_text(encoding="utf-8")),
+                                  "step")]
+    assert callers == [("solver", "run")]
 
 
 def _gate_list(name):
