@@ -1,7 +1,8 @@
 """Config parsing, scenario presets and the command line interface.
 
 Subcommands: ``run`` (simulate, writing diagnostics CSV, snapshots and a
-manifest), ``verify`` (property battery, no simulation), ``compare`` (FD vs
+manifest), ``verify`` (the configured initial data and model against the
+hypothesis table ``run`` applies, no simulation), ``compare`` (FD vs
 spectral cross-validation on the same band-limited data) and ``twin``
 (perturbed twin runs with the continuous-dependence metric).  Configuration
 lives in a sectioned key=value text file; command line ``--set`` flags only
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, selfcheck
-from .errors import InitialDataError, ParseError, ValidationError
+from . import diagnostics
+from .errors import ParseError, ValidationError
 from .fields import Grid2D, ScalarField, write_snapshot
 from .galerkin import (
     EigenBasis,
@@ -36,7 +37,7 @@ from .potentials import (
     RegularQuartic,
     SingleWellLJ,
 )
-from .solver import SolverConfig, State, run, validate_initial_data
+from .solver import SolverConfig, State, hypotheses, run, validate_initial_data
 from .sources import ConstantMobility, EndothelialProduct, KozenyCarman, ModelParams
 
 
@@ -243,6 +244,13 @@ def _build_variant(slot, p):
 def build_initial_state(config: RunConfig) -> State:
     """The configured initial state; inadmissible data are a
     ValidationError, so every subcommand refuses them before it solves."""
+    state = _preset_state(config)
+    _check_admissible(state, config.params)
+    return state
+
+
+def _preset_state(config: RunConfig) -> State:
+    """The configured initial state, unchecked."""
     grid = config.grid
     init = config.initial
     preset = init["preset"]
@@ -261,7 +269,7 @@ def build_initial_state(config: RunConfig) -> State:
         rng = np.random.default_rng(init["seed"])
         bump = rng.uniform(-1.0, 1.0, (grid.nx, grid.ny))
         phi = ScalarField(grid, phi.values + init["amplitude"] * bump)
-    state = State(
+    return State(
         0.0,
         phi,
         zero.copy(),
@@ -269,18 +277,13 @@ def build_initial_state(config: RunConfig) -> State:
         ScalarField.constant(grid, init["n0"]),
         ScalarField.constant(grid, init["c0"]),
     )
-    _check_admissible(state, config.params)
-    return state
 
 
 def _check_admissible(state: State, params: ModelParams):
-    """``validate_initial_data`` with inadmissible data a ValidationError."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # run() repeats the check and warns
-            validate_initial_data(state, params)
-    except InitialDataError as exc:
-        raise ValidationError(str(exc)) from exc
+    """``validate_initial_data`` without its warnings, which run() repeats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        validate_initial_data(state, params)
 
 
 def twin_perturbation(state: State, amplitude: float) -> State:
@@ -389,11 +392,16 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(0, args.config, f"cannot read config ({exc.strerror})")
+    """The config file args.config (the empty config when None) with the
+    --set overrides."""
+    text = ""
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(0, args.config,
+                             f"cannot read config ({exc.strerror})")
     return parse_config(text, overrides=args.set or [])
 
 
@@ -466,12 +474,13 @@ def cmd_run(args) -> int:
     return 0 if violations == 0 else 1
 
 
-def cmd_verify(_args) -> int:
-    results = selfcheck.run_all()
+def cmd_verify(args) -> int:
+    config = _load_config(args)
     failed = 0
-    for name, count, ok in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({count} cases)")
-        failed += 0 if ok else 1
+    for hyp in hypotheses(_preset_state(config), config.params):
+        print(f"PASS {hyp.name}" if hyp.holds
+              else f"FAIL {hyp.name}: {hyp.message}")
+        failed += not hyp.holds
     return 0 if failed == 0 else 1
 
 
@@ -542,7 +551,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_run.set_defaults(fn=cmd_run)
 
-    p_verify = sub.add_parser("verify", help="run the property battery")
+    p_verify = sub.add_parser(
+        "verify", help="check the config against the analysis' hypotheses")
+    p_verify.add_argument("-c", "--config")
+    p_verify.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="FD vs spectral cross-validation")

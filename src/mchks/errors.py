@@ -25,18 +25,6 @@ class NonFiniteField(RuntimeError):
     """A field picked up NaN or Inf values during time stepping."""
 
 
-class InitialDataError(ValueError):
-    """Initial data violate an admissibility requirement.
-
-    ``constraint`` is a short machine-readable name for the violated
-    requirement, e.g. ``"c0-range"``.
-    """
-
-    def __init__(self, constraint, message):
-        super().__init__(f"{constraint}: {message}")
-        self.constraint = constraint
-
-
 class RangeError(ValueError):
     """Parameter outside the validity range of an inequality or formula."""
 
@@ -58,5 +46,18 @@ class ValidationError(ValueError):
     """Config parsed but violates a model constraint."""
 
 
+class InitialDataError(ValidationError):
+    """Initial data violate an admissibility requirement.
+
+    ``constraint`` is a short machine-readable name for the violated
+    requirement, e.g. ``"c0-range"``.
+    """
+
+    def __init__(self, constraint, message):
+        super().__init__(f"{constraint}: {message}")
+        self.constraint = constraint
+
+
 class BoundsViolation(UserWarning):
-    """Mobility evaluated outside its declared bounds (diagnostic, non-fatal)."""
+    """Data outside the bounds an advisory hypothesis declares, such as a
+    mobility outside its declared bounds (diagnostic, non-fatal)."""

@@ -14,8 +14,8 @@ pattern cached per grid, and ``laplacian_matrix`` is that matrix with unit
 mobility, cached per grid.  The Krylov matvecs and the sparse-LU Jacobian
 both read them.  The slicing stencils ``lap_array`` and
 ``div_mob_grad_array`` are coded independently of the matrix and stay as
-the face-flux reference for the weak residuals, ``verify`` and the tests;
-the step's explicit chemotaxis flux, applied once, uses them too.
+the face-flux reference for the weak residuals and the tests; the step's
+explicit chemotaxis flux, applied once, uses them too.
 
 The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
 exactly; its eigenvalues live in one cached table per grid, which the
@@ -232,18 +232,6 @@ def grad_sq_integral_array(v: np.ndarray, dx: float, dy: float) -> float:
     gx = (v[1:, :] - v[:-1, :]) / dx
     gy = (v[:, 1:] - v[:, :-1]) / dy
     return (np.sum(gx * gx) + np.sum(gy * gy)) * dx * dy
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, lap_array(f.values, f.grid.dx, f.grid.dy))
-
-
-def div_mob_grad(mob: ScalarField, f: ScalarField):
-    if mob.grid != f.grid:
-        raise ValueError("mobility and field must share a grid")
-    return ScalarField(
-        f.grid, div_mob_grad_array(mob.values, f.values, f.grid.dx, f.grid.dy)
-    )
 
 
 def integrate(f: ScalarField) -> float:

@@ -62,6 +62,7 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn
 
 from .errors import (
+    BoundsViolation,
     ConvergenceError,
     InitialDataError,
     NewtonDivergence,
@@ -167,6 +168,8 @@ class SolverConfig:
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.stabilization < 0:
             raise ValueError("stabilization must be nonnegative")
+        if self.t_end < 0:
+            raise ValueError("t_end must be nonnegative")
         if abs(self.steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be an integer number of steps")
 
@@ -416,47 +419,77 @@ def _solve_ch_direct(grid, a_m, curv, diag0, rhs):
 # ------------------------------------------------------------------ runs
 
 
-def validate_initial_data(state: State, params: ModelParams):
-    """Check admissibility of the initial data, raising InitialDataError."""
-    for name, f in (
-        ("phi", state.phi),
-        ("phi_a", state.phi_a),
-        ("n", state.n),
-        ("c", state.c),
-    ):
-        if not f.is_finite():
-            raise InitialDataError(f"{name}0-finite", "initial field not finite")
-        if f.grid != state.grid:
-            raise InitialDataError("grid", "initial fields on different grids")
+@dataclass(frozen=True)
+class Hypothesis:
+    """One entry of the hypothesis table: whether the data meet it, and
+    whether a run refuses data that miss it or only warns."""
 
-    if not np.all(np.isfinite(params.potential.value(state.phi.values))):
-        raise InitialDataError(
-            "phi0-potential-domain",
-            "initial tumor fraction leaves the potential's proper domain",
-        )
-    y0 = float(np.mean(state.phi.values))
-    if not params.potential.mean_admissible(y0):
-        raise InitialDataError(
-            "phi0-mean-domain",
-            f"initial spatial mean {y0:.4g} outside the admissible range "
-            "of the potential's monotone part",
-        )
-    if np.any(state.phi_a.values < 0.0):
-        raise InitialDataError(
-            "phia0-negative", "initial endothelial fraction must be nonnegative"
-        )
-    if np.any((state.c.values < 0.0) | (state.c.values > 1.0)):
-        raise InitialDataError(
-            "c0-range", "initial signal concentration must lie in [0, 1]"
-        )
-    if params.singular and np.any(
-        (state.n.values < 0.0) | (state.n.values > 1.0)
-    ):
-        warnings.warn(
-            "singular-mode nutrient confinement expects 0 <= n0 <= 1; "
-            "the min-max monitor may flag this run",
-            stacklevel=2,
-        )
+    name: str
+    holds: bool
+    refused: bool
+    message: str
+
+
+def _within_bounds(slot, law, *fields):
+    """The hypothesis that a mobility law, evaluated on the initial field
+    arrays, lies inside its declared bounds [m0, m_up]."""
+    m0, m_up = law.bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundsViolation)  # reported here
+        values = law(*fields)
+    lo, hi = float(np.min(values)), float(np.max(values))
+    return Hypothesis(
+        f"{slot}-bounds", m0 <= lo and hi <= m_up, False,
+        f"{type(law).__name__} spans [{lo:.3g}, {hi:.3g}] on the initial "
+        f"data, outside its bounds [m0, m_up] = [{m0:g}, {m_up:g}]")
+
+
+def hypotheses(state: State, params: ModelParams):
+    """The hypotheses of the analysis on (initial state, params), in order.
+
+    Each entry is evaluated as it is asked for, so a caller that stops at a
+    refused miss evaluates nothing after it (the mobilities need finite
+    fields on one grid).
+    """
+    fields = {"phi": state.phi, "phi_a": state.phi_a, "n": state.n, "c": state.c}
+    for name, f in fields.items():
+        yield Hypothesis(f"{name}0-finite", f.is_finite(), True,
+                         "initial field not finite")
+    yield Hypothesis("grid", all(f.grid == state.grid for f in fields.values()),
+                     True, "initial fields on different grids")
+    phi, phi_a, n, c = (f.values for f in fields.values())
+    yield Hypothesis(
+        "phi0-potential-domain",
+        bool(np.all(np.isfinite(params.potential.value(phi)))), True,
+        "initial tumor fraction leaves the potential's proper domain")
+    y0 = float(np.mean(phi))
+    yield Hypothesis(
+        "phi0-mean-domain", params.potential.mean_admissible(y0), True,
+        f"initial spatial mean {y0:.4g} outside the admissible range "
+        "of the potential's monotone part")
+    yield Hypothesis("phia0-negative", bool(np.all(phi_a >= 0.0)), True,
+                     "initial endothelial fraction must be nonnegative")
+    yield Hypothesis("c0-range", bool(np.all((c >= 0.0) & (c <= 1.0))), True,
+                     "initial signal concentration must lie in [0, 1]")
+    yield Hypothesis(
+        "n0-range",
+        not params.singular or bool(np.all((n >= 0.0) & (n <= 1.0))), False,
+        "singular-mode nutrient confinement expects 0 <= n0 <= 1; "
+        "the min-max monitor may flag this run")
+    yield _within_bounds("mobility_m", params.mobility_m, phi, phi_a, n)
+    yield _within_bounds("mobility_n", params.mobility_n, phi_a, c)
+
+
+def validate_initial_data(state: State, params: ModelParams):
+    """Check the initial data against ``hypotheses``: raise InitialDataError
+    on the first refused miss, and warn BoundsViolation on each other."""
+    for hyp in hypotheses(state, params):
+        if hyp.holds:
+            continue
+        if hyp.refused:
+            raise InitialDataError(hyp.name, hyp.message)
+        warnings.warn(f"{hyp.name}: {hyp.message}", BoundsViolation,
+                      stacklevel=2)
 
 
 def initialize_mu(state: State, params: ModelParams) -> State:

@@ -10,7 +10,7 @@ import pytest
 from _oracles import nan_galerkin_rhs
 
 import mchks
-from mchks import cli, galerkin
+from mchks import cli, galerkin, solver
 from mchks.cli import (
     CSV_COLUMNS,
     band_limited_initial,
@@ -22,10 +22,10 @@ from mchks.cli import (
     twin_perturbation,
 )
 from mchks.diagnostics import separation_margins
-from mchks.errors import ParseError, ValidationError
+from mchks.errors import BoundsViolation, ParseError, ValidationError
 from mchks.fields import read_snapshot
 from mchks.potentials import FloryHuggins, Potential, SingleWellLJ
-from mchks.solver import SolverConfig, run, validate_initial_data
+from mchks.solver import SolverConfig, hypotheses, run, validate_initial_data
 from mchks.sources import ModelParams
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -375,7 +375,7 @@ NON_FINITE = ["solver.newton_tol=nan", "params.m=nan", "solver.linear_tol=inf",
 
 
 @pytest.mark.parametrize("override", [
-    "solver.t_end=0.0105", "output.diagnostics_every=0",
+    "solver.t_end=0.0105", "solver.t_end=-0.5", "output.diagnostics_every=0",
     "output.snapshot_every=-1", "solver.newton_tol=-1", "solver.linear_tol=-1",
     "initial.c0=2", "initial.seed=-1", *NON_FINITE])
 def test_run_rejects_a_bad_schedule_before_any_output(
@@ -432,7 +432,7 @@ def test_run_reports_a_fired_flag_in_the_csv_and_the_exit_code(
     assert [row.split(",")[col] for row in rows] == ["1" if flagged else "0"] * 3
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "twin"])
+@pytest.mark.parametrize("command", ["run", "verify", "compare", "twin"])
 def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, command):
     missing = tmp_path / "missing.cfg"
     assert main([command, "-c", str(missing)]) == 2
@@ -472,8 +472,65 @@ def test_compare_fd_spectral_script_errors_decrease():
     assert proc.stdout.splitlines()[-1] == "monotone decrease: True"
 
 
-def test_verify_subcommand():
-    assert main(["verify"]) == 0
+def _sets(*overrides):
+    return [a for o in overrides for a in ("--set", o)]
+
+
+def test_verify_prints_a_pass_line_per_hypothesis(tmp_path, capsys):
+    config = default_config()
+    names = [h.name for h in hypotheses(build_initial_state(config),
+                                        config.params)]
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    for argv in (["verify"], ["verify", "-c", str(cfg_path)]):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"PASS {name}" for name in names]
+    assert "mobility_m-bounds" in names and "mobility_n-bounds" in names
+
+
+def test_verify_fails_a_mobility_outside_its_bounds(capsys):
+    assert main(["verify"] + _sets("params.mobility_m=kozeny_carman")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL mobility_m-bounds: KozenyCarman ")
+    assert "m0" in failed[0]
+
+
+def test_verify_fails_inadmissible_data_without_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    monkeypatch.setattr(solver, "step", no_solve)
+    assert main(["verify"] + _sets("initial.c0=2")) == 1
+    assert ("FAIL c0-range: initial signal concentration must lie in [0, 1]"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_run_warns_a_mobility_outside_its_bounds_before_its_first_step(
+        tmp_path, monkeypatch):
+    seen_at_steps = []
+    step = solver.step
+
+    def watched(*args):
+        seen_at_steps.append([str(w.message) for w in caught])
+        return step(*args)
+
+    monkeypatch.setattr(solver, "step", watched)
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    argv = ["run", "-c", str(cfg_path)] + _sets(
+        "grid.nx=16", "grid.ny=16", "params.mobility_m=kozeny_carman",
+        "solver.t_end=2e-3", f"output.dir={tmp_path}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    first = [w for w in caught if issubclass(w.category, BoundsViolation)][0]
+    assert str(first.message).startswith("mobility_m-bounds: KozenyCarman ")
+    assert len(seen_at_steps) == 2
+    assert str(first.message) in seen_at_steps[0]
 
 
 def test_compare_subcommand(tmp_path):

@@ -276,6 +276,8 @@ def test_yosida_monotone_and_lipschitz(pot):
         dr = np.diff(r)
         assert np.all(dy >= -1e-10)
         assert np.all(dy <= dr / eps + 1e-8 * np.maximum(1, np.abs(y[1:])))
+        # the Moreau envelope is nonnegative inside the domain and out of it
+        assert np.all(reg.envelope(r) >= -1e-13)
 
 
 @pytest.mark.parametrize("pot", ALL_VARIANTS, ids=lambda p: type(p).__name__)

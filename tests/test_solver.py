@@ -306,6 +306,8 @@ def test_run_rejects_fractional_step_count():
     st = uniform_state(grid, 0.4, 0.1, 0.9, 0.2)
     with pytest.raises(ValueError):
         run(st, FH, SolverConfig(dt=3e-3, t_end=1e-2))
+    with pytest.raises(ValueError, match="^t_end must be nonnegative$"):
+        SolverConfig(dt=1e-3, t_end=-0.5)
 
 
 def test_run_yields_the_start_then_each_step():

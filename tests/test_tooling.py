@@ -120,6 +120,15 @@ def test_readme_package_layout_names_every_module():
     assert not modules - {"__init__.py"} - listed
 
 
+def test_readme_command_line_block_names_exactly_the_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    listed = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1)
+    block = _readme_block("## Command line")
+    assert (set(re.findall(r"^mchks (\w+)", block, re.M))
+            == set(listed.split(",")))
+
+
 def test_readme_scripts_block_names_exactly_the_scripts():
     block = _readme_block("## Scripts")
     listed = set(re.findall(r"scripts/(\w+\.py)", block))
