@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from mchks.cli import cross_validate
-from mchks.fields import Grid2D, ScalarField
+from mchks.fields import Grid2D
 from mchks.potentials import RegularQuartic
 from mchks.solver import SolverConfig, State
 from mchks.sources import ModelParams
@@ -27,11 +27,12 @@ def band_limited_state(grid):
     c2x = np.cos(2 * np.pi * x / grid.lx)
     return State(
         0.0,
-        ScalarField(grid, 0.45 + 0.10 * cx * cy + 0.05 * c2x),
-        ScalarField.constant(grid, 0.0),
-        ScalarField(grid, 0.40 + 0.10 * cy),
-        ScalarField(grid, 0.60 + 0.15 * cx),
-        ScalarField(grid, 0.40 + 0.10 * cx * cy),
+        grid,
+        0.45 + 0.10 * cx * cy + 0.05 * c2x,
+        np.zeros(grid.shape),
+        0.40 + 0.10 * cy,
+        0.60 + 0.15 * cx,
+        0.40 + 0.10 * cx * cy,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ParseError, ValidationError
-from .fields import Grid2D, ScalarField, write_snapshot
+from .fields import Grid2D, write_snapshot
 from .galerkin import (
     EigenBasis,
     cross_errors,
@@ -186,7 +186,9 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             values[sec].setdefault(key, default)
 
     for spec in overrides or []:
-        target, _, raw = spec.partition("=")
+        target, sep, raw = spec.partition("=")
+        if not sep:
+            raise ParseError(0, target, "expected SECTION.KEY=VALUE")
         sec, _, key = target.partition(".")
         if sec not in _SCHEMA or key not in _SCHEMA[sec]:
             raise ParseError(0, target, "unknown override key")
@@ -254,28 +256,26 @@ def _preset_state(config: RunConfig) -> State:
     grid = config.grid
     init = config.initial
     preset = init["preset"]
-    zero = ScalarField.constant(grid, 0.0)
     if preset == "uniform":
-        phi = ScalarField.constant(grid, init["phi0"])
+        phi = np.full(grid.shape, init["phi0"])
     else:
         x, y = grid.centers()
         r = np.sqrt((x - grid.lx / 2.0) ** 2 + (y - grid.ly / 2.0) ** 2)
         r0 = init["radius_frac"] * min(grid.lx, grid.ly)
         profile = 0.5 * (1.0 + np.tanh((r0 - r) / init["width"]))
-        phi = ScalarField(
-            grid, init["phi_lo"] + (init["phi_hi"] - init["phi_lo"]) * profile
-        )
+        phi = init["phi_lo"] + (init["phi_hi"] - init["phi_lo"]) * profile
     if preset == "random-perturbation" and init["amplitude"] > 0:
         rng = np.random.default_rng(init["seed"])
-        bump = rng.uniform(-1.0, 1.0, (grid.nx, grid.ny))
-        phi = ScalarField(grid, phi.values + init["amplitude"] * bump)
+        bump = rng.uniform(-1.0, 1.0, grid.shape)
+        phi = phi + init["amplitude"] * bump
     return State(
         0.0,
+        grid,
         phi,
-        zero.copy(),
-        ScalarField.constant(grid, init["phi_a0"]),
-        ScalarField.constant(grid, init["n0"]),
-        ScalarField.constant(grid, init["c0"]),
+        np.zeros(grid.shape),
+        np.full(grid.shape, init["phi_a0"]),
+        np.full(grid.shape, init["n0"]),
+        np.full(grid.shape, init["c0"]),
     )
 
 
@@ -311,12 +311,10 @@ def twin_perturbation(state: State, amplitude: float) -> State:
     pat_n = -(0.3 + 0.35 * cx * cy + 0.2 * c2x)  # <= 0 pointwise
     target_c = 0.5 + 0.4 * cx * cy  # in [0.1, 0.9]
     out = state.copy()
-    out.phi = ScalarField(grid, state.phi.values + amplitude * pat_phi)
-    out.phi_a = ScalarField(grid, state.phi_a.values + amplitude * pat_phia)
-    out.n = ScalarField(grid, state.n.values + amplitude * pat_n)
-    out.c = ScalarField(
-        grid, state.c.values + amplitude * (target_c - state.c.values)
-    )
+    out.phi = state.phi + amplitude * pat_phi
+    out.phi_a = state.phi_a + amplitude * pat_phia
+    out.n = state.n + amplitude * pat_n
+    out.c = state.c + amplitude * (target_c - state.c)
     return out
 
 
@@ -334,17 +332,19 @@ def band_limited_initial(state: State, k: int):
         raise ValidationError(f"--modes {k} outside [0, {min(grid.nx, grid.ny)})")
     basis = EigenBasis(grid.lx, grid.ly, k)
     fields = {name: getattr(state, name) for name in ("phi", "phi_a", "n", "c")}
-    g0 = initial_galerkin_state(basis, fields)
+    g0 = initial_galerkin_state(basis, grid, fields)
 
     def on_grid(name):
-        if fields[name].is_constant():
-            return fields[name].copy()
+        values = fields[name]
+        if np.all(values == values.flat[0]):
+            return values.copy()
         return evaluate_on_grid(basis, getattr(g0, name), grid)
 
     fd0 = State(
         0.0,
+        grid,
         on_grid("phi"),
-        ScalarField.constant(grid, 0.0),
+        np.zeros(grid.shape),
         on_grid("phi_a"),
         on_grid("n"),
         on_grid("c"),
@@ -440,7 +440,7 @@ def write_run(config: RunConfig):
             if snap_every and (k % snap_every == 0 or k == steps):
                 for name in ("phi", "mu", "phi_a", "n", "c"):
                     path = os.path.join(out_dir, f"snap_{k:08d}_{name}.bin")
-                    write_snapshot(path, getattr(state, name), name, state.t)
+                    write_snapshot(path, state.grid, getattr(state, name), name, state.t)
     return records, reports, csv_path
 
 

@@ -18,14 +18,10 @@ import numpy as np
 
 from .errors import GridMismatch, RangeError
 from .fields import (
-    ScalarField,
     cosine_mode,
     div_mob_grad_array,
     dual_norm,
-    grad_sq_integral,
     grad_sq_integral_array,
-    inner,
-    mean,
 )
 from .sources import ModelParams, proliferation, reaction_rates
 
@@ -36,7 +32,7 @@ PHIA_NEG_TOL_PER_EPS = 1e-5
 
 
 def entropy_integral(state, params: ModelParams) -> float:
-    vals = params.truncation.entropy(state.phi_a.values)
+    vals = params.truncation.entropy(state.phi_a)
     return float(np.sum(vals)) * state.grid.cell_area
 
 
@@ -51,16 +47,16 @@ def energy(state, params: ModelParams, *, f_density=None, entropy=None) -> float
     """
     g = state.grid
     if f_density is None:
-        f_density = params.f_density(state.phi.values)
+        f_density = params.f_density(state.phi)
     if entropy is None:
         entropy = entropy_integral(state, params)
     e = float(np.sum(f_density)) * g.cell_area
     e += entropy
-    e += 0.5 * grad_sq_integral(state.phi)
-    e += 0.5 * grad_sq_integral(state.n)
-    e += 0.5 * grad_sq_integral(state.c)
-    e -= params.chi_phi * inner(state.n, state.phi)
-    e -= params.chi_a * inner(state.phi_a, state.c)
+    e += 0.5 * grad_sq_integral_array(state.phi, g.dx, g.dy)
+    e += 0.5 * grad_sq_integral_array(state.n, g.dx, g.dy)
+    e += 0.5 * grad_sq_integral_array(state.c, g.dx, g.dy)
+    e -= params.chi_phi * (float(np.sum(state.n * state.phi)) * g.cell_area)
+    e -= params.chi_a * (float(np.sum(state.phi_a * state.c)) * g.cell_area)
     return e
 
 
@@ -162,7 +158,7 @@ class DiagnosticsTracker:
     def __init__(self, params: ModelParams, initial_state):
         self.params = params
         self.t0 = initial_state.t
-        self.y0 = mean(initial_state.phi)
+        self.y0 = float(np.mean(initial_state.phi))
         self.h_sup = 0.0
         self.delta_star = math.inf
         self.delta_upper = -math.inf
@@ -182,18 +178,18 @@ class DiagnosticsTracker:
           of the stored phi.
         """
         params = self.params
-        prol = proliferation(params, state.phi.values, state.n.values)
+        prol = proliferation(params, state.phi, state.n)
         self.h_sup = max(self.h_sup, float(np.max(np.abs(prol))))
 
         ext = {}
         for name in ("phi", "mu", "phi_a", "n", "c"):
-            vals = getattr(state, name).values
+            vals = getattr(state, name)
             ext[f"{name}_min"] = float(np.min(vals))
             ext[f"{name}_max"] = float(np.max(vals))
         self.delta_star = min(self.delta_star, ext["phi_min"])
         self.delta_upper = max(self.delta_upper, ext["phi_max"])
 
-        y = mean(state.phi)
+        y = float(np.mean(state.phi))
         if params.m > 0:
             lo, hi = mass_corridor(self.y0, self.h_sup, params.m,
                                    state.t - self.t0, dt)
@@ -207,16 +203,16 @@ class DiagnosticsTracker:
             off_corridor = False
 
         # the step's last evaluation at this phi, when the state carries it
-        f_density = params.f_density(state.phi.values, state.convex)
+        f_density = params.f_density(state.phi, state.convex)
         entropy = entropy_integral(state, params)
 
         return DiagnosticsRecord(
             t=state.t,
             energy=energy(state, params, f_density=f_density, entropy=entropy),
             phi_mean=y,
-            phi_a_mean=mean(state.phi_a),
-            n_mean=mean(state.n),
-            c_mean=mean(state.c),
+            phi_a_mean=float(np.mean(state.phi_a)),
+            n_mean=float(np.mean(state.n)),
+            c_mean=float(np.mean(state.c)),
             **ext,
             corridor_lo=lo,
             corridor_hi=hi,
@@ -286,7 +282,7 @@ def weak_residual(states, params: ModelParams, dt: float):
     if len(states) < 2:
         raise ValueError("need at least two consecutive states")
     grid = states[0].grid
-    battery = np.stack([v.values.ravel() for v in default_test_battery(grid)])
+    battery = np.stack([v.ravel() for v in default_test_battery(grid)])
     tests = battery * grid.cell_area
 
     def div(coef, u):
@@ -295,24 +291,23 @@ def weak_residual(states, params: ModelParams, dt: float):
     overall = 0.0
     out = {}
     for s0, s1 in zip(states[:-1], states[1:]):
-        phi1, phia1 = s1.phi.values, s1.phi_a.values
-        n1, c1, mu1 = s1.n.values, s1.c.values, s1.mu.values
+        phi1, phia1, n1, c1, mu1 = s1.phi, s1.phi_a, s1.n, s1.c, s1.mu
         mob_m = params.mobility_m(phi1, phia1, n1)
         mob_n = params.mobility_n(phia1, c1)
         ones = np.ones_like(phi1)
         chem_coef = params.truncation.truncate(phia1) * mob_n
         s_phi, s_a, r_n, r_c = reaction_rates(params, phi1, phia1, n1, c1)
         strong = {
-            "phi": (phi1 - s0.phi.values) / dt
+            "phi": (phi1 - s0.phi) / dt
             - div(mob_m, mu1 - params.chi_phi * n1)
             - s_phi,
             "mu": mu1 - params.f_prime(phi1) + div(ones, phi1),
-            "phi_a": (phia1 - s0.phi_a.values) / dt
+            "phi_a": (phia1 - s0.phi_a) / dt
             - div(mob_n, phia1)
             + params.chi_a * div(chem_coef, c1)
             - s_a,
-            "n": (n1 - s0.n.values) / dt - div(ones, n1) - r_n,
-            "c": (c1 - s0.c.values) / dt - div(ones, c1) - r_c,
+            "n": (n1 - s0.n) / dt - div(ones, n1) - r_n,
+            "c": (c1 - s0.c) / dt - div(ones, c1) - r_c,
         }
         paired = tests @ np.stack([f.ravel() for f in strong.values()]).T
         out = dict(zip(strong, paired.T))
@@ -349,14 +344,14 @@ def twin_run_distance(states1, states2) -> TwinDistance:
         raise GridMismatch("trajectories sampled at different times")
 
     grid = states1[0].grid
-    diffs = {name: [getattr(s1, name).values - getattr(s2, name).values
+    diffs = {name: [getattr(s1, name) - getattr(s2, name)
                     for s1, s2 in zip(states1, states2)]
              for name in ("phi", "phi_a", "n", "c")}
     dual, mean_abs, l2_sq, grad_sq = {}, {}, {}, {}
     for name, ds in diffs.items():
         l2_sq[name] = np.array([np.sum(d * d) * grid.cell_area for d in ds])
         if name in ("phi", "phi_a"):
-            dual[name] = np.array([dual_norm(ScalarField(grid, d)) for d in ds])
+            dual[name] = np.array([dual_norm(grid, d) for d in ds])
             mean_abs[name] = np.array([abs(float(np.mean(d))) for d in ds])
         else:
             grad_sq[name] = np.array(

@@ -68,6 +68,10 @@ class Grid2D:
     def cell_area(self):
         return self.dx * self.dy
 
+    @property
+    def shape(self):
+        return (self.nx, self.ny)
+
     def centers(self):
         """Meshgrid of cell centers, shaped (nx, ny)."""
         x = (np.arange(self.nx) + 0.5) * self.dx
@@ -75,43 +79,10 @@ class Grid2D:
         return np.meshgrid(x, y, indexing="ij")
 
 
-@dataclass
-class ScalarField:
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
-
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full((grid.nx, grid.ny), float(value)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        x, y = grid.centers()
-        return cls(grid, np.asarray(fn(x, y), dtype=float))
-
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.values)))
-
-    def is_constant(self):
-        return bool(np.all(self.values == self.values.flat[0]))
-
-
 def cosine_mode(grid: Grid2D, i: int, j: int):
     """Neumann-compatible cosine mode cos(i pi x / lx) cos(j pi y / ly)."""
     x, y = grid.centers()
-    vals = np.cos(i * np.pi * x / grid.lx) * np.cos(j * np.pi * y / grid.ly)
-    return ScalarField(grid, vals)
+    return np.cos(i * np.pi * x / grid.lx) * np.cos(j * np.pi * y / grid.ly)
 
 
 @lru_cache(maxsize=8)
@@ -234,26 +205,6 @@ def grad_sq_integral_array(v: np.ndarray, dx: float, dy: float) -> float:
     return (np.sum(gx * gx) + np.sum(gy * gy)) * dx * dy
 
 
-def integrate(f: ScalarField) -> float:
-    return float(np.sum(f.values)) * f.grid.cell_area
-
-
-def mean(f: ScalarField) -> float:
-    return float(np.mean(f.values))
-
-
-def inner(f: ScalarField, g: ScalarField) -> float:
-    return float(np.sum(f.values * g.values)) * f.grid.cell_area
-
-
-def norm_l2(f: ScalarField) -> float:
-    return float(np.sqrt(max(inner(f, f), 0.0)))
-
-
-def grad_sq_integral(f: ScalarField) -> float:
-    return grad_sq_integral_array(f.values, f.grid.dx, f.grid.dy)
-
-
 # ------------------------------------------------ conjugate gradients
 
 
@@ -287,63 +238,61 @@ def cg_solve(apply_op, b, x0=None, rel_tol=1e-10):
     )
 
 
-def inv_neumann_laplacian(f: ScalarField) -> ScalarField:
+def inv_neumann_laplacian(grid: Grid2D, f: np.ndarray) -> np.ndarray:
     """Solve -lap(u) = f with zero-mean u; f must have (numerically) zero mean.
 
     The solve is exact: DCT-II, divide by the eigenvalue table, inverse DCT.
     """
-    g = f.grid
-    fnorm = norm_l2(f)
-    if abs(mean(f)) * np.sqrt(g.area) > 1e-12 * max(fnorm, 1e-300):
+    fnorm = np.sqrt(float(np.sum(f * f)) * grid.cell_area)
+    f_mean = float(np.mean(f))
+    if abs(f_mean) * np.sqrt(grid.area) > 1e-12 * max(fnorm, 1e-300):
         raise MeanError(
-            f"inverse Laplacian needs zero-mean data, mean = {mean(f):.3e}"
+            f"inverse Laplacian needs zero-mean data, mean = {f_mean:.3e}"
         )
     if fnorm == 0.0:
-        return ScalarField.constant(g, 0.0)
-    coef = dctn(f.values, norm="ortho").ravel()
+        return np.zeros(grid.shape)
+    coef = dctn(f, norm="ortho").ravel()
     coef[0] = 0.0  # the (0, 0) mode is the mean, which u does not carry
-    coef[1:] /= neumann_eigenvalues(g).ravel()[1:]
-    return ScalarField(g, idctn(coef.reshape(g.nx, g.ny), norm="ortho"))
+    coef[1:] /= neumann_eigenvalues(grid).ravel()[1:]
+    return idctn(coef.reshape(grid.shape), norm="ortho")
 
 
-def dual_norm(f: ScalarField) -> float:
+def dual_norm(grid: Grid2D, f: np.ndarray) -> float:
     """H^-1-type norm sqrt(<f', inv_neumann_laplacian(f')>) of f' = f - mean(f).
 
     From one orthonormal DCT: sqrt(cell_area * sum c_ij^2 / lambda_ij) over
     (i, j) != (0, 0).  Shifting f by one of its values changes only c_00 and
     makes a constant f give exactly 0, not DCT round-off.
     """
-    g = f.grid
-    coef = dctn(f.values - f.values.flat[0], norm="ortho").ravel()[1:]
-    lam = neumann_eigenvalues(g).ravel()[1:]
-    return float(np.sqrt(g.cell_area * np.sum(coef * coef / lam)))
+    coef = dctn(f - f.flat[0], norm="ortho").ravel()[1:]
+    lam = neumann_eigenvalues(grid).ravel()[1:]
+    return float(np.sqrt(grid.cell_area * np.sum(coef * coef / lam)))
 
 
 # ------------------------------------------------------------ snapshots
 
 
-def write_snapshot(path, f: ScalarField, name: str, t: float):
-    """Little-endian binary snapshot.
+def write_snapshot(path, grid: Grid2D, values: np.ndarray, name: str, t: float):
+    """Little-endian binary snapshot of the (nx, ny) array values on grid.
 
     Layout: magic "MCHKS1", nx and ny as int64, lx and ly as float64, a
     uint32 length-prefixed UTF-8 field name, time t as float64, then
     nx*ny float64 cell values in row-major (x-major) order.
     """
-    g = f.grid
     name_bytes = name.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<qqdd", g.nx, g.ny, g.lx, g.ly))
+        fh.write(struct.pack("<qqdd", grid.nx, grid.ny, grid.lx, grid.ly))
         fh.write(struct.pack("<I", len(name_bytes)))
         fh.write(name_bytes)
         fh.write(struct.pack("<d", float(t)))
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
+        fh.write(values.astype("<f8").tobytes(order="C"))
 
 
 def read_snapshot(path):
     """Read a snapshot written by ``write_snapshot``.
 
-    Returns (field, name, t).
+    Returns (grid, values, name, t), values shaped (nx, ny) from the header.
     """
     with open(path, "rb") as fh:
         magic = fh.read(6)
@@ -354,5 +303,4 @@ def read_snapshot(path):
         name = fh.read(name_len).decode("utf-8")
         (t,) = struct.unpack("<d", fh.read(8))
         data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(nx, ny)
-    grid = Grid2D(nx, ny, lx, ly)
-    return ScalarField(grid, data.copy()), name, t
+    return Grid2D(nx, ny, lx, ly), data.copy(), name, t

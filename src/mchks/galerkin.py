@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteField
-from .fields import Grid2D, ScalarField
+from .fields import Grid2D
 from .sources import ModelParams, reaction_rates
 
 ETD_STEP = 5e-3  # longest oracle step; set by accuracy, not stiffness
@@ -116,28 +116,27 @@ def _check_rectangle(basis: EigenBasis, grid: Grid2D):
         )
 
 
-def project(basis: EigenBasis, field: ScalarField):
-    """L2 projection of an FD field, summed on its cell centres (needs
-    k < min(nx, ny))."""
-    if field.is_constant():
+def project(basis: EigenBasis, grid: Grid2D, values: np.ndarray):
+    """L2 projection of an FD field, the (nx, ny) array values on grid,
+    summed on its cell centres (needs k < min(nx, ny))."""
+    if np.all(values == values.flat[0]):
         # the (0, 0) mode alone, exactly; the midpoint sum would leave
         # round-off in every coefficient
         coeffs = np.zeros((basis.k + 1, basis.k + 1))
-        coeffs[0, 0] = field.values.flat[0] * np.sqrt(basis.lx * basis.ly)
+        coeffs[0, 0] = values.flat[0] * np.sqrt(basis.lx * basis.ly)
         return coeffs
-    g = field.grid
-    if basis.k >= min(g.nx, g.ny):
-        raise ValueError(f"k = {basis.k} needs more cells than {g.nx}x{g.ny}")
-    _check_rectangle(basis, g)
-    cx, _, cy, _, area = cosine_tables(basis, g.nx, g.ny)
-    return cx.T @ field.values @ cy * area
+    if basis.k >= min(grid.nx, grid.ny):
+        raise ValueError(f"k = {basis.k} needs more cells than {grid.nx}x{grid.ny}")
+    _check_rectangle(basis, grid)
+    cx, _, cy, _, area = cosine_tables(basis, grid.nx, grid.ny)
+    return cx.T @ values @ cy * area
 
 
-def evaluate_on_grid(basis: EigenBasis, coeffs, grid: Grid2D) -> ScalarField:
+def evaluate_on_grid(basis: EigenBasis, coeffs, grid: Grid2D) -> np.ndarray:
     """Point evaluation of the truncated expansion at FD cell centers."""
     _check_rectangle(basis, grid)
     cx, _, cy, _, _ = cosine_tables(basis, grid.nx, grid.ny)
-    return ScalarField(grid, cx @ coeffs @ cy.T)
+    return cx @ coeffs @ cy.T
 
 
 def cross_errors(fd_state, gstate, basis: EigenBasis) -> dict:
@@ -147,7 +146,7 @@ def cross_errors(fd_state, gstate, basis: EigenBasis) -> dict:
     errs = {}
     for name in ("phi", "phi_a", "n", "c"):
         spec = evaluate_on_grid(basis, getattr(gstate, name), grid)
-        diff = getattr(fd_state, name).values - spec.values
+        diff = getattr(fd_state, name) - spec
         errs[name] = float(np.sqrt(np.mean(diff**2)))
     return errs
 
@@ -193,9 +192,9 @@ def galerkin_rhs(coeffs, params: ModelParams, basis: EigenBasis):
     return da, dca, dd, de
 
 
-def initial_galerkin_state(basis: EigenBasis, fields):
-    """Project FD initial data (ScalarFields keyed phi, phi_a, n, c)."""
-    return GalerkinState(0.0, *(project(basis, fields[name])
+def initial_galerkin_state(basis: EigenBasis, grid: Grid2D, fields):
+    """Project FD initial data (arrays on grid keyed phi, phi_a, n, c)."""
+    return GalerkinState(0.0, *(project(basis, grid, fields[name])
                                 for name in ("phi", "phi_a", "n", "c")))
 
 

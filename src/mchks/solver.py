@@ -70,7 +70,6 @@ from .errors import (
 )
 from .fields import (
     Grid2D,
-    ScalarField,
     cg_solve,
     div_mob_grad_array,
     div_mob_grad_matrix,
@@ -98,36 +97,31 @@ FORCING_SAFETY = 0.1
 
 @dataclass
 class State:
+    """The five fields as float (nx, ny) arrays on one grid at time t."""
+
     t: float
-    phi: ScalarField
-    mu: ScalarField
-    phi_a: ScalarField
-    n: ScalarField
-    c: ScalarField
-    # the convex part evaluated at phi.values, as the step or initialize_mu
+    grid: Grid2D
+    phi: np.ndarray
+    mu: np.ndarray
+    phi_a: np.ndarray
+    n: np.ndarray
+    c: np.ndarray
+    # the convex part evaluated at the phi array, as the step or initialize_mu
     # left it; ModelParams.convex_part reuses it only for that very array
     convex: ConvexEvaluation | None = field(default=None, repr=False, compare=False)
     # phi of the step before, set by step; the next Newton loop starts from
     # the extrapolation 2 phi - phi_prev
     phi_prev: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def grid(self) -> Grid2D:
-        return self.phi.grid
-
     def copy(self):
         return State(
             self.t,
+            self.grid,
             self.phi.copy(),
             self.mu.copy(),
             self.phi_a.copy(),
             self.n.copy(),
             self.c.copy(),
-        )
-
-    def is_finite(self):
-        return all(
-            f.is_finite() for f in (self.phi, self.mu, self.phi_a, self.n, self.c)
         )
 
 
@@ -232,10 +226,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     t_new = state.t + dt
     report = StepReport()
 
-    phi_o = state.phi.values
-    phia_o = state.phi_a.values
-    n_o = state.n.values
-    c_o = state.c.values
+    phi_o, phia_o, n_o, c_o = state.phi, state.phi_a, state.n, state.c
 
     forcing = cfg.forcing or Forcing()
 
@@ -333,21 +324,13 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     report.wall_time = time.perf_counter() - t0
 
-    # a phi accepted at phi_o itself is copied, and the next step solves
+    # the new phi is convex.r itself, so that the evaluation it carries is
+    # reused; a phi accepted at phi_o itself is copied, and the next step solves
     phi = phi_o.copy() if convex.r is phi_o else convex.r
-    new_state = State(
-        t_new,
-        ScalarField(grid, phi),
-        ScalarField(grid, mu_new),
-        ScalarField(grid, phia_new),
-        ScalarField(grid, n_new),
-        ScalarField(grid, c_new),
-        convex,
-        phi_o,
-    )
-    if not new_state.is_finite():
+    new_fields = (phi, mu_new, phia_new, n_new, c_new)
+    if not all(np.all(np.isfinite(f)) for f in new_fields):
         raise NonFiniteField(f"non-finite field values at t={t_new:.6g}")
-    return new_state, report
+    return State(t_new, grid, *new_fields, convex, phi_o), report
 
 
 def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
@@ -449,15 +432,16 @@ def hypotheses(state: State, params: ModelParams):
 
     Each entry is evaluated as it is asked for, so a caller that stops at a
     refused miss evaluates nothing after it (the mobilities need finite
-    fields on one grid).
+    fields of the grid's shape).
     """
     fields = {"phi": state.phi, "phi_a": state.phi_a, "n": state.n, "c": state.c}
     for name, f in fields.items():
-        yield Hypothesis(f"{name}0-finite", f.is_finite(), True,
+        yield Hypothesis(f"{name}0-finite", bool(np.all(np.isfinite(f))), True,
                          "initial field not finite")
-    yield Hypothesis("grid", all(f.grid == state.grid for f in fields.values()),
-                     True, "initial fields on different grids")
-    phi, phi_a, n, c = (f.values for f in fields.values())
+    yield Hypothesis(
+        "grid", all(np.shape(f) == state.grid.shape for f in fields.values()),
+        True, f"initial fields not all of the grid's shape {state.grid.shape}")
+    phi, phi_a, n, c = fields.values()
     yield Hypothesis(
         "phi0-potential-domain",
         bool(np.all(np.isfinite(params.potential.value(phi)))), True,
@@ -495,16 +479,15 @@ def validate_initial_data(state: State, params: ModelParams):
 def initialize_mu(state: State, params: ModelParams) -> State:
     """Fill mu from phi via the regularized chemical potential relation; the
     returned state carries the convex-part evaluation at phi."""
-    grid = state.grid
-    phi = state.phi.values
+    phi = state.phi
     convex = params.convex_part(phi)
     # (-lap + convex) + concave, the summation order the step uses
     mu = (
-        -_apply(laplacian_matrix(grid), phi)
+        -_apply(laplacian_matrix(state.grid), phi)
         + convex.slope
         + params.potential.concave_slope(phi)
     )
-    return replace(state, mu=ScalarField(grid, mu), convex=convex)
+    return replace(state, mu=mu, convex=convex)
 
 
 def run(initial: State, params: ModelParams, cfg: SolverConfig):

@@ -90,6 +90,10 @@ class KozenyCarman:
     m0: float = 1e-6
     m_up: float = 1.0
 
+    def __post_init__(self):
+        if self.b_phi <= 0:
+            raise ValueError("mobility must be positive")
+
     @property
     def bounds(self):
         return (self.m0, self.m_up)
@@ -247,8 +251,7 @@ class ModelParams:
 def q_switch(params: ModelParams, r):
     """Nutrient switch: h(r) in smooth mode, wide clamp in singular mode."""
     if params.singular:
-        lo, hi = params.wide_clamp
-        return np.clip(r, lo, hi)
+        return clamp_signal(params, r)
     return h(r)
 
 
@@ -259,6 +262,7 @@ def p_switch(params: ModelParams, r):
 
 
 def clamp_signal(params: ModelParams, c):
+    """The wide clamp, of the signal and of the singular-mode nutrient."""
     lo, hi = params.wide_clamp
     return np.clip(c, lo, hi)
 

@@ -10,7 +10,7 @@ solution, so FD errors measure pure discretization error.
 
 import numpy as np
 
-from mchks.fields import Grid2D, ScalarField
+from mchks.fields import Grid2D
 from mchks.solver import Forcing, State
 from mchks.sources import ModelParams, source_c, source_n, source_phi, source_phi_a
 
@@ -133,11 +133,12 @@ class Manufactured:
         x, y = grid.centers()
         return State(
             0.0,
-            ScalarField(grid, self.exact("phi", x, y, 0.0)),
-            ScalarField.constant(grid, 0.0),
-            ScalarField(grid, self.exact("phi_a", x, y, 0.0)),
-            ScalarField(grid, self.exact("n", x, y, 0.0)),
-            ScalarField(grid, self.exact("c", x, y, 0.0)),
+            grid,
+            self.exact("phi", x, y, 0.0),
+            np.zeros(grid.shape),
+            self.exact("phi_a", x, y, 0.0),
+            self.exact("n", x, y, 0.0),
+            self.exact("c", x, y, 0.0),
         )
 
     def error_at(self, state) -> float:
@@ -146,6 +147,6 @@ class Manufactured:
         worst = 0.0
         for name in ("phi", "phi_a", "n", "c"):
             exact = self.exact(name, x, y, state.t)
-            got = getattr(state, name).values
+            got = getattr(state, name)
             worst = max(worst, float(np.sqrt(np.mean((got - exact) ** 2))))
         return worst

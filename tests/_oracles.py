@@ -4,7 +4,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from mchks.diagnostics import DiagnosticsTracker
-from mchks.fields import Grid2D, ScalarField
+from mchks.fields import Grid2D
 from mchks.galerkin import GalerkinState, galerkin_rhs, gradient, reconstruct
 from mchks.solver import State, run
 from mchks.sources import (
@@ -94,11 +94,12 @@ def galerkin_energy(basis, gstate, params):
 def uniform_state(grid: Grid2D, phi, phi_a, n, c) -> State:
     return State(
         0.0,
-        ScalarField.constant(grid, phi),
-        ScalarField.constant(grid, 0.0),
-        ScalarField.constant(grid, phi_a),
-        ScalarField.constant(grid, n),
-        ScalarField.constant(grid, c),
+        grid,
+        np.full(grid.shape, float(phi)),
+        np.zeros(grid.shape),
+        np.full(grid.shape, float(phi_a)),
+        np.full(grid.shape, float(n)),
+        np.full(grid.shape, float(c)),
     )
 
 
@@ -121,11 +122,12 @@ def band_limited_state(grid: Grid2D) -> State:
     x, y = grid.centers()
     return State(
         0.0,
-        ScalarField(grid, ic["phi"](x, y)),
-        ScalarField.constant(grid, 0.0),
-        ScalarField(grid, ic["phi_a"](x, y)),
-        ScalarField(grid, ic["n"](x, y)),
-        ScalarField(grid, ic["c"](x, y)),
+        grid,
+        ic["phi"](x, y),
+        np.zeros(grid.shape),
+        ic["phi_a"](x, y),
+        ic["n"](x, y),
+        ic["c"](x, y),
     )
 
 
@@ -136,11 +138,12 @@ def spheroid_state(grid: Grid2D, phi_lo=0.05, phi_hi=0.95, phi_a0=0.05,
     prof = 0.5 * (1.0 + np.tanh((radius_frac * min(grid.lx, grid.ly) - r) / width))
     return State(
         0.0,
-        ScalarField(grid, phi_lo + (phi_hi - phi_lo) * prof),
-        ScalarField.constant(grid, 0.0),
-        ScalarField.constant(grid, phi_a0),
-        ScalarField.constant(grid, n0),
-        ScalarField.constant(grid, c0),
+        grid,
+        phi_lo + (phi_hi - phi_lo) * prof,
+        np.zeros(grid.shape),
+        np.full(grid.shape, float(phi_a0)),
+        np.full(grid.shape, float(n0)),
+        np.full(grid.shape, float(c0)),
     )
 
 

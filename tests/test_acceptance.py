@@ -23,7 +23,7 @@ from _oracles import (
 )
 
 from mchks import diagnostics
-from mchks.fields import Grid2D, ScalarField
+from mchks.fields import Grid2D
 from mchks.cli import band_limited_initial
 from mchks.galerkin import cross_errors, integrate_galerkin
 from mchks.potentials import (
@@ -236,13 +236,13 @@ def test_criterion_05_energy_dissipation():
                          kappa_inf=0.0)
     st = State(
         0.0,
-        ScalarField(grid, 0.5 + 0.3 * np.cos(np.pi * x / length)
-                    * np.cos(np.pi * y / length)
-                    + 0.15 * np.cos(2 * np.pi * x / length)),
-        ScalarField.constant(grid, 0.0),
-        ScalarField.constant(grid, 0.2),
-        ScalarField(grid, 0.5 + 0.2 * np.cos(np.pi * y / length)),
-        ScalarField.constant(grid, 0.1),
+        grid,
+        0.5 + 0.3 * np.cos(np.pi * x / length) * np.cos(np.pi * y / length)
+        + 0.15 * np.cos(2 * np.pi * x / length),
+        np.zeros(grid.shape),
+        np.full(grid.shape, 0.2),
+        0.5 + 0.2 * np.cos(np.pi * y / length),
+        np.full(grid.shape, 0.1),
     )
     cfg = SolverConfig(dt=1e-3, t_end=1.0, sources_off=True,
                        stabilization=pot.perturbation_lipschitz(),
@@ -287,8 +287,7 @@ def test_criterion_07_uniform_state_ode_oracle(mode):
         st, _ = step(st, params, cfg)
         if (k + 1) % 10 == 0:
             ref = exact(st.t)
-            got = (st.phi.values[0, 0], st.phi_a.values[0, 0],
-                   st.n.values[0, 0], st.c.values[0, 0])
+            got = (st.phi[0, 0], st.phi_a[0, 0], st.n[0, 0], st.c[0, 0])
             worst = max(worst, max(abs(g - r) for g, r in zip(got, ref)))
     assert worst <= 1e-6
     report(7, f"{mode} uniform trajectory matches adaptive ODE oracle to "

@@ -168,13 +168,13 @@ def test_overrides():
 def test_presets():
     config = parse_config(TINY)
     st = build_initial_state(config)
-    assert st.phi.values.min() >= 0.049
-    assert st.phi.values.max() <= 0.951
-    assert np.all(st.n.values == 1.0)
+    assert st.phi.min() >= 0.049
+    assert st.phi.max() <= 0.951
+    assert np.all(st.n == 1.0)
 
     uni = parse_config(TINY + "\n[initial]\npreset = uniform\nphi0 = 0.25\n")
     st = build_initial_state(uni)
-    assert np.all(st.phi.values == 0.25)
+    assert np.all(st.phi == 0.25)
 
     rand = parse_config(
         TINY + "\n[initial]\npreset = random-perturbation\namplitude = 0.01\n"
@@ -182,8 +182,8 @@ def test_presets():
     )
     st1 = build_initial_state(rand)
     st2 = build_initial_state(rand)
-    assert np.array_equal(st1.phi.values, st2.phi.values)  # seeded
-    assert st1.phi.values.std() > 0.0
+    assert np.array_equal(st1.phi, st2.phi)  # seeded
+    assert st1.phi.std() > 0.0
 
     with pytest.raises(ValidationError):
         parse_config(TINY + "\n[initial]\npreset = wavy\n")
@@ -193,10 +193,10 @@ def test_twin_perturbation_keeps_admissibility():
     config = parse_config(TINY + "\n[initial]\nn0 = 0.95\nc0 = 0.3\n")
     base = build_initial_state(config)
     pert = twin_perturbation(base, 1e-2)
-    assert np.all(pert.n.values <= 1.0)
-    assert np.all(pert.c.values >= 0.0) and np.all(pert.c.values <= 1.0)
-    assert np.all(pert.phi_a.values >= 0.0)
-    assert not np.array_equal(pert.phi.values, base.phi.values)
+    assert np.all(pert.n <= 1.0)
+    assert np.all(pert.c >= 0.0) and np.all(pert.c <= 1.0)
+    assert np.all(pert.phi_a >= 0.0)
+    assert not np.array_equal(pert.phi, base.phi)
 
 
 @pytest.mark.parametrize("c0", [0.0, 1.0])
@@ -207,10 +207,10 @@ def test_twin_perturbation_keeps_bounds_admissible(c0):
     base = build_initial_state(config)
     for amp in (1e-3, 0.5, 1.0):
         pert = twin_perturbation(base, amp)
-        assert np.all(pert.n.values <= 1.0)
-        assert np.all(pert.c.values >= 0.0) and np.all(pert.c.values <= 1.0)
-        assert np.all(pert.phi_a.values >= 0.0)
-        assert not np.array_equal(pert.c.values, base.c.values)
+        assert np.all(pert.n <= 1.0)
+        assert np.all(pert.c >= 0.0) and np.all(pert.c <= 1.0)
+        assert np.all(pert.phi_a >= 0.0)
+        assert not np.array_equal(pert.c, base.c)
     with pytest.raises(ValidationError):
         twin_perturbation(base, -1e-3)
 
@@ -221,7 +221,7 @@ def test_band_limited_initial_shares_data():
     from mchks.galerkin import evaluate_on_grid
 
     again = evaluate_on_grid(basis, g0.phi, config.grid)
-    assert np.allclose(fd0.phi.values, again.values, atol=1e-12)
+    assert np.allclose(fd0.phi, again, atol=1e-12)
 
 
 def test_band_limited_initial_keeps_constants_exact():
@@ -230,8 +230,8 @@ def test_band_limited_initial_keeps_constants_exact():
         warnings.simplefilter("error")
         fd0, g0, _ = band_limited_initial(build_initial_state(config), 8)
         validate_initial_data(fd0, config.params)
-    assert np.all(fd0.n.values == 1.0)
-    assert np.all(fd0.c.values == config.initial["c0"])
+    assert np.all(fd0.n == 1.0)
+    assert np.all(fd0.c == config.initial["c0"])
     area = config.grid.lx * config.grid.ly
     assert g0.n[0, 0] == np.sqrt(area)
     assert np.count_nonzero(g0.n) == 1
@@ -258,10 +258,10 @@ def test_run_subcommand_outputs(tmp_path):
     parse_config(manifest)  # manifest is itself a valid config
 
     snap = out_dir / "snap_00000005_phi.bin"
-    field, name, t = read_snapshot(snap)
+    grid, _, name, t = read_snapshot(snap)
     assert name == "phi"
     assert t == pytest.approx(0.05)
-    assert field.grid.nx == 8
+    assert grid.nx == 8
 
 
 def test_run_determinism_bitwise(tmp_path):
@@ -509,6 +509,21 @@ def test_verify_fails_inadmissible_data_without_solving(monkeypatch, capsys):
             in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_kozeny_carman_with_a_negative_scale_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    out_dir = tmp_path / "out"
+    argv = [command, "-c", str(cfg_path)] + _sets(
+        "grid.nx=16", "grid.ny=16", "params.mobility_m=kozeny_carman",
+        "params.mobility_m_b=-1", "initial.phi_hi=0.9", "solver.t_end=2e-3",
+        f"output.dir={out_dir}")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: validation: mobility must be positive\n")
+    assert not out_dir.exists()
+
+
 def test_run_warns_a_mobility_outside_its_bounds_before_its_first_step(
         tmp_path, monkeypatch):
     seen_at_steps = []
@@ -664,3 +679,7 @@ def test_main_error_exit_codes(tmp_path):
     worse = tmp_path / "worse.cfg"
     worse.write_text("[params]\nwat = 1\n")
     assert main(["run", "-c", str(worse)]) == 2
+    # an override without "=" names no value
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    assert main(["run", "-c", str(empty), "--set", "output.dir"]) == 2

@@ -22,7 +22,7 @@ from mchks.diagnostics import (
     weak_residual,
 )
 from mchks.errors import GridMismatch, RangeError
-from mchks.fields import Grid2D, ScalarField, integrate, lap_array
+from mchks.fields import Grid2D, lap_array
 from mchks.potentials import FloryHuggins, RegularQuartic
 from mchks.regularize import TruncationPair
 from mchks.solver import SolverConfig, step
@@ -57,7 +57,7 @@ def test_energy_shift_in_c_is_linear_coupling():
     st = uniform_state(GRID, 0.4, 0.7, 0.6, 0.2)
     shifted = uniform_state(GRID, 0.4, 0.7, 0.6, 0.5)
     de = energy(shifted, QUARTIC) - energy(st, QUARTIC)
-    expected = -QUARTIC.chi_a * integrate(st.phi_a) * 0.3
+    expected = -QUARTIC.chi_a * (float(np.sum(st.phi_a)) * GRID.cell_area) * 0.3
     assert de == pytest.approx(expected, rel=1e-12)
 
 
@@ -77,16 +77,16 @@ def test_minmax_flags_fire_and_clear():
     ok = uniform_state(GRID, 0.4, 0.1, 0.9, 0.2)
     assert not _observed(ok, FH).any_violation
     bad_c = uniform_state(GRID, 0.4, 0.1, 0.9, 0.2)
-    bad_c.c.values[3, 3] = 1.2
+    bad_c.c[3, 3] = 1.2
     assert _observed(bad_c, FH).flag_c_max
     bad_n = uniform_state(GRID, 0.4, 0.1, 1.4, 0.2)
     assert _observed(bad_n, FH).flag_n_max
     # smooth mode is exempt from the n bounds
     assert not _observed(bad_n, QUARTIC).flag_n_max
     bad_a = uniform_state(GRID, 0.4, 0.0, 0.9, 0.2)
-    bad_a.phi_a.values[0, 0] = -1e-6
+    bad_a.phi_a[0, 0] = -1e-6
     assert _observed(bad_a, FH).flag_phi_a_neg
-    bad_a.phi_a.values[0, 0] = -1e-9  # within the eps-scaled tolerance
+    bad_a.phi_a[0, 0] = -1e-9  # within the eps-scaled tolerance
     assert not _observed(bad_a, FH).flag_phi_a_neg
 
 
@@ -141,10 +141,10 @@ def test_corridor_flag_on_a_run_without_proliferation():
     assert records[-1].h_sup == 0.0
     assert not any(rec.flag_corridor for rec in records)
     # the continuous envelope exp(-m t) lies below this mean
-    assert np.mean(final.phi.values) > mass_corridor(0.3, 0.0, FH.m, final.t)[1]
+    assert np.mean(final.phi) > mass_corridor(0.3, 0.0, FH.m, final.t)[1]
     residual_sum = sum(rep.newton_residual for rep in reports)
     for shift in (1e-6, -1e-6):
-        moved = ScalarField(GRID, final.phi.values + shift)
+        moved = final.phi + shift
         rec = DiagnosticsTracker(FH, st0).observe(
             replace(final, phi=moved, convex=None), cfg.dt, residual_sum)
         assert rec.flag_corridor, shift
@@ -224,13 +224,13 @@ def test_weak_residual_constant_mode_is_mass_balance():
     # v = const: the conservative gradient pairing vanishes identically, so
     # the assembled residual equals the plain mass-balance defect
     from mchks.sources import positive_part, source_c
-    from mchks.fields import integrate as integ
 
     direct = (
-        (integ(st1.c) - integ(st0.c)) / 1e-3
-        - FH.chi_a * float(np.sum(positive_part(st1.phi_a.values))) * grid.cell_area
-        - float(np.sum(source_c(FH, st1.phi.values, st1.phi_a.values,
-                                st1.n.values, st1.c.values))) * grid.cell_area
+        (float(np.sum(st1.c)) * grid.cell_area
+         - float(np.sum(st0.c)) * grid.cell_area) / 1e-3
+        - FH.chi_a * float(np.sum(positive_part(st1.phi_a))) * grid.cell_area
+        - float(np.sum(source_c(FH, st1.phi, st1.phi_a, st1.n, st1.c)))
+        * grid.cell_area
     )
     assert rep["c"][0] == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
@@ -241,11 +241,11 @@ def test_weak_residual_pairs_the_truncated_chemotaxis_flux():
     params = ModelParams(potential=FloryHuggins(1.0, 3.0), eps=1e-2, m=0.0)
     st = uniform_state(GRID, 0.5, 0.0, 0.5, 0.3)
     x, _ = GRID.centers()
-    st.c = ScalarField(GRID, 0.3 + 0.2 * np.cos(np.pi * x / GRID.lx))
+    st.c = 0.3 + 0.2 * np.cos(np.pi * x / GRID.lx)
     rep = weak_residual([st, st], params, dt=1e-3)
-    flux_div = params.eps * lap_array(st.c.values, GRID.dx, GRID.dy)
+    flux_div = params.eps * lap_array(st.c, GRID.dx, GRID.dy)
     expected = [
-        params.chi_a * float(np.sum(flux_div * v.values)) * GRID.cell_area
+        params.chi_a * float(np.sum(flux_div * v)) * GRID.cell_area
         for v in diagnostics.default_test_battery(GRID)
     ]
     assert np.max(np.abs(expected)) > 1e-8
@@ -270,29 +270,27 @@ def test_weak_residual_matches_per_test_function_weak_forms(params):
     s0, s1 = run_states(band_limited_state(grid), params, cfg)[-2:]
     rep = weak_residual([s0, s1], params, dt=cfg.dt)
 
-    phi, phia, n, c, mu = (getattr(s1, k).values
-                           for k in ("phi", "phi_a", "n", "c", "mu"))
+    phi, phia, n, c, mu = s1.phi, s1.phi_a, s1.n, s1.c, s1.mu
     ones = np.ones_like(phi)
     mob_m = params.mobility_m(phi, phia, n) * ones
     mob_n = params.mobility_n(phia, c) * ones
     chem = np.clip(phia, params.eps, 1.0 / params.eps) * mob_n
     s_phi, s_a, r_n, r_c = reaction_rates(params, phi, phia, n, c)
-    for i, v in enumerate(diagnostics.default_test_battery(grid)):
-        vv = v.values
+    for i, vv in enumerate(diagnostics.default_test_battery(grid)):
 
         def dot(f):
             return float(np.sum(f * vv)) * grid.cell_area
 
         ref = {
-            "phi": dot((phi - s0.phi.values) / cfg.dt - s_phi)
+            "phi": dot((phi - s0.phi) / cfg.dt - s_phi)
             + _grad_pairing(mob_m, mu - params.chi_phi * n, vv, grid),
             "mu": dot(mu - params.f_prime(phi)) - _grad_pairing(ones, phi, vv, grid),
-            "phi_a": dot((phia - s0.phi_a.values) / cfg.dt - s_a)
+            "phi_a": dot((phia - s0.phi_a) / cfg.dt - s_a)
             + _grad_pairing(mob_n, phia, vv, grid)
             - params.chi_a * _grad_pairing(chem, c, vv, grid),
-            "n": dot((n - s0.n.values) / cfg.dt - r_n)
+            "n": dot((n - s0.n) / cfg.dt - r_n)
             + _grad_pairing(ones, n, vv, grid),
-            "c": dot((c - s0.c.values) / cfg.dt - r_c)
+            "c": dot((c - s0.c) / cfg.dt - r_c)
             + _grad_pairing(ones, c, vv, grid),
         }
         for name, val in ref.items():
@@ -338,11 +336,8 @@ def test_twin_distance_small_perturbation_linear():
     scales = {}
     for amp in (1e-2, 5e-3):
         pert0 = base0.copy()
-        pert0.phi = ScalarField(
-            grid,
-            base0.phi.values
-            + amp * (0.3 + 0.5 * np.cos(np.pi * grid.centers()[0] / grid.lx)),
-        )
+        pert0.phi = base0.phi + amp * (
+            0.3 + 0.5 * np.cos(np.pi * grid.centers()[0] / grid.lx))
         pert = run_states(pert0, FH, cfg, every=2)
         scales[amp] = twin_run_distance(base, pert).lhs_total / amp
     assert scales[1e-2] == pytest.approx(scales[5e-3], rel=0.05)
@@ -356,17 +351,17 @@ def test_tracker_running_extremes_and_h():
     st = spheroid_state(grid)
     tracker = DiagnosticsTracker(FH, st)
     rec = tracker.observe(st, 1e-3)
-    assert tracker.delta_star == np.min(st.phi.values)
-    assert tracker.delta_upper == np.max(st.phi.values)
+    assert tracker.delta_star == np.min(st.phi)
+    assert tracker.delta_upper == np.max(st.phi)
     assert (rec.phi_min, rec.phi_max) == (tracker.delta_star,
                                           tracker.delta_upper)
     assert rec.h_sup == tracker.h_sup > 0.0
     assert rec.entropy >= 0.0
     # the running extremes keep the widest phi range seen so far
-    narrow = replace(st, phi=ScalarField(grid, np.full_like(st.phi.values, 0.5)))
+    narrow = replace(st, phi=np.full_like(st.phi, 0.5))
     tracker.observe(narrow, 1e-3)
-    assert tracker.delta_star == np.min(st.phi.values)
-    assert tracker.delta_upper == np.max(st.phi.values)
+    assert tracker.delta_star == np.min(st.phi)
+    assert tracker.delta_upper == np.max(st.phi)
 
 
 def test_separation_margins_monitor():

@@ -6,21 +6,16 @@ from hypothesis import strategies as st
 from mchks.errors import MeanError
 from mchks.fields import (
     Grid2D,
-    ScalarField,
     cg_solve,
     cosine_mode,
     div_mob_grad_array,
     div_mob_grad_matrix,
     dual_norm,
-    grad_sq_integral,
-    inner,
-    integrate,
+    grad_sq_integral_array,
     inv_neumann_laplacian,
     lap_array,
     laplacian_matrix,
-    mean,
     neumann_eigenvalues,
-    norm_l2,
     read_snapshot,
     write_snapshot,
 )
@@ -30,23 +25,28 @@ GRID = Grid2D(24, 20, 1.5, 1.0)
 
 def random_field(grid, seed=0, amp=1.0):
     rng = np.random.default_rng(seed)
-    return ScalarField(grid, amp * rng.standard_normal((grid.nx, grid.ny)))
+    return amp * rng.standard_normal((grid.nx, grid.ny))
 
 
-def laplacian(f):
-    """``lap_array`` of a field, as a field."""
-    return ScalarField(f.grid, lap_array(f.values, f.grid.dx, f.grid.dy))
+def laplacian(f, grid=GRID):
+    return lap_array(f, grid.dx, grid.dy)
 
 
-def div_mob_grad(mob, f):
-    """``div_mob_grad_array`` of a field, mobility array mob, as a field."""
-    return ScalarField(f.grid,
-                       div_mob_grad_array(mob, f.values, f.grid.dx, f.grid.dy))
+def div_mob_grad(mob, f, grid=GRID):
+    return div_mob_grad_array(mob, f, grid.dx, grid.dy)
+
+
+def integrate(f, grid=GRID):
+    return float(np.sum(f)) * grid.cell_area
+
+
+def inner(f, g, grid=GRID):
+    return integrate(f * g, grid)
 
 
 def test_constant_in_kernel():
-    f = ScalarField.constant(GRID, 3.7)
-    assert np.allclose(laplacian(f).values, 0.0, atol=1e-13)
+    f = np.full(GRID.shape, 3.7)
+    assert np.allclose(laplacian(f), 0.0, atol=1e-13)
 
 
 def test_laplacian_cosine_eigenfunction():
@@ -54,7 +54,7 @@ def test_laplacian_cosine_eigenfunction():
     for grid in (Grid2D(32, 32, 1.0, 1.0), Grid2D(64, 64, 1.0, 1.0)):
         f = cosine_mode(grid, 1, 0)
         lam = (np.pi / grid.lx) ** 2
-        err = np.max(np.abs(laplacian(f).values + lam * f.values))
+        err = np.max(np.abs(laplacian(f, grid) + lam * f))
         assert err < 2.0 * lam * (np.pi * grid.dx / grid.lx) ** 2
 
 
@@ -62,12 +62,12 @@ def test_laplacian_discrete_eigenvector_exact():
     # cosine modes at cell centers are exact eigenvectors of the stencil
     f = cosine_mode(GRID, 3, 2)
     lam = neumann_eigenvalues(GRID)[3, 2]
-    assert np.allclose(laplacian(f).values, -lam * f.values, atol=1e-11)
+    assert np.allclose(laplacian(f), -lam * f, atol=1e-11)
 
 
 def test_laplacian_has_zero_mean():
     f = random_field(GRID, seed=1)
-    assert abs(mean(laplacian(f))) < 1e-12 * np.max(np.abs(f.values))
+    assert abs(float(np.mean(laplacian(f)))) < 1e-12 * np.max(np.abs(f))
 
 
 def test_self_adjointness_and_negativity():
@@ -81,31 +81,30 @@ def test_self_adjointness_and_negativity():
 
 def test_grad_sq_matches_quadratic_form():
     f = random_field(GRID, seed=4)
-    assert grad_sq_integral(f) == pytest.approx(-inner(f, laplacian(f)), rel=1e-12)
+    assert grad_sq_integral_array(f, GRID.dx, GRID.dy) == pytest.approx(
+        -inner(f, laplacian(f)), rel=1e-12)
 
 
 def test_div_mob_grad_reduces_to_laplacian():
     f = random_field(GRID, seed=5)
     mob = np.ones((GRID.nx, GRID.ny))
-    assert np.allclose(
-        div_mob_grad(mob, f).values, laplacian(f).values, atol=1e-12
-    )
+    assert np.allclose(div_mob_grad(mob, f), laplacian(f), atol=1e-12)
 
 
 def test_div_mob_grad_conservative_and_kernel():
     f = random_field(GRID, seed=6)
-    mob = 0.5 + 0.4 * np.abs(random_field(GRID, 7).values)
+    mob = 0.5 + 0.4 * np.abs(random_field(GRID, 7))
     out = div_mob_grad(mob, f)
-    assert abs(integrate(out)) < 1e-11 * np.max(np.abs(f.values))
-    const = ScalarField.constant(GRID, 2.0)
-    assert np.allclose(div_mob_grad(mob, const).values, 0.0, atol=1e-14)
+    assert abs(integrate(out)) < 1e-11 * np.max(np.abs(f))
+    const = np.full(GRID.shape, 2.0)
+    assert np.allclose(div_mob_grad(mob, const), 0.0, atol=1e-14)
 
 
 def test_div_mob_grad_adjointness():
     # <v, div(m grad u)> = <u, div(m grad v)> for the face-flux form
     u = random_field(GRID, seed=8)
     v = random_field(GRID, seed=9)
-    mob = 1.0 + 0.3 * np.cos(random_field(GRID, 10).values)
+    mob = 1.0 + 0.3 * np.cos(random_field(GRID, 10))
     assert inner(v, div_mob_grad(mob, u)) == pytest.approx(
         inner(u, div_mob_grad(mob, v)), rel=1e-12, abs=1e-12
     )
@@ -119,8 +118,8 @@ NON_SQUARE = [Grid2D(5, 7, 1.0, 1.7), Grid2D(17, 23, 2.3, 1.1),
 def test_assembled_operator_matches_face_flux_stencil(grid):
     # x-major ordering and the +-1 / +-ny offsets, checked against the
     # independently coded slicing stencils
-    v = random_field(grid, seed=20).values
-    mob = 0.5 + np.abs(random_field(grid, seed=21).values)
+    v = random_field(grid, seed=20)
+    mob = 0.5 + np.abs(random_field(grid, seed=21))
     ref = div_mob_grad_array(mob, v, grid.dx, grid.dy)
     a = div_mob_grad_matrix(grid, mob)
     got = (a @ v.ravel()).reshape(v.shape)
@@ -142,95 +141,96 @@ def test_cached_laplacian_matrix_is_read_only():
 
 
 def test_mean_and_integral():
-    f = ScalarField.constant(GRID, 2.5)
-    assert mean(f) == pytest.approx(2.5)
+    f = np.full(GRID.shape, 2.5)
+    assert float(np.mean(f)) == pytest.approx(2.5)
     assert integrate(f) == pytest.approx(2.5 * GRID.area)
     g = random_field(GRID, seed=12)
-    two = ScalarField(GRID, f.values + g.values)
+    two = f + g
     assert integrate(two) == pytest.approx(integrate(f) + integrate(g), rel=1e-12)
 
 
 def test_cosine_mode_integrates_to_zero():
     f = cosine_mode(GRID, 2, 1)
-    assert abs(mean(f)) < 1e-13
+    assert abs(float(np.mean(f))) < 1e-13
 
 
 def test_inverse_laplacian_identity():
     v = random_field(GRID, seed=13)
     f = laplacian(v)
-    u = inv_neumann_laplacian(ScalarField(GRID, -f.values))
-    expected = v.values - np.mean(v.values)
-    assert np.max(np.abs(u.values - expected)) < 1e-8 * np.max(np.abs(expected))
+    u = inv_neumann_laplacian(GRID, -f)
+    expected = v - np.mean(v)
+    assert np.max(np.abs(u - expected)) < 1e-8 * np.max(np.abs(expected))
 
 
 def test_inverse_laplacian_zero():
-    z = ScalarField.constant(GRID, 0.0)
-    assert np.allclose(inv_neumann_laplacian(z).values, 0.0)
+    z = np.zeros(GRID.shape)
+    assert np.allclose(inv_neumann_laplacian(GRID, z), 0.0)
 
 
 def test_inverse_laplacian_eigenmode():
     f = cosine_mode(GRID, 1, 0)
     lam = neumann_eigenvalues(GRID)[1, 0]
-    u = inv_neumann_laplacian(f)
-    assert np.allclose(u.values, f.values / lam, atol=1e-10)
+    u = inv_neumann_laplacian(GRID, f)
+    assert np.allclose(u, f / lam, atol=1e-10)
 
 
 def test_inverse_laplacian_mean_precondition():
     with pytest.raises(MeanError):
-        inv_neumann_laplacian(ScalarField.constant(GRID, 1.0))
+        inv_neumann_laplacian(GRID, np.full(GRID.shape, 1.0))
 
 
 def test_dual_norm_basics():
-    z = ScalarField.constant(GRID, 0.0)
-    assert dual_norm(z) == 0.0
+    z = np.zeros(GRID.shape)
+    assert dual_norm(GRID, z) == 0.0
     f = cosine_mode(GRID, 1, 0)
-    two_f = ScalarField(GRID, 2.0 * f.values)
-    assert dual_norm(two_f) == pytest.approx(2.0 * dual_norm(f), rel=1e-9)
+    two_f = 2.0 * f
+    assert dual_norm(GRID, two_f) == pytest.approx(2.0 * dual_norm(GRID, f),
+                                                   rel=1e-9)
     lam = neumann_eigenvalues(GRID)[1, 0]
-    assert dual_norm(f) == pytest.approx(norm_l2(f) / np.sqrt(lam), rel=1e-9)
+    assert dual_norm(GRID, f) == pytest.approx(
+        np.sqrt(inner(f, f)) / np.sqrt(lam), rel=1e-9)
 
 
 def test_dual_norm_is_the_norm_of_the_fluctuation():
     x, y = GRID.centers()
-    f = ScalarField(GRID, np.cos(np.pi * x / 1.5) + 0.3 * np.sin(2.0 * x * y))
-    shifted = ScalarField(GRID, f.values + 3.0)
-    assert dual_norm(shifted) == pytest.approx(dual_norm(f), rel=1e-12)
-    zm = ScalarField(GRID, f.values - np.mean(f.values))
-    assert dual_norm(f) == pytest.approx(
-        np.sqrt(inner(zm, inv_neumann_laplacian(zm))), rel=1e-12)
-    assert dual_norm(ScalarField.constant(GRID, 0.7)) == 0.0
+    f = np.cos(np.pi * x / 1.5) + 0.3 * np.sin(2.0 * x * y)
+    shifted = f + 3.0
+    assert dual_norm(GRID, shifted) == pytest.approx(dual_norm(GRID, f), rel=1e-12)
+    zm = f - np.mean(f)
+    assert dual_norm(GRID, f) == pytest.approx(
+        np.sqrt(inner(zm, inv_neumann_laplacian(GRID, zm))), rel=1e-12)
+    assert dual_norm(GRID, np.full(GRID.shape, 0.7)) == 0.0
 
 
 def test_dual_norm_time_derivative_identity():
     # <d/dt v, N v> ~ 0.5 d/dt ||v||_*^2 for a forward difference, O(dt)
-    base = cosine_mode(GRID, 1, 1).values
-    bump = cosine_mode(GRID, 2, 0).values
+    base = cosine_mode(GRID, 1, 1)
+    bump = cosine_mode(GRID, 2, 0)
     dt = 1e-4
-    v0 = ScalarField(GRID, base + 0.3 * bump)
-    v1 = ScalarField(GRID, base + (0.3 + dt) * bump)
-    vdot = ScalarField(GRID, (v1.values - v0.values) / dt)
-    lhs = inner(vdot, inv_neumann_laplacian(v0))
-    rhs = (dual_norm(v1) ** 2 - dual_norm(v0) ** 2) / (2 * dt)
+    v0 = base + 0.3 * bump
+    v1 = base + (0.3 + dt) * bump
+    vdot = (v1 - v0) / dt
+    lhs = inner(vdot, inv_neumann_laplacian(GRID, v0))
+    rhs = (dual_norm(GRID, v1) ** 2 - dual_norm(GRID, v0) ** 2) / (2 * dt)
     assert lhs == pytest.approx(rhs, rel=5e-3)
 
 
-def cg_inverse_laplacian(f):
+def cg_inverse_laplacian(grid, f):
     """Reference solve of -lap(u) = f by unpreconditioned CG, zero-mean u."""
-    g = f.grid
-    u, _ = cg_solve(lambda v: -lap_array(v, g.dx, g.dy), f.values, rel_tol=1e-12)
+    u, _ = cg_solve(lambda v: -lap_array(v, grid.dx, grid.dy), f, rel_tol=1e-12)
     return u - np.mean(u)
 
 
 @pytest.mark.parametrize("grid", [GRID, Grid2D(128, 128, 12.8, 12.8)],
                          ids=["24x20", "128x128"])
 def test_inverse_laplacian_matches_cg_reference(grid):
-    v = random_field(grid, seed=15).values
-    f = ScalarField(grid, v - np.mean(v))
-    ref = cg_inverse_laplacian(f)
-    u = inv_neumann_laplacian(f)
-    assert np.linalg.norm(u.values - ref) <= 1e-9 * np.linalg.norm(ref)
-    assert dual_norm(f) == pytest.approx(
-        np.sqrt(inner(f, ScalarField(grid, ref))), rel=1e-9
+    v = random_field(grid, seed=15)
+    f = v - np.mean(v)
+    ref = cg_inverse_laplacian(grid, f)
+    u = inv_neumann_laplacian(grid, f)
+    assert np.linalg.norm(u - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert dual_norm(grid, f) == pytest.approx(
+        np.sqrt(inner(f, ref, grid)), rel=1e-9
     )
 
 
@@ -244,14 +244,15 @@ def test_eigenvalue_reads_the_table():
 
 
 def test_snapshot_roundtrip(tmp_path):
-    f = random_field(Grid2D(8, 6, 2.0, 1.0), seed=14)
+    grid = Grid2D(8, 6, 2.0, 1.0)
+    f = random_field(grid, seed=14)
     path = tmp_path / "field.bin"
-    write_snapshot(path, f, "phi_a", 0.625)
-    g, name, t = read_snapshot(path)
+    write_snapshot(path, grid, f, "phi_a", 0.625)
+    g_grid, g, name, t = read_snapshot(path)
     assert name == "phi_a"
     assert t == 0.625
-    assert g.grid == f.grid
-    assert np.array_equal(g.values, f.values)
+    assert g_grid == grid
+    assert np.array_equal(g, f)
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):

@@ -14,7 +14,7 @@ from _oracles import (
 from mchks import galerkin
 from mchks.cli import build_initial_state, parse_config
 from mchks.errors import NonFiniteField
-from mchks.fields import Grid2D, ScalarField
+from mchks.fields import Grid2D
 from mchks.galerkin import (
     EigenBasis,
     cross_errors,
@@ -34,7 +34,7 @@ FIELDS = ("phi", "phi_a", "n", "c")
 
 
 def constant_fields(grid, values):
-    return {name: ScalarField.constant(grid, val) for name, val in values.items()}
+    return {name: np.full(grid.shape, float(val)) for name, val in values.items()}
 
 
 def band_limited_fields(grid):
@@ -44,9 +44,8 @@ def band_limited_fields(grid):
 
 def test_project_constant_hits_only_mean_mode():
     basis = EigenBasis(2.0, 1.0, 4)
-    ones = ScalarField.from_function(Grid2D(8, 6, 2.0, 1.0),
-                                     lambda x, y: np.ones_like(x))
-    coeffs = project(basis, ones)
+    grid = Grid2D(8, 6, 2.0, 1.0)
+    coeffs = project(basis, grid, np.ones(grid.shape))
     assert coeffs[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     off = np.abs(coeffs).sum() - abs(coeffs[0, 0])
     assert off < 1e-12
@@ -63,7 +62,8 @@ def test_project_mode_is_orthonormal():
             * np.cos(2.0 * np.pi * y / 1.0)
         )
 
-    coeffs = project(basis, ScalarField.from_function(Grid2D(12, 8, 2.0, 1.0), mode))
+    grid = Grid2D(12, 8, 2.0, 1.0)
+    coeffs = project(basis, grid, mode(*grid.centers()))
     assert coeffs[1, 2] == pytest.approx(1.0, abs=1e-12)
     assert np.abs(coeffs).sum() - abs(coeffs[1, 2]) < 1e-11
 
@@ -78,7 +78,8 @@ def test_band_limited_roundtrip():
             + 0.1 * np.cos(2 * np.pi * x / 3.0)
         )
 
-    coeffs = project(basis, ScalarField.from_function(Grid2D(9, 7, 3.0, 2.0), f))
+    grid = Grid2D(9, 7, 3.0, 2.0)
+    coeffs = project(basis, grid, f(*grid.centers()))
     # the quadrature cells are the centres of an n_quad x n_quad grid
     x, y = Grid2D(basis.n_quad, basis.n_quad, 3.0, 2.0).centers()
     assert np.allclose(reconstruct(basis, coeffs), f(x, y), atol=1e-12)
@@ -94,7 +95,7 @@ def test_project_scalar_field_matches_callable():
     # the orthonormal modes of f: 0.5 sqrt(4) psi_00 + 0.25 sqrt(2) psi_10
     exact = np.zeros((4, 4))
     exact[0, 0], exact[1, 0] = 1.0, 0.25 * np.sqrt(2.0)
-    sampled = project(basis, ScalarField.from_function(grid, f))
+    sampled = project(basis, grid, f(*grid.centers()))
     # the midpoint sum of a band-limited field is exact to round-off
     assert np.allclose(sampled, exact, atol=1e-14)
 
@@ -109,8 +110,8 @@ def test_project_inverts_evaluate_on_grid(nx, ny, lx, ly, k):
     grid = Grid2D(nx, ny, lx, ly)
     basis = EigenBasis(lx, ly, k)
     a = np.random.default_rng(nx * ny + k).standard_normal((k + 1, k + 1))
-    values = evaluate_on_grid(basis, a, grid).values
-    back = project(basis, ScalarField(grid, values))
+    values = evaluate_on_grid(basis, a, grid)
+    back = project(basis, grid, values)
     assert np.max(np.abs(back - a)) <= 1e-13
     if (nx, ny) == (basis.n_quad, basis.n_quad):
         # on the quadrature cells the FD grid reads the same cosine table
@@ -120,10 +121,11 @@ def test_project_inverts_evaluate_on_grid(nx, ny, lx, ly, k):
 
 def test_project_needs_more_cells_than_modes():
     grid = Grid2D(8, 12, 1.0, 1.5)
-    field = ScalarField.from_function(grid, lambda x, y: np.cos(np.pi * x))
-    project(EigenBasis(1.0, 1.5, 7), field)
+    x, _ = grid.centers()
+    field = np.cos(np.pi * x)
+    project(EigenBasis(1.0, 1.5, 7), grid, field)
     with pytest.raises(ValueError, match="8x12"):
-        project(EigenBasis(1.0, 1.5, 8), field)
+        project(EigenBasis(1.0, 1.5, 8), grid, field)
 
 
 def test_grid_must_cover_the_basis_rectangle():
@@ -131,18 +133,19 @@ def test_grid_must_cover_the_basis_rectangle():
     # return 0.707 in mode (1, 0)
     basis = EigenBasis(1.0, 1.0, 4)
     grid = Grid2D(16, 16, 2.0, 2.0)
-    field = ScalarField.from_function(grid, lambda x, y: np.cos(np.pi * x / 2))
+    x, _ = grid.centers()
+    field = np.cos(np.pi * x / 2)
     coeffs = np.zeros((5, 5))
     fd = SimpleNamespace(grid=grid, **{n: field for n in ("phi", "phi_a", "n", "c")})
     gs = SimpleNamespace(**{n: coeffs for n in ("phi", "phi_a", "n", "c")})
-    for call in (lambda: project(basis, field),
+    for call in (lambda: project(basis, grid, field),
                  lambda: evaluate_on_grid(basis, coeffs, grid),
                  lambda: cross_errors(fd, gs, basis)):
         with pytest.raises(ValueError, match=r"2 x 2 .* 1 x 1"):
             call()
     # a relative difference of 1e-12 still counts as the same rectangle
     near = Grid2D(16, 16, 1.0 + 5e-13, 1.0)
-    assert evaluate_on_grid(basis, coeffs, near).values.shape == (16, 16)
+    assert evaluate_on_grid(basis, coeffs, near).shape == (16, 16)
 
 
 def test_alpha_starts_at_zero_and_orders():
@@ -154,8 +157,9 @@ def test_alpha_starts_at_zero_and_orders():
 
 def test_mean_channel_carries_source_mean():
     basis = EigenBasis(2.0, 1.0, 0)
-    g0 = initial_galerkin_state(basis, constant_fields(
-        Grid2D(4, 4, 2.0, 1.0), dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1)))
+    grid = Grid2D(4, 4, 2.0, 1.0)
+    g0 = initial_galerkin_state(basis, grid, constant_fields(
+        grid, dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1)))
     derivs = galerkin_rhs((g0.phi, g0.phi_a, g0.n, g0.c), PARAMS, basis)
     area = 2.0 * 1.0
     expected = source_phi(PARAMS, 0.4, 0.9) * np.sqrt(area)
@@ -178,7 +182,8 @@ def test_zero_state_zero_sources_is_stationary():
 def test_k0_reduction_matches_scalar_ode():
     basis = EigenBasis(2.0, 1.0, 0)
     y0 = dict(phi=0.4, phi_a=0.3, n=0.9, c=0.1)
-    g0 = initial_galerkin_state(basis, constant_fields(Grid2D(4, 4, 2.0, 1.0), y0))
+    grid = Grid2D(4, 4, 2.0, 1.0)
+    g0 = initial_galerkin_state(basis, grid, constant_fields(grid, y0))
     final = integrate_galerkin(g0, PARAMS, basis, 0.5)[-1]
     exact = solve_uniform_ode(PARAMS, list(y0.values()), 0.5)(0.5)
     root = np.sqrt(2.0)
@@ -189,9 +194,10 @@ def test_k0_reduction_matches_scalar_ode():
 def test_initial_projection_matches_data():
     L = 2 * np.pi
     basis = EigenBasis(L, L, 4)
-    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
+    grid = Grid2D(16, 16, L, L)
+    g0 = initial_galerkin_state(basis, grid, band_limited_fields(grid))
     quad = band_limited_state(Grid2D(basis.n_quad, basis.n_quad, L, L))
-    assert np.allclose(reconstruct(basis, g0.phi), quad.phi.values, atol=1e-10)
+    assert np.allclose(reconstruct(basis, g0.phi), quad.phi, atol=1e-10)
 
 
 def test_spectral_self_consistency_under_k_doubling():
@@ -200,9 +206,9 @@ def test_spectral_self_consistency_under_k_doubling():
     finals = {}
     for k in (2, 4, 8, 16):
         basis = EigenBasis(L, L, k)
-        g0 = initial_galerkin_state(basis, band_limited_fields(grid))
+        g0 = initial_galerkin_state(basis, grid, band_limited_fields(grid))
         gs = integrate_galerkin(g0, PARAMS, basis, 0.02)[-1]
-        finals[k] = evaluate_on_grid(basis, gs.phi, grid).values
+        finals[k] = evaluate_on_grid(basis, gs.phi, grid)
     diffs = [
         np.sqrt(np.mean((finals[2] - finals[4]) ** 2)),
         np.sqrt(np.mean((finals[4] - finals[8]) ** 2)),
@@ -216,7 +222,8 @@ def test_energy_lyapunov_zero_sources():
     params = ModelParams(potential=RegularQuartic(1.0), m=0.0, delta_n=1.0,
                          kappa0=0.0, kappa_inf=0.0)
     basis = EigenBasis(L, L, 6)
-    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
+    grid = Grid2D(16, 16, L, L)
+    g0 = initial_galerkin_state(basis, grid, band_limited_fields(grid))
     times = np.linspace(0.0, 0.05, 11)
     states = integrate_galerkin(g0, params, basis, 0.05, t_eval=times)
     assert [s.t for s in states] == list(times)
@@ -229,7 +236,8 @@ def test_non_finite_stage_names_eps_k_and_t(monkeypatch):
     monkeypatch.setattr(galerkin, "galerkin_rhs", nan_galerkin_rhs(30))
     L = 2 * np.pi
     basis = EigenBasis(L, L, 4)
-    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
+    grid = Grid2D(16, 16, L, L)
+    g0 = initial_galerkin_state(basis, grid, band_limited_fields(grid))
     with pytest.raises(NonFiniteField) as exc:
         integrate_galerkin(g0, PARAMS, basis, 0.1)
     msg = str(exc.value)
@@ -255,7 +263,7 @@ def test_etd_oracle_matches_tight_rk45(monkeypatch):
     for state, params, t_end in cases:
         basis = EigenBasis(state.grid.lx, state.grid.ly, 16)
         g0 = initial_galerkin_state(
-            basis, {name: getattr(state, name) for name in FIELDS})
+            basis, state.grid, {name: getattr(state, name) for name in FIELDS})
         ref = galerkin_rk45(g0, params, basis, t_end)
         err = _etd_error(g0, params, basis, t_end, ref)
         assert err <= 1e-8
@@ -273,7 +281,8 @@ def test_mean_channel_respects_mass_corridor():
 
     L = 2 * np.pi
     basis = EigenBasis(L, L, 6)
-    g0 = initial_galerkin_state(basis, band_limited_fields(Grid2D(16, 16, L, L)))
+    grid = Grid2D(16, 16, L, L)
+    g0 = initial_galerkin_state(basis, grid, band_limited_fields(grid))
     times = np.linspace(0.0, 0.2, 9)
     states = integrate_galerkin(g0, PARAMS, basis, 0.2, t_eval=times)
     assert [s.t for s in states] == list(times)

@@ -385,7 +385,7 @@ def test_flory_huggins_resolvent_warm_start_sweeps(monkeypatch):
     from mchks.cli import build_initial_state, parse_config
 
     config = parse_config("[grid]\nnx = 128\nny = 128\n")
-    phi = build_initial_state(config).phi.values
+    phi = build_initial_state(config).phi
     calls = []
     expit_ = potentials.expit
 

@@ -18,10 +18,8 @@ from mchks.diagnostics import DiagnosticsTracker
 from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
 from mchks.fields import (
     Grid2D,
-    ScalarField,
     div_mob_grad_array,
     div_mob_grad_matrix,
-    integrate,
     lap_array,
 )
 from mchks.potentials import (
@@ -35,6 +33,7 @@ from mchks.solver import (
     SolverConfig,
     State,
     StepReport,
+    hypotheses,
     initialize_mu,
     run,
     step,
@@ -60,8 +59,7 @@ def test_uniform_equilibrium_is_fixed_point():
     params = ModelParams(potential=FloryHuggins(1.0, 3.0), m=0.0)
     st1, _ = step(st0, params, SolverConfig(dt=1e-3, t_end=1e-3))
     for name in ("phi", "phi_a", "n", "c"):
-        drift = np.max(np.abs(getattr(st1, name).values
-                              - getattr(st0, name).values))
+        drift = np.max(np.abs(getattr(st1, name) - getattr(st0, name)))
         assert drift < 1e-13, name
 
 
@@ -76,8 +74,7 @@ def test_uniform_run_matches_scalar_ode(params):
     for _ in range(200):
         st, _ = step(st, params, cfg)
         ref = exact(st.t)
-        got = [st.phi.values[0, 0], st.phi_a.values[0, 0],
-               st.n.values[0, 0], st.c.values[0, 0]]
+        got = [st.phi[0, 0], st.phi_a[0, 0], st.n[0, 0], st.c[0, 0]]
         worst = max(worst, max(abs(g - r) for g, r in zip(got, ref)))
     assert worst < 2e-4  # first order in dt with a small constant
 
@@ -91,9 +88,8 @@ def test_uniform_substeps_are_the_sources_splits(potential):
     dt = 1e-2
     old = uniform_state(Grid2D(4, 4, 2.0, 2.0), 0.4, 0.3, 0.5, 0.2)
     new, _ = step(old, params, SolverConfig(dt=dt, t_end=dt))
-    phi_o, phia_o, n_o, c_o = (old.phi.values, old.phi_a.values,
-                               old.n.values, old.c.values)
-    n_new, c_new, phia_new = new.n.values, new.c.values, new.phi_a.values
+    phi_o, phia_o, n_o, c_o = old.phi, old.phi_a, old.n, old.c
+    n_new, c_new, phia_new = new.n, new.c, new.phi_a
     n_at = n_new if params.singular else n_o
     rate_n = reaction_rates(params, phi_o, phia_o, n_at, c_o)[2]
     rate_c = reaction_rates(params, phi_o, phia_o, n_o, c_new)[3]
@@ -109,20 +105,23 @@ def test_conservative_flux_identities():
     st = spheroid_state(grid)
     params = FH
     cfg = SolverConfig(dt=1e-3, t_end=1.0, linear_tol=1e-12)
+
+    def integrate(v):
+        return float(np.sum(v)) * grid.cell_area
+
     for _ in range(20):
         old = st
         st, _ = step(st, params, cfg)
         # phi: mass change equals dt * integral of the discrete source
-        prol = positive_part(q_switch(params, st.n.values) - params.delta_n) \
-            * h(old.phi.values)
-        src = integrate(ScalarField(grid, prol - params.m * st.phi.values))
+        prol = positive_part(q_switch(params, st.n) - params.delta_n) * h(old.phi)
+        src = integrate(prol - params.m * st.phi)
         defect = integrate(st.phi) - integrate(old.phi) - cfg.dt * src
         assert abs(defect) < 1e-12
         # phi_a: logistic split source, chemotaxis and diffusion conservative
-        th = theta(params, old.phi.values, old.c.values)
-        decay = th * (params.kappa_inf * positive_part(old.phi_a.values)
+        th = theta(params, old.phi, old.c)
+        decay = th * (params.kappa_inf * positive_part(old.phi_a)
                       - params.kappa0)
-        src_a = integrate(ScalarField(grid, -decay * st.phi_a.values))
+        src_a = integrate(-decay * st.phi_a)
         defect = integrate(st.phi_a) - integrate(old.phi_a) - cfg.dt * src_a
         assert abs(defect) < 1e-12
 
@@ -148,12 +147,12 @@ def test_energy_decrease_short_source_free_run():
                          kappa_inf=0.0)
     st = State(
         0.0,
-        ScalarField(grid, 0.5 + 0.3 * np.cos(np.pi * x / grid.lx)
-                    * np.cos(np.pi * y / grid.ly)),
-        ScalarField.constant(grid, 0.0),
-        ScalarField.constant(grid, 0.2),
-        ScalarField(grid, 0.5 + 0.2 * np.cos(np.pi * y / grid.ly)),
-        ScalarField.constant(grid, 0.1),
+        grid,
+        0.5 + 0.3 * np.cos(np.pi * x / grid.lx) * np.cos(np.pi * y / grid.ly),
+        np.zeros(grid.shape),
+        np.full(grid.shape, 0.2),
+        0.5 + 0.2 * np.cos(np.pi * y / grid.ly),
+        np.full(grid.shape, 0.1),
     )
     cfg = SolverConfig(dt=1e-3, t_end=0.05, sources_off=True,
                        stabilization=pot.perturbation_lipschitz(),
@@ -172,7 +171,7 @@ def test_direct_and_krylov_linear_solvers_agree():
                          newton_tol=1e-12, linear_solver="direct")
     s_k, _ = step(st, FH, cfg_k)
     s_d, _ = step(st, FH, cfg_d)
-    assert np.max(np.abs(s_k.phi.values - s_d.phi.values)) < 1e-9
+    assert np.max(np.abs(s_k.phi - s_d.phi)) < 1e-9
 
 
 def test_report_counts_ch_krylov_iterations(monkeypatch):
@@ -239,7 +238,7 @@ def test_step_is_bitwise_deterministic(linear_solver):
     s1, _ = step(st0, FH, cfg)
     s2, _ = step(st0, FH, cfg)
     for name in ("phi", "mu", "phi_a", "n", "c"):
-        assert np.array_equal(getattr(s1, name).values, getattr(s2, name).values)
+        assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
 def test_ch_krylov_failure_warns_and_falls_back(monkeypatch):
@@ -255,7 +254,7 @@ def test_ch_krylov_failure_warns_and_falls_back(monkeypatch):
     assert rep.used_direct
     s_d, _ = step(st, FH, SolverConfig(dt=1e-3, t_end=1e-3,
                                        linear_solver="direct"))
-    assert np.max(np.abs(s_f.phi.values - s_d.phi.values)) < 1e-9
+    assert np.max(np.abs(s_f.phi - s_d.phi)) < 1e-9
 
 
 def test_manufactured_spatial_convergence_quick():
@@ -301,6 +300,23 @@ def test_initial_data_validation():
     assert exc.value.constraint == "phi0-mean-domain"
 
 
+@pytest.mark.parametrize("name", ["phi", "phi_a", "n", "c"])
+def test_grid_hypothesis_checks_every_field_shape(monkeypatch, name):
+    grid = Grid2D(8, 8, 4.0, 4.0)
+    bad = replace(uniform_state(grid, 0.4, 0.1, 0.9, 0.2),
+                  **{name: np.full((8, 7), 0.5)})
+    hyp = next(h for h in hypotheses(bad, FH) if h.name == "grid")
+    assert not hyp.holds and hyp.refused
+
+    def no_potential(*args):
+        raise AssertionError("potential evaluated")
+
+    monkeypatch.setattr(FloryHuggins, "value", no_potential)
+    with pytest.raises(InitialDataError) as exc:
+        validate_initial_data(bad, FH)
+    assert exc.value.constraint == "grid"
+
+
 def test_run_rejects_fractional_step_count():
     grid = Grid2D(8, 8, 4.0, 4.0)
     st = uniform_state(grid, 0.4, 0.1, 0.9, 0.2)
@@ -318,7 +334,7 @@ def test_run_yields_the_start_then_each_step():
     assert len(pairs) == cfg.steps + 1 == 4
     (start, first), *rest = pairs
     assert first is None
-    assert np.array_equal(start.mu.values, initialize_mu(st, FH).mu.values)
+    assert np.array_equal(start.mu, initialize_mu(st, FH).mu)
     assert all(isinstance(report, StepReport) for _, report in rest)
     times = [state.t for state, _ in pairs]
     assert np.diff(times) == pytest.approx([cfg.dt] * cfg.steps, rel=1e-12)
@@ -369,7 +385,7 @@ def _carrying_state(params):
     """A stepped spheroid state carrying its step's evaluation at its phi."""
     st0 = initialize_mu(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params)
     st, _ = step(st0, params, HANDOFF_CFG)
-    assert st.convex.r is st.phi.values
+    assert st.convex.r is st.phi
     return st
 
 
@@ -380,8 +396,7 @@ def test_carried_evaluation_steps_and_observes_like_a_fresh_one(params):
     got, _ = step(carried, params, HANDOFF_CFG)
     ref, _ = step(stripped, params, HANDOFF_CFG)
     for name in ("phi", "mu", "phi_a", "n", "c"):
-        assert np.array_equal(getattr(got, name).values,
-                              getattr(ref, name).values), name
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     rec = DiagnosticsTracker(params, carried).observe(carried, HANDOFF_CFG.dt)
     rec_ref = DiagnosticsTracker(params, stripped).observe(stripped,
                                                            HANDOFF_CFG.dt)
@@ -420,15 +435,15 @@ def _record_convex_part_arguments(monkeypatch):
 
 def test_newton_starts_from_the_extrapolated_phi(monkeypatch):
     st = _carrying_state(FH)
-    assert np.array_equal(st.phi_prev, spheroid_state(st.grid).phi.values)
+    assert np.array_equal(st.phi_prev, spheroid_state(st.grid).phi)
     args = _record_convex_part_arguments(monkeypatch)
     new, _ = step(st, FH, HANDOFF_CFG)
-    assert np.array_equal(args[0], 2.0 * st.phi.values - st.phi_prev)
-    assert new.phi_prev is st.phi.values
+    assert np.array_equal(args[0], 2.0 * st.phi - st.phi_prev)
+    assert new.phi_prev is st.phi
     # without history the start is phi_o itself
     args.clear()
     step(replace(st, phi_prev=None), FH, HANDOFF_CFG)
-    assert args[0] is st.phi.values
+    assert args[0] is st.phi
     # the history is neither compared nor copied
     assert new.copy().phi_prev is None
     assert replace(new, phi_prev=None) == new
@@ -455,7 +470,7 @@ def test_every_accepted_step_meets_the_newton_test(params):
     cfg = SolverConfig(dt=1e-3, t_end=0.01)
     pairs = list(run(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), params, cfg))
     for (old, _), (_, report) in zip(pairs, pairs[1:]):
-        phi_o = old.phi.values
+        phi_o = old.phi
         scale = max(1.0, float(np.sqrt(np.mean((phi_o / cfg.dt) ** 2))))
         assert report.newton_residual <= cfg.newton_tol * scale
 
@@ -484,14 +499,14 @@ def test_default_tolerances_stay_within_the_gate_bound(params):
     got = run_states(spheroid_state(grid), params, cfg, steps)[-1]
     ref = run_states(spheroid_state(grid), params, tight, steps)[-1]
     bound = 100 * steps * max(cfg.newton_tol, cfg.linear_tol)
-    assert np.max(np.abs(got.phi.values - ref.phi.values)) <= bound
-    assert np.max(np.abs(got.mu.values - ref.mu.values)) <= bound / params.eps
+    assert np.max(np.abs(got.phi - ref.phi)) <= bound
+    assert np.max(np.abs(got.mu - ref.mu)) <= bound / params.eps
 
 
 def test_replaced_phi_is_solved_again(monkeypatch):
     st = _carrying_state(FH)
     x, y = st.grid.centers()
-    other = ScalarField(st.grid, st.phi.values + 1e-3 * np.cos(x) * np.cos(y))
+    other = st.phi + 1e-3 * np.cos(x) * np.cos(y)
     moved = replace(st, phi=other)
     assert moved.convex is st.convex  # the stale evaluation rides along
     calls = _count_resolvent_calls(monkeypatch)
@@ -499,13 +514,12 @@ def test_replaced_phi_is_solved_again(monkeypatch):
     assert len(calls) == report.newton_iters + 1
     ref, _ = step(replace(moved, convex=None), FH, HANDOFF_CFG)
     for name in ("phi", "mu"):
-        assert np.array_equal(getattr(got, name).values,
-                              getattr(ref, name).values), name
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert st.copy().convex is None
 
 
 def test_evaluation_is_reused_only_for_its_array_and_params():
-    phi = spheroid_state(Grid2D(8, 8, 6.4, 6.4)).phi.values
+    phi = spheroid_state(Grid2D(8, 8, 6.4, 6.4)).phi
     ev = FH.convex_part(phi)
     assert FH.convex_part(phi, ev) is ev
     assert FH.convex_part(phi.copy(), ev) is not ev
@@ -552,8 +566,7 @@ def test_substep_solves_start_from_the_old_value_and_report_their_count(
     _, report = step(st0, FH, SolverConfig(dt=1e-3, t_end=1e-3))
     assert len(starts) == 3
     for x0, old in zip(starts, (st0.n, st0.c, st0.phi_a)):
-        assert x0 is not None and np.array_equal(x0.reshape(old.values.shape),
-                                                  old.values)
+        assert x0 is not None and np.array_equal(x0.reshape(old.shape), old)
     assert [report.linear_iters[k] for k in ("n", "c", "phi_a")] == counts
     assert all(k > 0 for k in counts)
 
@@ -589,7 +602,7 @@ def test_run_determinism():
     e1 = [r.energy for r in records1]
     e2 = [r.energy for r in records2]
     assert e1 == e2
-    assert np.array_equal(final1.phi.values, final2.phi.values)
+    assert np.array_equal(final1.phi, final2.phi)
 
 
 def test_forcing_hook_reaches_every_equation():
@@ -606,6 +619,5 @@ def test_forcing_hook_reaches_every_equation():
                            c=lambda x, y, t: np.ones_like(x)))
     st1, _ = step(st, params, cfg)
     for name in ("phi", "phi_a", "n", "c"):
-        drift = np.max(np.abs(getattr(st1, name).values
-                              - getattr(st, name).values))
+        drift = np.max(np.abs(getattr(st1, name) - getattr(st, name)))
         assert drift > 1e-5, name

@@ -217,6 +217,13 @@ def test_kozeny_carman_example():
     assert mob(0.5, 0.0, 0.3) == pytest.approx(0.0625, abs=1e-15)
 
 
+def test_kozeny_carman_refuses_a_nonpositive_scale():
+    for b_phi in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^mobility must be positive$"):
+            KozenyCarman(b_phi=b_phi)
+    KozenyCarman(b_phi=1.0, lam=-2.0, m0=0.0)  # lam and m0 stay free
+
+
 def test_kozeny_carman_degeneracy_warns():
     mob = KozenyCarman(b_phi=1.0, lam=1.0, m0=1e-3, m_up=1.0)
     with pytest.warns(BoundsViolation):

@@ -1,6 +1,6 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
 tables, the one domain declaration of the potential variants, the one CG
-call of the solver and its one stepping loop.
+call of the solver, its one stepping loop and the states that loop yields.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -15,10 +15,12 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mchks import cli
 from mchks.potentials import Potential
+from mchks.solver import run
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -72,6 +74,20 @@ def test_run_is_the_one_stepping_loop():
                for fn in _callers(ast.parse(path.read_text(encoding="utf-8")),
                                   "step")]
     assert callers == [("solver", "run")]
+
+
+def test_run_yields_five_float_arrays_on_the_initial_grid():
+    config = cli.parse_config(
+        "", overrides=["grid.nx=8", "grid.ny=8", "solver.t_end=3e-3"])
+    state0 = cli.build_initial_state(config)
+    states = [state for state, _ in run(state0, config.params, config.solver)]
+    assert len(states) == config.solver.steps + 1
+    for state in states:
+        assert state.grid is state0.grid
+        for name in ("phi", "mu", "phi_a", "n", "c"):
+            values = getattr(state, name)
+            assert type(values) is np.ndarray and values.dtype == np.float64
+            assert values.shape == (state.grid.nx, state.grid.ny), name
 
 
 def _gate_list(name):
