@@ -10,12 +10,13 @@ exactly.
 
 The time step applies these operators through one assembled matrix:
 ``div_mob_grad_matrix`` fills the CSR matrix of div(mob grad) on a five-slot
-pattern cached per grid, and ``laplacian_matrix`` is that matrix with unit
-mobility, cached per grid.  The Krylov matvecs and the sparse-LU Jacobian
-both read them.  The slicing stencils ``lap_array`` and
-``div_mob_grad_array`` are coded independently of the matrix and stay as
-the face-flux reference for the weak residuals and the tests; the step's
-explicit chemotaxis flux, applied once, uses them too.
+pattern cached per grid.  ``constant_mobility_matrix`` caches that fill per
+(grid, value) for a constant mobility, and ``laplacian_matrix`` is its
+entry at value 1.  The Krylov matvecs and the sparse-LU Jacobian both read
+them.  The slicing stencils ``lap_array`` and ``div_mob_grad_array`` are
+coded independently of the matrix and stay as the face-flux reference for
+the weak residuals and the tests; the step's explicit chemotaxis flux,
+applied once, uses them too.
 
 The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
 exactly; its eigenvalues live in one cached table per grid, which the
@@ -26,6 +27,7 @@ the dual norm of a field's fluctuation reads the same table and one DCT.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,14 +186,22 @@ def div_mob_grad_matrix(grid: Grid2D, mob: np.ndarray) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=8)
-def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
-    """The mirror-ghost Laplacian as ``div_mob_grad_matrix`` with mob = 1.
+def constant_mobility_matrix(grid: Grid2D, value: float) -> sp.csr_matrix:
+    """``div_mob_grad_matrix`` for the constant mobility ``value``, cached per
+    (grid, value).
 
-    Shared between callers, so its data are read-only.
+    Filled by the same code as a variable mobility, so it is bitwise the
+    matrix of ``np.full(grid.shape, value)``.  Shared between callers, so
+    its data are read-only.
     """
-    lap = div_mob_grad_matrix(grid, np.ones((grid.nx, grid.ny)))
-    lap.data.flags.writeable = False
-    return lap
+    a = div_mob_grad_matrix(grid, np.full(grid.shape, float(value)))
+    a.data.flags.writeable = False
+    return a
+
+
+def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
+    """The mirror-ghost Laplacian: ``constant_mobility_matrix`` at 1."""
+    return constant_mobility_matrix(grid, 1.0)
 
 
 def grad_sq_integral_array(v: np.ndarray, dx: float, dy: float) -> float:
@@ -209,18 +219,22 @@ def grad_sq_integral_array(v: np.ndarray, dx: float, dy: float) -> float:
 
 
 def cg_solve(apply_op, b, x0=None, rel_tol=1e-10):
-    """Matrix-free CG for SPD stencil operators on flat or 2D arrays."""
+    """Matrix-free CG for SPD stencil operators on flat or 2D arrays.
+
+    Iterates on a copy of ``x0``; the norms are square roots of the
+    ``vdot`` squared norms that the iteration takes anyway.
+    """
     b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else x0.astype(float)
-    r = b - apply_op(x)
-    bnorm = np.linalg.norm(b.ravel())
+    bnorm = math.sqrt(float(np.vdot(b, b)))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
+    x = np.zeros_like(b) if x0 is None else x0.astype(float)
+    r = b - apply_op(x)
     tol = rel_tol * bnorm
-    if np.linalg.norm(r.ravel()) <= tol:
+    rs = float(np.vdot(r, r))
+    if math.sqrt(rs) <= tol:
         return x, 0
     p = r.copy()
-    rs = float(np.vdot(r, r))
     max_iter = 20 * b.size
     for k in range(1, max_iter + 1):
         ap = apply_op(p)
@@ -228,9 +242,10 @@ def cg_solve(apply_op, b, x0=None, rel_tol=1e-10):
         x += alpha * p
         r -= alpha * ap
         rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= tol:
+        if math.sqrt(rs_new) <= tol:
             return x, k
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     raise ConvergenceError(
         f"CG stalled after {max_iter} iterations, "

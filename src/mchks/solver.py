@@ -31,12 +31,14 @@ One time step advances the five fields in four substeps:
    start.  The proliferation source is ``sources.proliferation`` at the old
    phi and the fresh n.
 
-The step assembles div(mob grad) once for each of its two mobilities
-(``fields.div_mob_grad_matrix``) and reads the cached Laplacian matrix
-(``fields.laplacian_matrix``).  Substeps 1-3 are one implicit solve,
+Each mobility law supplies the step's div(mob grad) matrix (its
+``operator``): a constant law reads the matrix cached for its value, and a
+variable law fills one per step (``fields.div_mob_grad_matrix``).  The step
+reads the cached Laplacian matrix (``fields.laplacian_matrix``) too.
+Substeps 1-3 are one implicit solve,
 (1/dt + loss - A) u = u_o/dt + explicit + g by CG started from the old value
 u_o (``_helmholtz_solve``), where A is the Laplacian L for n and c and the
-assembled A_n = div(b_n grad) for phi_a.  The Newton residual and both
+operator A_n = div(b_n grad) for phi_a.  The Newton residual and both
 Jacobian paths (BiCGStab and the sparse-LU fallback) apply the operators
 through the same matrices, so the Krylov and LU paths solve one operator.
 The explicit chemotaxis flux, one application with its own coefficient,
@@ -72,7 +74,6 @@ from .fields import (
     Grid2D,
     cg_solve,
     div_mob_grad_array,
-    div_mob_grad_matrix,
     laplacian_matrix,
     neumann_eigenvalues,
 )
@@ -191,8 +192,8 @@ def _apply(mat, v):
 
 
 def _helmholtz_solve(a, diag_coef, rhs, x0, rel_tol):
-    """CG solve of (diag_coef - A) u = rhs from x0, for an operator A the step
-    assembled and diag_coef > 0 cellwise (or a scalar)."""
+    """CG solve of (diag_coef - A) u = rhs from x0, for the step's operator
+    A and diag_coef > 0 cellwise (or a scalar)."""
     diag_flat = np.ravel(diag_coef)
 
     def apply_op(v):
@@ -232,10 +233,10 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
 
     mob_m_o = params.mobility_m(phi_o, phia_o, n_o)
     mob_n_o = params.mobility_n(phia_o, c_o)
-    # the one assembled operator of each mobility, shared by every solve
+    # the one operator of each mobility, shared by every solve
     lap = laplacian_matrix(grid)
-    a_m = div_mob_grad_matrix(grid, mob_m_o)
-    a_n = div_mob_grad_matrix(grid, mob_n_o)
+    a_m = params.mobility_m.operator(grid, mob_m_o)
+    a_n = params.mobility_n.operator(grid, mob_n_o)
 
     def implicit(label, u_o, explicit, loss, a):
         """Substeps 1-3: the CG solve of (1/dt + loss - A) u = u_o/dt +
@@ -328,7 +329,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     # reused; a phi accepted at phi_o itself is copied, and the next step solves
     phi = phi_o.copy() if convex.r is phi_o else convex.r
     new_fields = (phi, mu_new, phia_new, n_new, c_new)
-    if not all(np.all(np.isfinite(f)) for f in new_fields):
+    if not all(np.isfinite(f).all() for f in new_fields):
         raise NonFiniteField(f"non-finite field values at t={t_new:.6g}")
     return State(t_new, grid, *new_fields, convex, phi_o), report
 
@@ -337,8 +338,8 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
                        rtol):
     """Solve J delta = rhs with J = diag0 I - A_m (diag(curv) - L).
 
-    A_m is the assembled div(mob grad) of the step and L the cached
-    Laplacian (``fields.div_mob_grad_matrix``, ``fields.laplacian_matrix``);
+    A_m is the step's div(mob grad), as its mobility law supplies it, and L
+    the cached Laplacian (``fields.laplacian_matrix``);
     BiCGStab applies J through them and the sparse-LU path factors the same
     product, so both paths solve one operator.  The cosine-transform
     preconditioner freezes the mobility at its mean ``mob_bar`` and the

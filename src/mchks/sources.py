@@ -19,7 +19,10 @@ Every mobility law (``ConstantMobility``, ``KozenyCarman``,
 ``EndothelialProduct``), called with field arrays, returns a new float
 array of their broadcast shape (a float for scalar arguments, through
 ``potentials.elementwise``); the step, the weak residuals and the spectral
-oracle use it as returned.
+oracle use it as returned.  Each law also supplies the step's operator
+div(b grad) from those values (``operator``): a variable law fills it
+(``fields.div_mob_grad_matrix``), and ``ConstantMobility`` returns the
+matrix cached for its value (``fields.constant_mobility_matrix``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundsViolation, ValidationError
+from .fields import constant_mobility_matrix, div_mob_grad_matrix
 from .potentials import (
     ConvexEvaluation,
     FloryHuggins,
@@ -43,7 +47,8 @@ from .regularize import TruncationPair
 
 def h(r):
     """Interpolation ramp: 0 below 0, identity on (0, 1), 1 above 1."""
-    return np.clip(r, 0.0, 1.0)
+    # the array method is np.clip without its dispatch wrapper
+    return np.asarray(r).clip(0.0, 1.0)
 
 
 def positive_part(r):
@@ -53,8 +58,16 @@ def positive_part(r):
 # ------------------------------------------------------------- mobilities
 
 
+class _Mobility:
+    """A mobility law b; ``operator`` supplies the step's div(b grad)."""
+
+    def operator(self, grid, values):
+        """CSR matrix of div(b grad) on grid, filled from the evaluated b."""
+        return div_mob_grad_matrix(grid, values)
+
+
 @dataclass(frozen=True)
-class ConstantMobility:
+class ConstantMobility(_Mobility):
     """Constant mobility, bounds equal to the value."""
 
     value: float = 1.0
@@ -71,9 +84,14 @@ class ConstantMobility:
     def __call__(self, *fields):
         return np.full(np.broadcast(*fields).shape, self.value)
 
+    def operator(self, grid, values):
+        """The read-only div(b grad) cached per (grid, value); the matrix
+        does not depend on ``values``."""
+        return constant_mobility_matrix(grid, self.value)
+
 
 @dataclass(frozen=True)
-class KozenyCarman:
+class KozenyCarman(_Mobility):
     """Porous-flow mobility b(phi, phi_a, n).
 
     b = B * phi^(2-2*lam) * (1-phi)^2 * (1-phi-phi_a)^(2*lam) / (1+phi_a)^2
@@ -120,7 +138,7 @@ class KozenyCarman:
 
 
 @dataclass(frozen=True)
-class EndothelialProduct:
+class EndothelialProduct(_Mobility):
     """Bounded positive mobility factor for the endothelial phase.
 
     The analysis only pins the two-sided bound 0 < m0 <= n(phi_a, c) <= m_up;
@@ -264,7 +282,7 @@ def p_switch(params: ModelParams, r):
 def clamp_signal(params: ModelParams, c):
     """The wide clamp, of the signal and of the singular-mode nutrient."""
     lo, hi = params.wide_clamp
-    return np.clip(c, lo, hi)
+    return np.asarray(c).clip(lo, hi)
 
 
 def theta(params: ModelParams, phi, c):

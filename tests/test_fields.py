@@ -7,6 +7,7 @@ from mchks.errors import MeanError
 from mchks.fields import (
     Grid2D,
     cg_solve,
+    constant_mobility_matrix,
     cosine_mode,
     div_mob_grad_array,
     div_mob_grad_matrix,
@@ -19,6 +20,7 @@ from mchks.fields import (
     read_snapshot,
     write_snapshot,
 )
+from mchks.sources import ConstantMobility
 
 GRID = Grid2D(24, 20, 1.5, 1.0)
 
@@ -140,6 +142,24 @@ def test_cached_laplacian_matrix_is_read_only():
             arr[0] = 1
 
 
+@pytest.mark.parametrize("value", [1.0, 0.7])
+def test_constant_mobility_matrix_is_the_cached_fill(value):
+    # the fill itself, so the matrix is bitwise the one a variable mobility
+    # of that value gets; 0.7 * laplacian_matrix would round differently
+    mob = np.full(GRID.shape, value)
+    a = ConstantMobility(value).operator(GRID, mob)
+    ref = div_mob_grad_matrix(GRID, mob)
+    for got, want in ((a.data, ref.data), (a.indices, ref.indices),
+                      (a.indptr, ref.indptr)):
+        assert got.tobytes() == want.tobytes()
+    assert constant_mobility_matrix(GRID, value) is a
+    assert ConstantMobility(value).operator(GRID, mob) is a
+    with pytest.raises(ValueError):
+        a.data[0] = 1.0
+    # one cache: the Laplacian is its entry at 1
+    assert (laplacian_matrix(GRID) is a) == (value == 1.0)
+
+
 def test_mean_and_integral():
     f = np.full(GRID.shape, 2.5)
     assert float(np.mean(f)) == pytest.approx(2.5)
@@ -219,6 +239,34 @@ def cg_inverse_laplacian(grid, f):
     """Reference solve of -lap(u) = f by unpreconditioned CG, zero-mean u."""
     u, _ = cg_solve(lambda v: -lap_array(v, grid.dx, grid.dy), f, rel_tol=1e-12)
     return u - np.mean(u)
+
+
+def test_cg_keeps_its_iteration_count_on_the_neumann_system():
+    # the reference system below; the count is pinned across changes to
+    # CG's bookkeeping, which must not move its iterates
+    f = random_field(GRID, seed=15)
+    f -= np.mean(f)
+    _, iters = cg_solve(lambda v: -lap_array(v, GRID.dx, GRID.dy), f,
+                        rel_tol=1e-12)
+    assert iters == 145
+
+
+def test_cg_leaves_its_start_alone_and_stops_without_work():
+    def apply_op(v):
+        return 2.0 * v
+
+    b = random_field(GRID, seed=30)
+    x0 = random_field(GRID, seed=31)
+    kept = x0.copy()
+    x, iters = cg_solve(apply_op, b, x0=x0)
+    assert np.array_equal(x0, kept) and x is not x0 and iters > 0
+    # a zero right-hand side returns zeros, whatever the start
+    x, iters = cg_solve(apply_op, np.zeros(GRID.shape), x0=x0)
+    assert iters == 0 and np.array_equal(x, np.zeros(GRID.shape))
+    # a start that meets the tolerance is returned, as a copy
+    exact = b / 2.0
+    x, iters = cg_solve(apply_op, b, x0=exact)
+    assert iters == 0 and np.array_equal(x, exact) and x is not exact
 
 
 @pytest.mark.parametrize("grid", [GRID, Grid2D(128, 128, 12.8, 12.8)],

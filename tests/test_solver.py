@@ -12,7 +12,9 @@ from _oracles import (
     uniform_state,
 )
 
+import mchks.fields
 import mchks.solver
+import mchks.sources
 from mchks.cli import band_limited_initial, build_initial_state, parse_config
 from mchks.diagnostics import DiagnosticsTracker
 from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
@@ -40,6 +42,9 @@ from mchks.solver import (
     validate_initial_data,
 )
 from mchks.sources import (
+    ConstantMobility,
+    EndothelialProduct,
+    KozenyCarman,
     ModelParams,
     endothelial_loss,
     h,
@@ -229,6 +234,33 @@ def test_krylov_and_direct_paths_solve_the_stencil_operator():
     bound = 10 * cfg.linear_tol * np.linalg.norm(rhs)
     for sol in (sol_k, sol_d):
         assert np.linalg.norm(apply_j(sol) - rhs) <= bound
+
+
+@pytest.mark.parametrize("mobility_m, mobility_n, fills", [
+    (ConstantMobility(), ConstantMobility(0.7), 0),
+    (KozenyCarman(), ConstantMobility(), 1),
+    (ConstantMobility(), EndothelialProduct(), 1),
+], ids=["constant", "kozeny-carman", "endothelial"])
+def test_only_a_variable_mobility_fills_its_operator(monkeypatch, mobility_m,
+                                                     mobility_n, fills):
+    params = replace(FH, mobility_m=mobility_m, mobility_n=mobility_n)
+    cfg = SolverConfig(dt=1e-5, t_end=1e-5)
+    # criterion 7 data, where Kozeny-Carman stays inside its bounds
+    st, _ = step(uniform_state(Grid2D(4, 4, 2.0, 2.0), 0.4, 0.3, 0.9, 0.1),
+                 params, cfg)
+    calls = []
+    fill = mchks.fields.div_mob_grad_matrix
+
+    def counting(grid, mob):
+        calls.append(1)
+        return fill(grid, mob)
+
+    # the name the laws call, and the one behind the constant-mobility cache
+    monkeypatch.setattr(mchks.sources, "div_mob_grad_matrix", counting)
+    monkeypatch.setattr(mchks.fields, "div_mob_grad_matrix", counting)
+    for _ in range(2):
+        st, _ = step(st, params, cfg)
+    assert len(calls) == 2 * fills
 
 
 @pytest.mark.parametrize("linear_solver", ["krylov", "direct"])

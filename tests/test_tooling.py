@@ -1,6 +1,7 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
 tables, the one domain declaration of the potential variants, the one CG
-call of the solver, its one stepping loop and the states that loop yields.
+call of the solver, the operators the mobility laws supply, its one stepping
+loop and the states that loop yields.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -66,6 +67,12 @@ def test_substeps_share_one_cg_solve():
     # substeps 1-3 are one implicit solve, so CG is called in one place
     tree = ast.parse(SOLVER.read_text(encoding="utf-8"))
     assert _callers(tree, "cg_solve") == ["_helmholtz_solve"]
+
+
+def test_mobility_laws_supply_the_step_operators():
+    # each law hands the step its div(mob grad), so the solver fills none
+    tree = ast.parse(SOLVER.read_text(encoding="utf-8"))
+    assert _callers(tree, "div_mob_grad_matrix") == []
 
 
 def test_run_is_the_one_stepping_loop():
