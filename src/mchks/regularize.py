@@ -40,7 +40,7 @@ class TruncationPair:
 
     @elementwise
     def truncate(self, r):
-        return np.clip(r, self.L, self.M)
+        return r.clip(self.L, self.M)
 
     @elementwise
     def entropy(self, r):

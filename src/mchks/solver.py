@@ -21,15 +21,19 @@ One time step advances the five fields in four substeps:
    FORCING_SAFETY * newton_tol * scale / rms_k)), loose while the residual
    is large and tight near the end (Dembo, Eisenstat & Steihaug 1982;
    Eisenstat & Walker 1996).  Each Newton iterate evaluates the convex part
-   once (``ModelParams.convex_part``): the residual, the Jacobian and the
-   new chemical potential share that evaluation.  The evaluation at the
-   final iterate travels with the returned state (``State.convex``), where
-   ``diagnostics`` reads the energy density from it.  The next step's first
-   residual reuses it when Newton starts at that very phi array, that is
-   when the state has no history; a step with k Newton iterations then
-   solves the resolvent k times, and k + 1 times from an extrapolated
-   start.  The proliferation source is ``sources.proliferation`` at the old
-   phi and the fresh n.
+   once: the residual, the Jacobian and the new chemical potential share
+   that evaluation.  The first one of a step is ``ModelParams.convex_part``
+   at the start, its resolvent solve started from r itself.  Each later one
+   is ``ConvexEvaluation.at`` the corrected iterate: its resolvent solve
+   starts from the tangent of the evaluation before, whose curvature the
+   Jacobian has read, and it keeps no reference to that evaluation.  The
+   evaluation at the final iterate travels with the returned state
+   (``State.convex``), where ``diagnostics`` reads the energy density from
+   it.  The next step's first residual reuses it when
+   Newton starts at that very phi array, that is when the state has no
+   history; a step with k Newton iterations then solves the resolvent k
+   times, and k + 1 times from an extrapolated start.  The proliferation
+   source is ``sources.proliferation`` at the old phi and the fresh n.
 
 Each mobility law supplies the step's div(mob grad) matrix (its
 ``operator``): a constant law reads the matrix cached for its value, and a
@@ -293,8 +297,8 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         )
         return res, mu
 
-    mob_bar = float(np.mean(mob_m_o))
-    scale = max(1.0, float(np.sqrt(np.mean((phi_o / dt) ** 2))))
+    mob_bar = float(mob_m_o.mean())
+    scale = max(1.0, float(np.sqrt(((phi_o / dt) ** 2).mean())))
     tol = cfg.newton_tol * scale
     # Newton starts at 2 phi_o - phi_prev, or at phi_o with the evaluation
     # the state carries when there is no history
@@ -304,7 +308,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         start = 2.0 * phi_o - state.phi_prev
     convex = params.convex_part(start, state.convex)
     res, mu_new = residual(convex)
-    rms = float(np.sqrt(np.mean(res**2)))
+    rms = float(np.sqrt((res**2).mean()))
     while not rms <= tol:  # a NaN residual fails too
         if report.newton_iters == NEWTON_MAX:
             raise NewtonDivergence(
@@ -317,9 +321,10 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
             grid, a_m, mob_bar, convex.curvature + s, 1.0 / dt + params.m, -res,
             cfg, report, t_new, rtol,
         )
-        convex = params.convex_part(convex.r + delta)
+        # its resolvent solve starts from the tangent of the last evaluation
+        convex = convex.at(convex.r + delta)
         res, mu_new = residual(convex)
-        rms = float(np.sqrt(np.mean(res**2)))
+        rms = float(np.sqrt((res**2).mean()))
         report.newton_iters += 1
     report.newton_residual = rms
 
@@ -358,7 +363,7 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
     lap = laplacian_matrix(grid)
     lam = neumann_eigenvalues(grid)
     curv_flat = curv.ravel()
-    curv_bar = float(np.mean(curv))
+    curv_bar = float(curv.mean())
     denom = diag0 + mob_bar * lam * (lam + curv_bar)
     matvecs = 0
 

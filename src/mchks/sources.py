@@ -159,7 +159,7 @@ class EndothelialProduct(_Mobility):
 
     @elementwise
     def __call__(self, phi_a, c):
-        denom = 1.0 + positive_part(phi_a) + np.clip(c, 0.0, 1.0)
+        denom = 1.0 + positive_part(phi_a) + c.clip(0.0, 1.0)
         return self.m0 + (self.m_up - self.m0) / denom
 
 

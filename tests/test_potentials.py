@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,14 +379,24 @@ def test_flory_huggins_resolvent_converges_on_dense_sweep(eps):
     assert np.max(np.abs(j[::10] - expit(0.5 * (lo + hi)))) <= 1e-11
 
 
-def test_flory_huggins_resolvent_warm_start_sweeps(monkeypatch):
-    # Started from logit(r), the resolvent of a spheroid profile takes a few
-    # sweeps; from the midpoint of its bracket it took 19 at eps = 1e-3.
-    import mchks.potentials as potentials
-    from mchks.cli import build_initial_state, parse_config
+def test_sigmoid_pair_matches_scipy():
+    # the resolvent's own expit and logit, on numpy's vectorized exp and
+    # log: scipy's values to round-off, and no warning at the ends
+    from scipy.special import logit
 
-    config = parse_config("[grid]\nnx = 128\nny = 128\n")
-    phi = build_initial_state(config).phi
+    u = np.concatenate([np.linspace(-800.0, 800.0, 16001), [-1e6, 1e6]])
+    p = np.concatenate([np.linspace(0.0, 1.0, 10001), [5e-324, 1.0 - 1e-16]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = potentials.expit(u)
+        v = potentials.logit(p)
+    assert np.allclose(x, expit(u), rtol=1e-15, atol=0.0)
+    assert v[0] == -np.inf and v[10000] == np.inf
+    assert np.allclose(v, logit(p), rtol=1e-14, atol=1e-15)
+
+
+def _count_expit(monkeypatch):
+    """The list that grows by one with each expit evaluation of potentials."""
     calls = []
     expit_ = potentials.expit
 
@@ -394,8 +405,54 @@ def test_flory_huggins_resolvent_warm_start_sweeps(monkeypatch):
         return expit_(u)
 
     monkeypatch.setattr(potentials, "expit", counted)
+    return calls
+
+
+def _spheroid_128():
+    from mchks.cli import build_initial_state, parse_config
+
+    return build_initial_state(parse_config("[grid]\nnx = 128\nny = 128\n"))
+
+
+def test_flory_huggins_resolvent_warm_start_sweeps(monkeypatch):
+    # Started from logit(r), the resolvent of a spheroid profile takes a few
+    # sweeps; from the midpoint of its bracket it took 19 at eps = 1e-3.
+    phi = _spheroid_128().phi
+    calls = _count_expit(monkeypatch)
     FloryHuggins(c1=1.0, c2=3.0).resolvent(phi, 1e-3)
     assert len(calls) <= 5
+
+
+def test_flory_huggins_resolvent_tangent_start_sweeps(monkeypatch):
+    # A move of the size of a first Newton correction (about 1e-3 at 128²),
+    # started from the tangent of the evaluation before it: at most three
+    # sweeps, and the root the solve from logit(r) finds.
+    st = _spheroid_128()
+    x, y = st.grid.centers()
+    reg = YosidaRegularization(FloryHuggins(c1=1.0, c2=3.0), eps=1e-3)
+    before = ConvexEvaluation(reg.potential, st.phi, reg)
+    before.curvature  # the Newton Jacobian reads it before the move
+    r = st.phi + 1e-3 * np.cos(x) * np.sin(y)
+    moved = before.at(r)
+    calls = _count_expit(monkeypatch)
+    j = moved.j
+    assert len(calls) <= 3
+    assert moved.guess is None  # dropped once J is solved
+    monkeypatch.undo()
+    assert np.max(np.abs(j - reg.resolvent(r))) <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-3, 1e-4])
+def test_flory_huggins_resolvent_converges_from_any_guess(eps):
+    pot = FloryHuggins(c1=1.0, c2=3.0)
+    r = np.linspace(-0.5, 1.5, 2001)
+    ref = pot.resolvent(r, eps)
+    a = 0.5 * eps * pot.c1
+    # 0 and 1, outside [0, 1], and the sigmoids of both bracket ends
+    guesses = [0.0, 1.0, -2.0, 3.0, expit((r - 1.0) / a), expit(r / a)]
+    for guess in guesses:
+        j = pot.resolvent(r, eps, np.broadcast_to(guess, r.shape))
+        assert np.max(np.abs(j - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("eps", [0.05, 1e-3, 1e-4])
@@ -416,9 +473,14 @@ def test_flory_huggins_resolvent_is_elementwise():
         np.linspace(-0.5, 1.5, 201),
         [0.0, 1.0, -1e6, 1e6, 5e-324, 1.0 - 1e-16],
     ])
+    guess = np.linspace(1.5, -0.5, r.size)
     for eps in (0.05, 1e-3):
         j = pot.resolvent(r, eps)
         alone = np.array([pot.resolvent(r[i:i + 1], eps)[0]
+                          for i in range(r.size)])
+        assert np.array_equal(j, alone)
+        j = pot.resolvent(r, eps, guess)
+        alone = np.array([pot.resolvent(r[i:i + 1], eps, guess[i:i + 1])[0]
                           for i in range(r.size)])
         assert np.array_equal(j, alone)
 

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from mchks.fields import (
     lap_array,
 )
 from mchks.potentials import (
+    ConvexEvaluation,
     DoubleObstacle,
     FloryHuggins,
     RegularQuartic,
@@ -380,9 +382,9 @@ def test_step_solves_resolvent_once_per_newton_iterate(monkeypatch):
     calls = []
     resolvent = YosidaRegularization.resolvent
 
-    def counted(self, r):
+    def counted(self, r, *rest):
         calls.append(np.shape(r))
-        return resolvent(self, r)
+        return resolvent(self, r, *rest)
 
     monkeypatch.setattr(YosidaRegularization, "resolvent", counted)
     st0 = spheroid_state(Grid2D(16, 16, 12.8, 12.8))
@@ -405,9 +407,9 @@ def _count_resolvent_calls(monkeypatch):
     calls = []
     resolvent = YosidaRegularization.resolvent
 
-    def counted(self, r):
+    def counted(self, r, *rest):
         calls.append(np.shape(r))
-        return resolvent(self, r)
+        return resolvent(self, r, *rest)
 
     monkeypatch.setattr(YosidaRegularization, "resolvent", counted)
     return calls
@@ -451,6 +453,26 @@ def test_state_with_history_solves_its_extrapolated_start(monkeypatch):
     _, report = step(st, FH, HANDOFF_CFG)
     assert report.newton_iters >= 1
     assert len(calls) == report.newton_iters + 1
+
+
+def test_step_keeps_only_its_last_evaluation(monkeypatch):
+    # each iterate's evaluation forms its tangent start when it is made and
+    # keeps no reference to the one before, so a state holds one evaluation
+    # and not the chain of its step (peak memory would grow with the steps)
+    left = []
+    at = ConvexEvaluation.at
+
+    def recorded(self, r):
+        left.append(weakref.ref(self))
+        return at(self, r)
+
+    monkeypatch.setattr(ConvexEvaluation, "at", recorded)
+    st, report = step(spheroid_state(Grid2D(16, 16, 12.8, 12.8)), FH,
+                      HANDOFF_CFG)
+    assert report.newton_iters >= 2
+    assert len(left) == report.newton_iters
+    assert all(ref() is None for ref in left)
+    assert st.convex.guess is None
 
 
 def _record_convex_part_arguments(monkeypatch):
@@ -604,7 +626,7 @@ def test_substep_solves_start_from_the_old_value_and_report_their_count(
 
 
 def test_resolvent_failure_names_time_and_substep(monkeypatch):
-    def stalled(self, r, eps):
+    def stalled(self, r, eps, *rest):
         raise ConvergenceError("Flory-Huggins resolvent stalled, worst residual 1e-3")
 
     monkeypatch.setattr(FloryHuggins, "resolvent", stalled)

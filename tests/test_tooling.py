@@ -1,7 +1,8 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
-tables, the one domain declaration of the potential variants, the one CG
-call of the solver, the operators the mobility laws supply, its one stepping
-loop and the states that loop yields.
+tables, the one domain declaration of the potential variants and the start
+guess each of their resolvents takes, the one CG call of the solver, the
+operators the mobility laws supply, its one stepping loop and the states
+that loop yields.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -13,6 +14,7 @@ changed.
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -53,6 +55,22 @@ def test_variants_inherit_mean_admissibility(variant):
     # admissible means are derived from slope_domain, so a new variant
     # declares its domain once
     assert "mean_admissible" not in vars(variant)
+
+
+@pytest.mark.parametrize("variant", Potential.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_every_resolvent_takes_a_start_guess(variant):
+    # the step starts each Newton iterate's solve from a guess: a closed
+    # form ignores it, and an iterative solve lands within its tolerance
+    assert inspect.signature(variant.resolvent).parameters["guess"].default is None
+    pot = variant()
+    r = np.linspace(-0.5, 1.5, 41)
+    plain = pot.resolvent(r, 0.01)
+    guessed = pot.resolvent(r, 0.01, np.full(r.shape, 0.3))
+    if "_safeguarded_newton" in inspect.getsource(variant.resolvent):
+        assert np.max(np.abs(guessed - plain)) <= 1e-13
+    else:
+        assert np.array_equal(guessed, plain)
 
 
 def _callers(tree, callee):
