@@ -189,17 +189,13 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         target, sep, raw = spec.partition("=")
         if not sep:
             raise ParseError(0, target, "expected SECTION.KEY=VALUE")
-        sec, _, key = target.partition(".")
+        sec, _, key = (part.strip() for part in target.partition("."))
         if sec not in _SCHEMA or key not in _SCHEMA[sec]:
             raise ParseError(0, target, "unknown override key")
         typ, _default = _SCHEMA[sec][key]
         values[sec][key] = _convert(raw.strip(), typ, 0, key)
 
     return _build_config(values)
-
-
-def default_config() -> RunConfig:
-    return parse_config("")
 
 
 def _build_config(values) -> RunConfig:
@@ -226,6 +222,8 @@ def _build_config(values) -> RunConfig:
         raise ValidationError(f"unknown initial preset {preset!r}")
     if values["initial"]["seed"] < 0:
         raise ValidationError("initial.seed must be nonnegative")
+    if not values["output"]["dir"]:
+        raise ValidationError("output.dir must not be empty")
     if values["output"]["diagnostics_every"] < 1:
         raise ValidationError("output.diagnostics_every must be at least 1")
     if values["output"]["snapshot_every"] < 0:

@@ -4,9 +4,8 @@ The free energy assembled here uses the same face-difference gradient form
 as the solver's implicit substeps, so on source-free stabilized runs the
 recorded energy is non-increasing to solver tolerance, not merely to O(dt).
 Confinement flags, the mass corridor, the entropy integral, separation
-margins, the chemotactic smallness advisory, weak-formulation residuals and
-the twin-run continuous-dependence metric all live here; nothing in this
-module mutates a state.
+margins, weak-formulation residuals and the twin-run continuous-dependence
+metric all live here; nothing in this module mutates a state.
 """
 
 from __future__ import annotations
@@ -77,36 +76,6 @@ def mass_corridor(y0: float, H: float, m: float, t: float, dt: float = 0.0):
         decay = math.exp(-m * t)
     band = (1.0 - decay) * H / m
     return (y0 * decay - band, y0 * decay + band)
-
-
-@dataclass(frozen=True)
-class SmallnessReport:
-    cbar: float
-    threshold: float
-    passed: bool
-    margin: float
-
-
-def smallness_advisory(
-    params: ModelParams, c_omega: float, c0: float, iota: float, eps0: float
-) -> SmallnessReport:
-    """Advisory check of the chemotactic smallness condition.
-
-    cbar = (kappa_inf - eps0) m0^3 iota^3 / (27 c0^3 c_omega^4) with m0 the
-    lower mobility bound of the endothelial flux; the regularity theory asks
-    chi_a < ((sqrt(1 + cbar) - 1)/2)^(1/4).  The constants c_omega
-    (embedding/elliptic) and c0 (initial-data energy) are not computable
-    from a run and must be supplied.
-    """
-    if c_omega <= 0 or c0 <= 0 or eps0 <= 0:
-        raise RangeError("constants must be positive")
-    if not 0.0 < iota < 1.0:
-        raise RangeError("iota must lie in (0, 1)")
-    m0 = params.mobility_n.bounds[0]
-    cbar = (params.kappa_inf - eps0) * m0**3 * iota**3 / (27.0 * c0**3 * c_omega**4)
-    threshold = ((math.sqrt(1.0 + cbar) - 1.0) / 2.0) ** 0.25 if cbar > 0 else 0.0
-    margin = threshold - params.chi_a
-    return SmallnessReport(cbar, threshold, margin > 0.0, margin)
 
 
 # --------------------------------------------------------------- records

@@ -26,7 +26,8 @@ class NonFiniteField(RuntimeError):
 
 
 class RangeError(ValueError):
-    """Parameter outside the validity range of an inequality or formula."""
+    """Parameter outside the validity range of a formula, such as the
+    positive apoptosis rate ``diagnostics.mass_corridor`` needs."""
 
 
 class GridMismatch(ValueError):

@@ -28,11 +28,11 @@ coordinates of Flory-Huggins) or from an optional guess; the closed forms
 of the obstacle and single-well variants ignore the guess.  The logit
 coordinates use this module's ``expit`` and ``logit``, on numpy's
 vectorized exp and log.
-The pointwise maps here and in ``regularize`` take and return float arrays.
+The pointwise maps here and in ``sources`` take and return float arrays.
 ``elementwise`` is the one scalar-or-array rule: the maps it wraps
 (``Potential.value`` and ``derivative``, the ``YosidaRegularization`` maps,
-the truncation pair, the mobility laws and ``sources.p_switch``) take a
-scalar and return a float for it; nothing else converts its arguments.
+``sources.TruncationPair``, the mobility laws and ``sources.p_switch``) take
+a scalar and return a float for it; nothing else converts its arguments.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ reaction-diffusion source is one (gain, loss) split, S_n = gain - loss q(n)
 -loss phi_a (``endothelial_loss``); the sources and ``reaction_rates``, read
 by the weak residuals and the spectral oracle, are built from them, and the
 step keeps each loss implicit.  Every caller reads the chemotactic
-truncation ``T_eps`` from ``ModelParams.truncation``.
+truncation ``T_eps``, a ``TruncationPair`` with its entropy, from
+``ModelParams.truncation``.
 
 Every mobility law (``ConstantMobility``, ``KozenyCarman``,
 ``EndothelialProduct``), called with field arrays, returns a new float
@@ -27,6 +28,7 @@ matrix cached for its value (``fields.constant_mobility_matrix``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,7 +44,6 @@ from .potentials import (
     YosidaRegularization,
     elementwise,
 )
-from .regularize import TruncationPair
 
 
 def h(r):
@@ -164,6 +165,39 @@ class EndothelialProduct(_Mobility):
 
 
 # ---------------------------------------------------------------- params
+
+
+@dataclass(frozen=True)
+class TruncationPair:
+    """The (L, 1/L) pair of the regularized entropy estimates: the clamp to
+    [L, M], M = 1/L, and the C^2 entropy density built so that
+    (entropy'' * truncate)(r) = 1 for every r.  The entropy is the x*log(x)
+    density on (L, M), normalized to vanish to first order at 1, extended
+    by quadratics below L and above M."""
+
+    L: float
+
+    def __post_init__(self):
+        if not 0.0 < self.L < 1.0:
+            raise ValueError("need 0 < L < 1")
+
+    @property
+    def M(self):
+        return 1.0 / self.L
+
+    @elementwise
+    def truncate(self, r):
+        return r.clip(self.L, self.M)
+
+    @elementwise
+    def entropy(self, r):
+        L, M = self.L, self.M
+        rc = np.clip(r, L, M)
+        with np.errstate(invalid="ignore"):
+            core = (np.log(rc) - 1.0) * rc + 1.0
+        low = (r * r - L * L) / (2.0 * L) + (math.log(L) - 1.0) * r + 1.0
+        high = (r * r - M * M) / (2.0 * M) + (math.log(M) - 1.0) * r + 1.0
+        return np.where(r <= L, low, np.where(r >= M, high, core))
 
 
 @dataclass(frozen=True)

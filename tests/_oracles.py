@@ -1,11 +1,15 @@
 """Shared independent oracles and scenario builders for the test suite."""
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from mchks.diagnostics import DiagnosticsTracker
+from mchks.errors import RangeError
 from mchks.fields import Grid2D
 from mchks.galerkin import GalerkinState, galerkin_rhs, gradient, reconstruct
+from mchks.potentials import elementwise
 from mchks.solver import State, run
 from mchks.sources import (
     p_switch,
@@ -89,6 +93,74 @@ def galerkin_energy(basis, gstate, params):
     e -= params.chi_phi * float(np.sum(n_q * phi_q)) * w
     e -= params.chi_a * float(np.sum(phia_q * c_q)) * w
     return e
+
+
+@elementwise
+def entropy_prime(pair, r):
+    """E' of the entropy density of a ``TruncationPair``."""
+    L, M = pair.L, pair.M
+    rc = np.clip(r, L, M)
+    core = np.log(rc)
+    low = r / L + math.log(L) - 1.0
+    high = r / M + math.log(M) - 1.0
+    return np.where(r <= L, low, np.where(r >= M, high, core))
+
+
+@elementwise
+def entropy_second(pair, r):
+    """E'' of the entropy density of a ``TruncationPair``."""
+    return 1.0 / np.clip(r, pair.L, pair.M)
+
+
+def inequality_report(pair, r, cbar=None):
+    """Evaluate the pointwise entropy bounds of a ``TruncationPair`` at r.
+
+    Returns a dict mapping check names to (applicable, satisfied, slack).
+    ``cbar`` enables the calibrated positive-part bound, whose validity
+    range for L is (0, exp(-(1+cbar)/cbar)).
+    """
+    L = pair.L
+    if not 0.0 < L < 1.0 / math.e:
+        raise RangeError("entropy bounds need L in (0, 1/e)")
+    r = float(r)
+    e_val = pair.entropy(r)
+    e_prime = entropy_prime(pair, r)
+    rp2 = max(r, 0.0) ** 2
+
+    report = {}
+
+    # quadratic lower bound below zero
+    if r <= 0.0:
+        slack = e_val - r * r / (2.0 * L)
+        report["lower_quadratic_bound"] = (True, slack >= 0.0, slack)
+    else:
+        report["lower_quadratic_bound"] = (False, True, math.nan)
+
+    # first-moment bound r E' <= 2 E + 1
+    slack = 2.0 * e_val + 1.0 - r * e_prime
+    report["moment_bound"] = (True, slack >= 0.0, slack)
+
+    slack = e_val + math.e - 1.0 - abs(r)
+    report["absolute_value_bound"] = (True, slack >= 0.0, slack)
+
+    slack = rp2 * e_prime + 0.5 / math.e
+    report["positive_part_sign"] = (True, slack >= 0.0, slack)
+
+    if cbar is not None:
+        if cbar <= 0.0:
+            raise RangeError("cbar must be positive")
+        l_max = math.exp(-(1.0 + cbar) / cbar)
+        if not L < l_max:
+            raise RangeError(f"calibrated bound needs L < {l_max:.6g}, got {L}")
+        const = max(
+            math.exp(-2.0 * (1.0 + cbar) / cbar)
+            * (cbar + 4.0 / (27.0 * cbar * cbar)),
+            math.exp(2.0 / cbar),
+        )
+        slack = cbar * (rp2 * e_prime + 0.5 / math.e) + const - rp2
+        report["positive_part_calibrated"] = (True, slack >= 0.0, slack)
+
+    return report
 
 
 def uniform_state(grid: Grid2D, phi, phi_a, n, c) -> State:

@@ -15,7 +15,6 @@ from mchks.cli import (
     CSV_COLUMNS,
     band_limited_initial,
     build_initial_state,
-    default_config,
     main,
     parse_config,
     serialize_config,
@@ -161,6 +160,10 @@ def test_overrides():
                                             "grid.nx=16"])
     assert config.solver.dt == 2e-2
     assert config.grid.nx == 16
+    # SECTION.KEY is stripped like a key in the file
+    spaced = parse_config(TINY, overrides=["solver.dt = 2e-2", " solver.t_end=0.1",
+                                            "grid . nx =16"])
+    assert spaced.values == config.values
     with pytest.raises(ParseError):
         parse_config(TINY, overrides=["solver.nope=1"])
 
@@ -225,7 +228,7 @@ def test_band_limited_initial_shares_data():
 
 
 def test_band_limited_initial_keeps_constants_exact():
-    config = default_config()
+    config = parse_config("")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fd0, g0, _ = band_limited_initial(build_initial_state(config), 8)
@@ -377,7 +380,7 @@ NON_FINITE = ["solver.newton_tol=nan", "params.m=nan", "solver.linear_tol=inf",
 @pytest.mark.parametrize("override", [
     "solver.t_end=0.0105", "solver.t_end=-0.5", "output.diagnostics_every=0",
     "output.snapshot_every=-1", "solver.newton_tol=-1", "solver.linear_tol=-1",
-    "initial.c0=2", "initial.seed=-1", *NON_FINITE])
+    "initial.c0=2", "initial.seed=-1", "output.dir=", *NON_FINITE])
 def test_run_rejects_a_bad_schedule_before_any_output(
         tmp_path, monkeypatch, capsys, override):
     def no_solve(*args, **kwargs):
@@ -477,7 +480,7 @@ def _sets(*overrides):
 
 
 def test_verify_prints_a_pass_line_per_hypothesis(tmp_path, capsys):
-    config = default_config()
+    config = parse_config("")
     names = [h.name for h in hypotheses(build_initial_state(config),
                                         config.params)]
     cfg_path = tmp_path / "empty.cfg"
@@ -572,8 +575,8 @@ def test_compare_subcommand_default_config(tmp_path, capsys):
 
 def test_oracle_error_shrinks_under_joint_refinement_at_production_eps():
     # default config: Flory-Huggins, singular, eps = 1e-3
-    assert default_config().params.singular
-    assert default_config().params.eps == 1e-3
+    assert parse_config("").params.singular
+    assert parse_config("").params.eps == 1e-3
     worst = []
     for nx, k in ((32, 8), (64, 16)):
         config = parse_config("", overrides=[

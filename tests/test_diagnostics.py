@@ -17,16 +17,14 @@ from mchks.diagnostics import (
     energy,
     mass_corridor,
     separation_margins,
-    smallness_advisory,
     twin_run_distance,
     weak_residual,
 )
 from mchks.errors import GridMismatch, RangeError
 from mchks.fields import Grid2D, lap_array
 from mchks.potentials import FloryHuggins, RegularQuartic
-from mchks.regularize import TruncationPair
 from mchks.solver import SolverConfig, step
-from mchks.sources import ConstantMobility, ModelParams, reaction_rates
+from mchks.sources import ModelParams, TruncationPair, reaction_rates
 
 GRID = Grid2D(16, 16, 4.0, 4.0)
 FH = ModelParams(potential=FloryHuggins(1.0, 3.0), m=0.5)
@@ -164,37 +162,6 @@ def test_observe_integrates_the_entropy_once(monkeypatch):
     assert len(calls) == 1
     assert rec.energy == energy(st, FH)
     assert rec.entropy == entropy_integral(st, FH)
-
-
-# -------------------------------------------------------------- smallness
-
-
-def test_smallness_threshold_value():
-    # engineered so cbar = 3 exactly: threshold ((sqrt(4)-1)/2)^(1/4)
-    kappa_inf = 100.0
-    eps0 = 1e-6
-    iota = (81.0 / (kappa_inf - eps0)) ** (1.0 / 3.0)
-    params = ModelParams(kappa_inf=kappa_inf, mobility_n=ConstantMobility(1.0))
-    rep = smallness_advisory(params, c_omega=1.0, c0=1.0, iota=iota, eps0=eps0)
-    assert rep.cbar == pytest.approx(3.0, rel=1e-12)
-    assert rep.threshold == pytest.approx(0.5**0.25, rel=1e-12)
-    assert rep.passed  # chi_a default 0.001 << 0.8409
-
-
-def test_smallness_degenerate_and_tiny_chi():
-    params = ModelParams(kappa_inf=0.5)
-    rep = smallness_advisory(params, 1.0, 1.0, 0.5, eps0=1.0)  # kappa_inf <= eps0
-    assert rep.threshold == 0.0 and not rep.passed
-    tiny = ModelParams(chi_a=1e-9, kappa_inf=10.0)
-    rep = smallness_advisory(tiny, 0.5, 0.5, 0.5, 1e-3)
-    assert rep.passed and rep.margin == pytest.approx(rep.threshold, rel=1e-4)
-
-
-def test_smallness_rejects_bad_constants():
-    with pytest.raises(RangeError):
-        smallness_advisory(FH, -1.0, 1.0, 0.5, 1e-3)
-    with pytest.raises(RangeError):
-        smallness_advisory(FH, 1.0, 1.0, 1.5, 1e-3)
 
 
 # ---------------------------------------------------------- weak residual

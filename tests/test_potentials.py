@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from mchks.potentials import (
     SingleWellLJ,
     YosidaRegularization,
 )
-from mchks.regularize import TruncationPair
+from mchks.sources import TruncationPair
 
 ALL_VARIANTS = [
     RegularQuartic(c3=4.0),
@@ -28,7 +29,7 @@ ALL_VARIANTS = [
 ]
 
 
-from _oracles import envelope_bruteforce
+from _oracles import entropy_prime, entropy_second, envelope_bruteforce
 
 
 # ---------------------------------------------------------------- values
@@ -508,7 +509,7 @@ def test_quartic_resolvent_stall_names_worst_residual(monkeypatch):
 
 
 def _elementwise_cases():
-    # every decorated method, as pytest params; 0.3 and [0.05, 0.95] lie
+    # every decorated map, as pytest params; 0.3 and [0.05, 0.95] lie
     # inside every domain
     reg = YosidaRegularization(FloryHuggins(1.0, 3.0), eps=0.05)
     pair = TruncationPair(0.1)
@@ -519,7 +520,9 @@ def _elementwise_cases():
     cases += [(f"Yosida.{m}", getattr(reg, m))
               for m in ("resolvent", "yosida", "envelope")]
     cases += [(f"TruncationPair.{m}", getattr(pair, m))
-              for m in ("truncate", "entropy", "entropy_prime", "entropy_second")]
+              for m in ("truncate", "entropy")]
+    cases += [(f"TruncationPair.{f.__name__}", functools.partial(f, pair))
+              for f in (entropy_prime, entropy_second)]
     return [pytest.param(fn, id=name) for name, fn in cases]
 
 

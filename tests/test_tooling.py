@@ -1,8 +1,8 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
 tables, the one domain declaration of the potential variants and the start
 guess each of their resolvents takes, the one CG call of the solver, the
-operators the mobility laws supply, its one stepping loop and the states
-that loop yields.
+operators the mobility laws supply, its one stepping loop, the states
+that loop yields, and a package that holds only what the program calls.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -16,6 +16,7 @@ import ast
 import importlib
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,10 @@ from mchks.potentials import Potential
 from mchks.solver import run
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mchks"
 SPANS = ROOT / "perfbench" / "spans.py"
 GATE = ROOT / "perfbench" / "gate.py"
-SOLVER = ROOT / "src" / "mchks" / "solver.py"
+SOLVER = SRC / "solver.py"
 SITE = re.compile(r'"(mchks(?:\.\w+)*:\w+(?:\.\w+)*)"')
 
 
@@ -115,6 +117,54 @@ def test_run_yields_five_float_arrays_on_the_initial_grid():
             assert values.shape == (state.grid.nx, state.grid.ny), name
 
 
+# public names with no caller in the program, each kept for its reason
+UNCALLED = {
+    "read_snapshot": "reads the snapshot format that run writes for users",
+    "lap_array": "the independent stencil the tests check the matrix against",
+    "weak_residual": "the steps.csv item on the ROADMAP gives it its caller",
+}
+
+
+def _names(node):
+    """Every name that ``node`` reads, calls or imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+    return names
+
+
+def test_src_holds_only_what_the_program_calls():
+    # each public function or class of the package is referenced from
+    # another top-level statement of the package, from scripts/ or from
+    # perfbench/ (in code or as a span site); code that only tests call
+    # belongs in tests/
+    outside = set()
+    for path in [*(ROOT / "scripts").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        outside |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    sites = {(site.partition(":")[0], site.partition(":")[2].split(".")[0])
+             for site in SITE.findall(SPANS.read_text(encoding="utf-8"))}
+    defs = [(path.stem, node, _names(node)) for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    # in how many top-level statements of the package each name occurs
+    inside = Counter(name for *_, names in defs for name in names)
+    uncalled = {
+        node.name for module, node, names in defs
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and inside[node.name] == (node.name in names)
+        and node.name not in outside
+        and (f"mchks.{module}", node.name) not in sites}
+    assert uncalled - UNCALLED.keys() == set()
+    # an entry that gained a caller leaves the list
+    assert UNCALLED.keys() - uncalled == set()
+
+
 def _gate_list(name):
     """The literal list assigned to ``name`` in perfbench/gate.py."""
     tree = ast.parse(GATE.read_text(encoding="utf-8"))
@@ -157,8 +207,8 @@ def test_readme_config_block_names_every_key(section):
 def test_readme_package_layout_names_every_module():
     block = _readme_block("## Package layout")
     listed = set(re.findall(r"^  (\w+\.py) ", block, re.M))
-    modules = {p.name for p in (ROOT / "src" / "mchks").glob("*.py")}
-    assert not modules - {"__init__.py"} - listed
+    modules = {p.name for p in SRC.glob("*.py")}
+    assert listed == modules - {"__init__.py"}
 
 
 def test_readme_command_line_block_names_exactly_the_subcommands(capsys):
