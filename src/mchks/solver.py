@@ -45,6 +45,9 @@ u_o (``_helmholtz_solve``), where A is the Laplacian L for n and c and the
 operator A_n = div(b_n grad) for phi_a.  The Newton residual and both
 Jacobian paths (BiCGStab and the sparse-LU fallback) apply the operators
 through the same matrices, so the Krylov and LU paths solve one operator.
+BiCGStab is the package's own (``spla.bicgstab``, scipy's arithmetic in
+scipy's order); sparse LU is scipy's, loaded the first time the direct path
+runs (``spla.splu``).
 The explicit chemotaxis flux, one application with its own coefficient,
 uses the face-flux stencil.
 
@@ -64,9 +67,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn
 
+from . import spla
 from .errors import (
     BoundsViolation,
     ConvergenceError,
@@ -373,15 +376,12 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
         return diag0 * v - a_m @ (curv_flat * v - lap @ v)
 
     def apply_pinv(v):
-        v2 = np.asarray(v, dtype=float).reshape(grid.nx, grid.ny)
+        v2 = v.reshape(grid.nx, grid.ny)
         sol = idctn(dctn(v2, norm="ortho") / denom, norm="ortho")
         return sol.ravel()
 
-    n = grid.nx * grid.ny
-    op = spla.LinearOperator((n, n), matvec=apply_j, dtype=np.float64)
-    pre = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=np.float64)
     sol, info = spla.bicgstab(
-        op, rhs.ravel(), rtol=rtol, atol=0.0, M=pre, maxiter=400
+        apply_j, rhs.ravel(), rtol=rtol, atol=0.0, M=apply_pinv, maxiter=400
     )
     report.linear_iters["ch"] = report.linear_iters.get("ch", 0) + (matvecs + 1) // 2
     if info != 0:

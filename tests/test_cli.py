@@ -469,6 +469,29 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     assert cli.integrate_galerkin is galerkin.integrate_galerkin
 
 
+def test_cli_leaves_scipy_linalg_unloaded_until_sparse_lu(tmp_path):
+    # BiCGStab is the package's own; only the sparse-LU path imports
+    # scipy.sparse.linalg, and scipy.linalg with it
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
+    cmp_path = tmp_path / "cmp.cfg"  # the oracle takes the quartic only
+    cmp_path.write_text(TINY + "[params]\npotential = quartic\n")
+    loaded = ("print(*(m in sys.modules for m in "
+              "('scipy.sparse.linalg', 'scipy.linalg')))")
+    cfg = ["-c", str(cfg_path)]
+    commands = [["run", *cfg], ["compare", "-c", str(cmp_path), "--modes", "4"],
+                ["twin", *cfg], ["verify", *cfg]]
+    proc = _python("-c", (
+        "import sys; from mchks import cli; "
+        f"print(*(cli.main(a) for a in {commands!r})); {loaded}"))
+    assert proc.stdout.splitlines()[-2:] == ["0 0 0 0", "False False"]
+    direct = ["run", *cfg, "--set", "solver.linear_solver=direct"]
+    proc = _python("-c", (
+        f"import sys; from mchks import cli; print(cli.main({direct!r})); "
+        f"{loaded}"))
+    assert proc.stdout.splitlines()[-2:] == ["0", "True True"]
+
+
 def test_compare_fd_spectral_script_errors_decrease():
     proc = _python(SCRIPTS / "compare_fd_spectral.py",
                    "--levels", "2", "--t-end", "0.02")
