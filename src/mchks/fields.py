@@ -8,21 +8,30 @@ then hold to round-off.  Mobility-weighted divergences are assembled in face
 flux form (arithmetic face means) so that their integral vanishes
 exactly.
 
-The time step applies these operators through one assembled matrix:
-``div_mob_grad_matrix`` fills the CSR matrix of div(mob grad) on a five-slot
-pattern cached per grid.  ``constant_mobility_matrix`` caches that fill per
-(grid, value) for a constant mobility, and ``laplacian_matrix`` is its
-entry at value 1.  The Krylov matvecs and the sparse-LU Jacobian both read
-them.  The slicing stencils ``lap_array`` and ``div_mob_grad_array`` are
-coded independently of the matrix and stay as the face-flux reference for
-the weak residuals and the tests; the step's explicit chemotaxis flux,
-applied once, uses them too.
+The time step applies these operators as numpy slot stencils, and no
+scipy module is imported to apply them.  ``div_mob_grad_matrix`` fills a
+``SlotStencil`` of div(mob grad): five coefficient slots (west, south,
+self, north, east), each one contiguous row, whose product ``@`` sums the
+five neighbour products in slot order.  Up to 2500 cells it gathers the
+neighbours with one cached index; above, it multiplies shifted flat slices.
+``constant_mobility_matrix`` caches that fill per (grid, value) for a
+constant mobility, and ``laplacian_matrix`` is its entry at value 1.  The
+Krylov matvecs read them; the sparse-LU Jacobian reads ``tocsr()``, the
+CSR matrix of the same five-slot pattern, whose product gives the
+stencil's bits.  The slicing stencils ``lap_array`` and
+``div_mob_grad_array`` are coded independently of the slots and stay as the
+face-flux reference for the weak residuals and the tests; the step's
+explicit chemotaxis flux, applied once, uses them too.
 
 The orthonormal DCT-II diagonalises the mirror-ghost Laplacian
 exactly; its eigenvalues live in one cached table per grid, which the
-Cahn-Hilliard preconditioner shares.  The inverse Neumann Laplacian is an
-exact DCT solve of that same discrete operator on the zero-mean subspace;
-the dual norm of a field's fluctuation reads the same table and one DCT.
+Cahn-Hilliard preconditioner shares.  ``dct2`` and ``idct2`` are products
+with the dense DCT-II matrix of each axis (``dct_matrix``, cached
+read-only), on grids whose longer axis is at most ``DENSE_DCT_MAX`` cells;
+a longer axis imports ``scipy.fft`` on first use and calls ``dctn`` and
+``idctn``.  The inverse Neumann Laplacian is an exact DCT solve of that
+same discrete operator on the zero-mean subspace; the dual norm of a
+field's fluctuation reads the same table and one DCT.
 """
 
 from __future__ import annotations
@@ -33,8 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dctn, idctn
 
 from .errors import ConvergenceError, MeanError
 
@@ -102,6 +109,51 @@ def neumann_eigenvalues(grid: Grid2D) -> np.ndarray:
     return lam
 
 
+# ------------------------------------------------------ cosine transform
+
+# Axis length up to which dct2 and idct2 are dense matrix products; a longer
+# axis sends the whole transform to scipy.fft.  Chosen from measured step
+# times (see the README, "Numerical scheme").
+DENSE_DCT_MAX = 128
+
+
+@lru_cache(maxsize=8)
+def dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix of length n, shared read-only.
+
+    Row k is s_k cos(pi k (2j + 1) / (2n)) over j, with s_0 = sqrt(1/n) and
+    s_k = sqrt(2/n); the angle is reduced modulo 2 pi in integers first.
+    """
+    k = np.arange(n)
+    m = np.outer(k, 2 * k + 1) % (4 * n)
+    c = np.cos((np.pi / (2 * n)) * m)
+    c *= math.sqrt(2.0 / n)
+    c[0] = math.sqrt(1.0 / n)
+    c.flags.writeable = False
+    return c
+
+
+def dct2(f: np.ndarray) -> np.ndarray:
+    """Orthonormal 2D DCT-II of an (nx, ny) array: C_x @ f @ C_y.T, or
+    ``scipy.fft.dctn`` when an axis is longer than ``DENSE_DCT_MAX``."""
+    nx, ny = f.shape
+    if max(nx, ny) > DENSE_DCT_MAX:
+        from scipy.fft import dctn
+
+        return dctn(f, norm="ortho")
+    return dct_matrix(nx) @ f @ dct_matrix(ny).T
+
+
+def idct2(c: np.ndarray) -> np.ndarray:
+    """Inverse of ``dct2``: C_x.T @ c @ C_y, or ``scipy.fft.idctn``."""
+    nx, ny = c.shape
+    if max(nx, ny) > DENSE_DCT_MAX:
+        from scipy.fft import idctn
+
+        return idctn(c, norm="ortho")
+    return dct_matrix(nx).T @ c @ dct_matrix(ny)
+
+
 # ------------------------------------------------------------- operators
 
 
@@ -134,72 +186,128 @@ def div_mob_grad_array(mob: np.ndarray, v: np.ndarray, dx: float, dy: float):
     return out
 
 
-@lru_cache(maxsize=8)
-def _five_slot_pattern(grid: Grid2D):
-    """CSR (indices, indptr) with five slots per row: west, south, self,
-    north, east in x-major cell order.
+# grids of up to this many cells apply a SlotStencil by one gather of the
+# five neighbours, larger ones by shifted slices; the two products break
+# even near 52² (18.6 us each, 2-vCPU x86-64 host)
+_GATHER_MAX = 2500
 
-    A neighbour missing at the boundary keeps its slot as an explicit zero
-    entry on a column already in the row, chosen so that every row stays
-    sorted; the pattern therefore never depends on the mobility.
+
+@lru_cache(maxsize=8)
+def _five_slot_columns(grid: Grid2D) -> np.ndarray:
+    """(5, nx * ny) column of each slot's coefficient, x-major cell order.
+
+    A neighbour missing at the boundary keeps its slot on a column already
+    in the row, chosen so that every row stays sorted; the pattern therefore
+    never depends on the mobility.  Shared read-only.
     """
     nx, ny = grid.nx, grid.ny
-    k = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
-    cols = k[:, :, None] + np.array([-ny, -1, 0, 1, ny], dtype=np.int32)
-    cols[:, 0, 1] = k[:, 0]
-    cols[:, -1, 3] = k[:, -1]
-    cols[0, :, 0] = cols[0, :, 1]
-    cols[-1, :, 4] = cols[-1, :, 3]
-    indices = cols.ravel()
-    indptr = np.arange(0, 5 * nx * ny + 1, 5, dtype=np.int32)
-    indices.flags.writeable = False
-    indptr.flags.writeable = False
-    return indices, indptr
+    k = np.arange(nx * ny).reshape(nx, ny)
+    cols = k + np.array([-ny, -1, 0, 1, ny])[:, None, None]
+    cols[1, :, 0] = k[:, 0]
+    cols[3, :, -1] = k[:, -1]
+    cols[0, 0, :] = cols[1, 0, :]
+    cols[4, -1, :] = cols[3, -1, :]
+    cols = cols.reshape(5, nx * ny)
+    cols.flags.writeable = False
+    return cols
 
 
-def div_mob_grad_matrix(grid: Grid2D, mob: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of v -> div(mob grad v) on x-major flattened fields.
+class SlotStencil:
+    """The operator v -> div(mob grad v) on x-major flattened fields, held as
+    five coefficient slots: west, south, self, north, east.
+
+    ``slots`` is a (5, nx * ny) array, slot-major, so each slot is one
+    contiguous row; a neighbour missing at the boundary has coefficient 0.
+    ``op @ v`` sums the five products in slot order, as a CSR row of the
+    same pattern sums its entries, and gives the same bits for finite v.
+    ``tocsr()`` builds that CSR matrix for the sparse-LU path.
+    """
+
+    __slots__ = ("grid", "slots", "cols")
+
+    def __init__(self, grid: Grid2D, slots: np.ndarray):
+        self.grid = grid
+        self.slots = slots
+        n = grid.nx * grid.ny
+        self.cols = _five_slot_columns(grid) if n <= _GATHER_MAX else None
+
+    def __matmul__(self, v):
+        if self.cols is not None:
+            prod = v[self.cols]
+            prod *= self.slots
+            return np.add.reduce(prod, axis=0)
+        west, south, center, north, east = self.slots
+        ny = self.grid.ny
+        out = np.empty_like(v)
+        tmp = np.empty_like(v)
+        # row i = 0 has no west neighbour; a south or north slot that wraps
+        # across a row end holds 0
+        out[:ny] = 0.0
+        np.multiply(west[ny:], v[:-ny], out=out[ny:])
+        np.multiply(south[1:], v[:-1], out=tmp[1:])
+        out[1:] += tmp[1:]
+        np.multiply(center, v, out=tmp)
+        out += tmp
+        np.multiply(north[:-1], v[1:], out=tmp[:-1])
+        out[:-1] += tmp[:-1]
+        np.multiply(east[:-ny], v[ny:], out=tmp[:-ny])
+        out[:-ny] += tmp[:-ny]
+        return out
+
+    def tocsr(self):
+        """The CSR matrix with the five slots of a cell as its row, in slot
+        order on the columns of ``_five_slot_columns``; imports
+        ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        n = self.grid.nx * self.grid.ny
+        indices = _five_slot_columns(self.grid).T.astype(np.int32).ravel()
+        indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
+        return sp.csr_matrix((self.slots.T.ravel(), indices, indptr),
+                             shape=(n, n))
+
+
+def div_mob_grad_matrix(grid: Grid2D, mob: np.ndarray) -> SlotStencil:
+    """The ``SlotStencil`` of v -> div(mob grad v).
 
     Same arithmetic face means and zero boundary flux as
-    ``div_mob_grad_array``.  Only the (nx, ny, 5) data array is built per
-    call; the sparsity pattern is cached per grid and shared read-only.
+    ``div_mob_grad_array``; only the five slots are built per call.
     """
     nx, ny = grid.nx, grid.ny
     tx = (0.5 / grid.dx**2) * (mob[1:, :] + mob[:-1, :])
     ty = (0.5 / grid.dy**2) * (mob[:, 1:] + mob[:, :-1])
-    data = np.empty((nx, ny, 5))
-    data[0, :, 0] = 0.0
-    data[1:, :, 0] = tx
-    data[:, 0, 1] = 0.0
-    data[:, 1:, 1] = ty
-    data[:, -1, 3] = 0.0
-    data[:, :-1, 3] = ty
-    data[-1, :, 4] = 0.0
-    data[:-1, :, 4] = tx
-    center = data[:, :, 2]
-    np.add(data[:, :, 0], data[:, :, 4], out=center)
-    center += data[:, :, 1]
-    center += data[:, :, 3]
+    slots = np.empty((5, nx, ny))
+    west, south, center, north, east = slots
+    west[0, :] = 0.0
+    west[1:, :] = tx
+    south[:, 0] = 0.0
+    south[:, 1:] = ty
+    north[:, -1] = 0.0
+    north[:, :-1] = ty
+    east[-1, :] = 0.0
+    east[:-1, :] = tx
+    np.add(west, east, out=center)
+    center += south
+    center += north
     np.negative(center, out=center)
-    indices, indptr = _five_slot_pattern(grid)
-    return sp.csr_matrix((data.ravel(), indices, indptr), shape=(nx * ny, nx * ny))
+    return SlotStencil(grid, slots.reshape(5, nx * ny))
 
 
 @lru_cache(maxsize=8)
-def constant_mobility_matrix(grid: Grid2D, value: float) -> sp.csr_matrix:
+def constant_mobility_matrix(grid: Grid2D, value: float) -> SlotStencil:
     """``div_mob_grad_matrix`` for the constant mobility ``value``, cached per
     (grid, value).
 
-    Filled by the same code as a variable mobility, so it is bitwise the
-    matrix of ``np.full(grid.shape, value)``.  Shared between callers, so
-    its data are read-only.
+    Filled by the same code as a variable mobility, so its slots are bitwise
+    those of ``np.full(grid.shape, value)``.  Shared between callers, so
+    its slots are read-only.
     """
     a = div_mob_grad_matrix(grid, np.full(grid.shape, float(value)))
-    a.data.flags.writeable = False
+    a.slots.flags.writeable = False
     return a
 
 
-def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
+def laplacian_matrix(grid: Grid2D) -> SlotStencil:
     """The mirror-ghost Laplacian: ``constant_mobility_matrix`` at 1."""
     return constant_mobility_matrix(grid, 1.0)
 
@@ -266,10 +374,10 @@ def inv_neumann_laplacian(grid: Grid2D, f: np.ndarray) -> np.ndarray:
         )
     if fnorm == 0.0:
         return np.zeros(grid.shape)
-    coef = dctn(f, norm="ortho").ravel()
+    coef = dct2(f).ravel()
     coef[0] = 0.0  # the (0, 0) mode is the mean, which u does not carry
     coef[1:] /= neumann_eigenvalues(grid).ravel()[1:]
-    return idctn(coef.reshape(grid.shape), norm="ortho")
+    return idct2(coef.reshape(grid.shape))
 
 
 def dual_norm(grid: Grid2D, f: np.ndarray) -> float:
@@ -279,7 +387,7 @@ def dual_norm(grid: Grid2D, f: np.ndarray) -> float:
     (i, j) != (0, 0).  Shifting f by one of its values changes only c_00 and
     makes a constant f give exactly 0, not DCT round-off.
     """
-    coef = dctn(f - f.flat[0], norm="ortho").ravel()[1:]
+    coef = dct2(f - f.flat[0]).ravel()[1:]
     lam = neumann_eigenvalues(grid).ravel()[1:]
     return float(np.sqrt(grid.cell_area * np.sum(coef * coef / lam)))
 

@@ -35,19 +35,23 @@ One time step advances the five fields in four substeps:
    times, and k + 1 times from an extrapolated start.  The proliferation
    source is ``sources.proliferation`` at the old phi and the fresh n.
 
-Each mobility law supplies the step's div(mob grad) matrix (its
-``operator``): a constant law reads the matrix cached for its value, and a
-variable law fills one per step (``fields.div_mob_grad_matrix``).  The step
-reads the cached Laplacian matrix (``fields.laplacian_matrix``) too.
+Each mobility law supplies the step's div(mob grad) operator, a numpy
+slot stencil (``fields.SlotStencil``): a constant law reads the stencil
+cached for its value, and a variable law fills one per step
+(``fields.div_mob_grad_matrix``).  The step reads the cached Laplacian
+(``fields.laplacian_matrix``) too.
 Substeps 1-3 are one implicit solve,
 (1/dt + loss - A) u = u_o/dt + explicit + g by CG started from the old value
 u_o (``_helmholtz_solve``), where A is the Laplacian L for n and c and the
-operator A_n = div(b_n grad) for phi_a.  The Newton residual and both
-Jacobian paths (BiCGStab and the sparse-LU fallback) apply the operators
-through the same matrices, so the Krylov and LU paths solve one operator.
+operator A_n = div(b_n grad) for phi_a.  The Newton residual and BiCGStab
+apply the stencils, and the sparse-LU fallback factors their CSR matrices
+(``SlotStencil.tocsr``), so the Krylov and LU paths solve one operator.
 BiCGStab is the package's own (``spla.bicgstab``, scipy's arithmetic in
-scipy's order); sparse LU is scipy's, loaded the first time the direct path
-runs (``spla.splu``).
+scipy's order), preconditioned by the cosine transform ``fields.dct2`` /
+``fields.idct2``.  A step on a grid of up to ``fields.DENSE_DCT_MAX`` cells
+per axis imports no scipy module; a larger grid loads ``scipy.fft`` for its
+transforms, and the direct path loads ``scipy.sparse`` and scipy's sparse
+LU (``spla.splu``) the first time it runs.
 The explicit chemotaxis flux, one application with its own coefficient,
 uses the face-flux stencil.
 
@@ -66,8 +70,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dctn, idctn
 
 from . import spla
 from .errors import (
@@ -80,7 +82,9 @@ from .errors import (
 from .fields import (
     Grid2D,
     cg_solve,
+    dct2,
     div_mob_grad_array,
+    idct2,
     laplacian_matrix,
     neumann_eigenvalues,
 )
@@ -348,8 +352,9 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
 
     A_m is the step's div(mob grad), as its mobility law supplies it, and L
     the cached Laplacian (``fields.laplacian_matrix``);
-    BiCGStab applies J through them and the sparse-LU path factors the same
-    product, so both paths solve one operator.  The cosine-transform
+    BiCGStab applies J through their stencils and the sparse-LU path
+    factors the same product of their CSR matrices, so both paths solve one
+    operator.  The cosine-transform
     preconditioner freezes the mobility at its mean ``mob_bar`` and the
     curvature at its mean.
 
@@ -377,7 +382,7 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
 
     def apply_pinv(v):
         v2 = v.reshape(grid.nx, grid.ny)
-        sol = idctn(dctn(v2, norm="ortho") / denom, norm="ortho")
+        sol = idct2(dct2(v2) / denom)
         return sol.ravel()
 
     sol, info = spla.bicgstab(
@@ -397,10 +402,13 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
 
 
 def _solve_ch_direct(grid, a_m, curv, diag0, rhs):
-    """Sparse-LU solve of diag0 I - A_m (diag(curv) - L), as in BiCGStab."""
+    """Sparse-LU solve of diag0 I - A_m (diag(curv) - L), as in BiCGStab,
+    on the CSR matrices of the same stencils (imports ``scipy.sparse``)."""
+    import scipy.sparse as sp
+
     n = grid.nx * grid.ny
-    inner = sp.diags(curv.ravel(), format="csr") - laplacian_matrix(grid)
-    j = sp.eye(n, format="csr") * diag0 - a_m @ inner
+    inner = sp.diags(curv.ravel(), format="csr") - laplacian_matrix(grid).tocsr()
+    j = sp.eye(n, format="csr") * diag0 - a_m.tocsr() @ inner
     sol = spla.splu(j.tocsc()).solve(rhs.ravel())
     return sol.reshape(grid.nx, grid.ny)
 

@@ -23,7 +23,7 @@ array of their broadcast shape (a float for scalar arguments, through
 oracle use it as returned.  Each law also supplies the step's operator
 div(b grad) from those values (``operator``): a variable law fills it
 (``fields.div_mob_grad_matrix``), and ``ConstantMobility`` returns the
-matrix cached for its value (``fields.constant_mobility_matrix``).
+slot stencil cached for its value (``fields.constant_mobility_matrix``).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class _Mobility:
     """A mobility law b; ``operator`` supplies the step's div(b grad)."""
 
     def operator(self, grid, values):
-        """CSR matrix of div(b grad) on grid, filled from the evaluated b."""
+        """The slot stencil of div(b grad) on grid, filled from the
+        evaluated b."""
         return div_mob_grad_matrix(grid, values)
 
 
@@ -86,7 +87,7 @@ class ConstantMobility(_Mobility):
         return np.full(np.broadcast(*fields).shape, self.value)
 
     def operator(self, grid, values):
-        """The read-only div(b grad) cached per (grid, value); the matrix
+        """The read-only div(b grad) cached per (grid, value); the stencil
         does not depend on ``values``."""
         return constant_mobility_matrix(grid, self.value)
 

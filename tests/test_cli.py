@@ -443,10 +443,10 @@ def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, command):
     assert err.startswith("error: parse: ") and str(missing) in err
 
 
-def _python(*args):
-    """Run a fresh interpreter on args with this mchks on its path; the
-    call must exit 0."""
-    env = dict(os.environ)
+def _python(*args, **env):
+    """Run a fresh interpreter on args with this mchks on its path and the
+    environment variables ``env`` set; the call must exit 0."""
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(mchks.__file__).resolve().parents[1]),
          env.get("PYTHONPATH", "")]
@@ -470,26 +470,46 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 def test_cli_leaves_scipy_linalg_unloaded_until_sparse_lu(tmp_path):
-    # BiCGStab is the package's own; only the sparse-LU path imports
-    # scipy.sparse.linalg, and scipy.linalg with it
+    # on small grids no command loads any scipy module: the stencils and the
+    # cosine transform are numpy's and BiCGStab is the package's own; only
+    # the sparse-LU path imports scipy.sparse.linalg, and scipy.linalg with it
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY + f"\n[output]\ndir = {tmp_path}\n")
     cmp_path = tmp_path / "cmp.cfg"  # the oracle takes the quartic only
     cmp_path.write_text(TINY + "[params]\npotential = quartic\n")
-    loaded = ("print(*(m in sys.modules for m in "
-              "('scipy.sparse.linalg', 'scipy.linalg')))")
     cfg = ["-c", str(cfg_path)]
     commands = [["run", *cfg], ["compare", "-c", str(cmp_path), "--modes", "4"],
                 ["twin", *cfg], ["verify", *cfg]]
     proc = _python("-c", (
         "import sys; from mchks import cli; "
-        f"print(*(cli.main(a) for a in {commands!r})); {loaded}"))
-    assert proc.stdout.splitlines()[-2:] == ["0 0 0 0", "False False"]
+        f"print(*(cli.main(a) for a in {commands!r})); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+    assert proc.stdout.splitlines()[-2:] == ["0 0 0 0", "[]"]
     direct = ["run", *cfg, "--set", "solver.linear_solver=direct"]
     proc = _python("-c", (
         f"import sys; from mchks import cli; print(cli.main({direct!r})); "
-        f"{loaded}"))
+        "print(*(m in sys.modules for m in "
+        "('scipy.sparse.linalg', 'scipy.linalg')))"))
     assert proc.stdout.splitlines()[-2:] == ["0", "True True"]
+
+
+def test_run_output_does_not_depend_on_blas_threads(tmp_path):
+    # the cosine transform is a BLAS dgemm; at 96^2 each product is large
+    # enough for OpenBLAS to split it over two threads
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        cfg_path = tmp_path / f"{threads}.cfg"
+        cfg_path.write_text(TINY + f"\n[output]\ndir = {out_dir}\n")
+        args = ["run", "-c", str(cfg_path), "--set", "grid.nx=96",
+                "--set", "grid.ny=96", "--set", "output.snapshot_every=1"]
+        _python("-c", f"from mchks import cli; assert cli.main({args!r}) == 0",
+                OPENBLAS_NUM_THREADS=threads)
+        files = sorted(p.name for p in out_dir.iterdir()
+                       if p.name == "diagnostics.csv" or p.name.startswith("snap_"))
+        outputs.append({name: (out_dir / name).read_bytes() for name in files})
+    assert len(outputs[0]) > 1
+    assert outputs[0] == outputs[1]
 
 
 def test_compare_fd_spectral_script_errors_decrease():

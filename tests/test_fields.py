@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn, idctn
 
 from mchks.errors import MeanError
 from mchks.fields import (
+    DENSE_DCT_MAX,
     Grid2D,
     cg_solve,
     constant_mobility_matrix,
     cosine_mode,
+    dct2,
+    dct_matrix,
     div_mob_grad_array,
     div_mob_grad_matrix,
     dual_norm,
     grad_sq_integral_array,
+    idct2,
     inv_neumann_laplacian,
     lap_array,
     laplacian_matrix,
@@ -119,45 +125,108 @@ NON_SQUARE = [Grid2D(5, 7, 1.0, 1.7), Grid2D(17, 23, 2.3, 1.1),
 @pytest.mark.parametrize("grid", NON_SQUARE, ids=["5x7", "17x23", "128x96"])
 def test_assembled_operator_matches_face_flux_stencil(grid):
     # x-major ordering and the +-1 / +-ny offsets, checked against the
-    # independently coded slicing stencils
+    # independently coded slicing stencils; the grids take both the gather
+    # and the shifted-slice product
     v = random_field(grid, seed=20)
     mob = 0.5 + np.abs(random_field(grid, seed=21))
     ref = div_mob_grad_array(mob, v, grid.dx, grid.dy)
     a = div_mob_grad_matrix(grid, mob)
     got = (a @ v.ravel()).reshape(v.shape)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # constants are in the kernel of the assembled operator too
-    kernel = a @ np.ones(a.shape[0])
-    assert np.max(np.abs(kernel)) <= 1e-12 * np.max(np.abs(a.data))
+    # constants are in the kernel of the operator too
+    kernel = a @ np.ones(grid.nx * grid.ny)
+    assert np.max(np.abs(kernel)) <= 1e-12 * np.max(np.abs(a.slots))
     ref = lap_array(v, grid.dx, grid.dy)
     got = (laplacian_matrix(grid) @ v.ravel()).reshape(v.shape)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _five_slot_csr(grid, mob):
+    """The CSR matrix of div(mob grad) as it was assembled before the slot
+    stencil: data (nx, ny, 5) in slot order, boundary slots as explicit
+    zeros on a column already in the row."""
+    nx, ny = grid.nx, grid.ny
+    k = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+    cols = k[:, :, None] + np.array([-ny, -1, 0, 1, ny], dtype=np.int32)
+    cols[:, 0, 1] = k[:, 0]
+    cols[:, -1, 3] = k[:, -1]
+    cols[0, :, 0] = cols[0, :, 1]
+    cols[-1, :, 4] = cols[-1, :, 3]
+    tx = (0.5 / grid.dx**2) * (mob[1:, :] + mob[:-1, :])
+    ty = (0.5 / grid.dy**2) * (mob[:, 1:] + mob[:, :-1])
+    data = np.zeros((nx, ny, 5))
+    data[1:, :, 0] = tx
+    data[:, 1:, 1] = ty
+    data[:, :-1, 3] = ty
+    data[:-1, :, 4] = tx
+    center = data[:, :, 2]
+    np.add(data[:, :, 0], data[:, :, 4], out=center)
+    center += data[:, :, 1]
+    center += data[:, :, 3]
+    np.negative(center, out=center)
+    indptr = np.arange(0, 5 * nx * ny + 1, 5, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
+                         shape=(nx * ny, nx * ny))
+
+
+@pytest.mark.parametrize("grid", NON_SQUARE, ids=["5x7", "17x23", "128x96"])
+def test_tocsr_is_the_five_slot_csr_matrix(grid):
+    # the sparse-LU path factors bitwise the matrix it factored before, and
+    # the stencil's product sums in that matrix's row order
+    mob = 0.5 + np.abs(random_field(grid, seed=22))
+    a = div_mob_grad_matrix(grid, mob)
+    got, want = a.tocsr(), _five_slot_csr(grid, mob)
+    for x, y in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    v = random_field(grid, seed=23).ravel()
+    assert (a @ v).tobytes() == (want @ v).tobytes()
+
+
 def test_cached_laplacian_matrix_is_read_only():
     lap = laplacian_matrix(GRID)
     assert laplacian_matrix(GRID) is lap
-    for arr in (lap.data, lap.indices, lap.indptr):
+    for arr in (lap.slots, lap.cols):
         with pytest.raises(ValueError):
-            arr[0] = 1
+            arr[0, 0] = 1
 
 
 @pytest.mark.parametrize("value", [1.0, 0.7])
 def test_constant_mobility_matrix_is_the_cached_fill(value):
-    # the fill itself, so the matrix is bitwise the one a variable mobility
-    # of that value gets; 0.7 * laplacian_matrix would round differently
+    # the fill itself, so the operator is bitwise the one a variable
+    # mobility of that value gets; 0.7 * laplacian_matrix would round
+    # differently
     mob = np.full(GRID.shape, value)
     a = ConstantMobility(value).operator(GRID, mob)
     ref = div_mob_grad_matrix(GRID, mob)
-    for got, want in ((a.data, ref.data), (a.indices, ref.indices),
-                      (a.indptr, ref.indptr)):
-        assert got.tobytes() == want.tobytes()
+    assert a.slots.tobytes() == ref.slots.tobytes()
     assert constant_mobility_matrix(GRID, value) is a
     assert ConstantMobility(value).operator(GRID, mob) is a
     with pytest.raises(ValueError):
-        a.data[0] = 1.0
+        a.slots[0, 0] = 1.0
     # one cache: the Laplacian is its entry at 1
     assert (laplacian_matrix(GRID) is a) == (value == 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (17, 23), (128, 96),
+                                   (DENSE_DCT_MAX + 8, 12)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_dct_pair_matches_scipy(shape):
+    # dense matrix products up to DENSE_DCT_MAX, scipy.fft above it
+    f = random_field(Grid2D(*shape, 1.0, 1.0), seed=24)
+    want = dctn(f, norm="ortho")
+    got = dct2(f)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    back = idct2(want)
+    assert np.max(np.abs(back - idctn(want, norm="ortho"))) <= (
+        1e-13 * np.max(np.abs(f)))
+
+
+def test_dct_matrix_is_cached_read_only():
+    c = dct_matrix(12)
+    assert dct_matrix(12) is c
+    assert not c.flags.writeable
+    assert np.allclose(c @ c.T, np.eye(12), rtol=0.0, atol=1e-15)
 
 
 def test_mean_and_integral():
