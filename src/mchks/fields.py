@@ -29,9 +29,13 @@ Cahn-Hilliard preconditioner shares.  ``dct2`` and ``idct2`` are products
 with the dense DCT-II matrix of each axis (``dct_matrix``, cached
 read-only), on grids whose longer axis is at most ``DENSE_DCT_MAX`` cells;
 a longer axis imports ``scipy.fft`` on first use and calls ``dctn`` and
-``idctn``.  The inverse Neumann Laplacian is an exact DCT solve of that
-same discrete operator on the zero-mean subspace; the dual norm of a
-field's fluctuation reads the same table and one DCT.
+``idctn``.  Both compute in their input's precision: a float32 array goes
+through the float32 matrices (the float64 ones rounded once) or through
+``scipy.fft``, which keeps float32.  Only the Cahn-Hilliard preconditioner
+hands them float32 (see ``solver._solve_ch_jacobian``).  The inverse
+Neumann Laplacian is an exact DCT solve of that same discrete operator on
+the zero-mean subspace; the dual norm of a field's fluctuation reads the
+same table and one DCT; both stay in float64.
 """
 
 from __future__ import annotations
@@ -117,41 +121,53 @@ def neumann_eigenvalues(grid: Grid2D) -> np.ndarray:
 DENSE_DCT_MAX = 128
 
 
-@lru_cache(maxsize=8)
-def dct_matrix(n: int) -> np.ndarray:
-    """The orthonormal DCT-II matrix of length n, shared read-only.
+@lru_cache(maxsize=16)
+def dct_matrix(n: int, dtype=np.float64) -> np.ndarray:
+    """The orthonormal DCT-II matrix of length n in ``dtype``, shared
+    read-only.
 
     Row k is s_k cos(pi k (2j + 1) / (2n)) over j, with s_0 = sqrt(1/n) and
     s_k = sqrt(2/n); the angle is reduced modulo 2 pi in integers first.
+    Any other dtype than float64 gets the float64 matrix rounded once.
     """
-    k = np.arange(n)
-    m = np.outer(k, 2 * k + 1) % (4 * n)
-    c = np.cos((np.pi / (2 * n)) * m)
-    c *= math.sqrt(2.0 / n)
-    c[0] = math.sqrt(1.0 / n)
+    if np.dtype(dtype) == np.float64:
+        k = np.arange(n)
+        m = np.outer(k, 2 * k + 1) % (4 * n)
+        c = np.cos((np.pi / (2 * n)) * m)
+        c *= math.sqrt(2.0 / n)
+        c[0] = math.sqrt(1.0 / n)
+    else:
+        c = dct_matrix(n, np.float64).astype(dtype)
     c.flags.writeable = False
     return c
 
 
 def dct2(f: np.ndarray) -> np.ndarray:
     """Orthonormal 2D DCT-II of an (nx, ny) array: C_x @ f @ C_y.T, or
-    ``scipy.fft.dctn`` when an axis is longer than ``DENSE_DCT_MAX``."""
+    ``scipy.fft.dctn`` when an axis is longer than ``DENSE_DCT_MAX``.
+
+    A float32 array is transformed in float32, by the float32 matrices or
+    by scipy.fft, which keeps the dtype; a float64 one in float64.
+    """
     nx, ny = f.shape
     if max(nx, ny) > DENSE_DCT_MAX:
         from scipy.fft import dctn
 
         return dctn(f, norm="ortho")
-    return dct_matrix(nx) @ f @ dct_matrix(ny).T
+    dtype = np.float32 if f.dtype == np.float32 else np.float64
+    return dct_matrix(nx, dtype) @ f @ dct_matrix(ny, dtype).T
 
 
 def idct2(c: np.ndarray) -> np.ndarray:
-    """Inverse of ``dct2``: C_x.T @ c @ C_y, or ``scipy.fft.idctn``."""
+    """Inverse of ``dct2``, in the same precision: C_x.T @ c @ C_y, or
+    ``scipy.fft.idctn``."""
     nx, ny = c.shape
     if max(nx, ny) > DENSE_DCT_MAX:
         from scipy.fft import idctn
 
         return idctn(c, norm="ortho")
-    return dct_matrix(nx).T @ c @ dct_matrix(ny)
+    dtype = np.float32 if c.dtype == np.float32 else np.float64
+    return dct_matrix(nx, dtype).T @ c @ dct_matrix(ny, dtype)
 
 
 # ------------------------------------------------------------- operators

@@ -48,10 +48,11 @@ apply the stencils, and the sparse-LU fallback factors their CSR matrices
 (``SlotStencil.tocsr``), so the Krylov and LU paths solve one operator.
 BiCGStab is the package's own (``spla.bicgstab``, scipy's arithmetic in
 scipy's order), preconditioned by the cosine transform ``fields.dct2`` /
-``fields.idct2``.  A step on a grid of up to ``fields.DENSE_DCT_MAX`` cells
-per axis imports no scipy module; a larger grid loads ``scipy.fft`` for its
-transforms, and the direct path loads ``scipy.sparse`` and scipy's sparse
-LU (``spla.splu``) the first time it runs.
+``fields.idct2`` in single precision; everything else is float64.  A step
+on a grid of up to ``fields.DENSE_DCT_MAX`` cells per axis imports no scipy
+module; a larger grid loads ``scipy.fft`` for its transforms, and the
+direct path loads ``scipy.sparse`` and scipy's sparse LU (``spla.splu``)
+the first time it runs.
 The explicit chemotaxis flux, one application with its own coefficient,
 uses the face-flux stencil.
 
@@ -356,7 +357,14 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
     factors the same product of their CSR matrices, so both paths solve one
     operator.  The cosine-transform
     preconditioner freezes the mobility at its mean ``mob_bar`` and the
-    curvature at its mean.
+    curvature at its mean, and it runs in float32: v is rounded to float32,
+    transformed, scaled by the float32 reciprocal of its eigenvalues and
+    transformed back, and the result widened to float64.  That is sound
+    because the preconditioner is only an approximation of J anyway, and
+    BiCGStab preconditions from the right and updates x and r from the same
+    preconditioned vectors, so its rounding can cost iterations but not
+    attainable accuracy (Carson & Higham, SISC 40, 2018).  The operator,
+    the Krylov vectors and the sparse-LU path stay float64.
 
     ``report.linear_iters["ch"]`` grows by ceil(matvecs / 2): the BiCGStab
     iterations, counting a solve that converges at its half step as one.
@@ -372,7 +380,8 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
     lam = neumann_eigenvalues(grid)
     curv_flat = curv.ravel()
     curv_bar = float(curv.mean())
-    denom = diag0 + mob_bar * lam * (lam + curv_bar)
+    inv_denom = (1.0 / (diag0 + mob_bar * lam * (lam + curv_bar))).astype(
+        np.float32)
     matvecs = 0
 
     def apply_j(v):
@@ -381,9 +390,9 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
         return diag0 * v - a_m @ (curv_flat * v - lap @ v)
 
     def apply_pinv(v):
-        v2 = v.reshape(grid.nx, grid.ny)
-        sol = idct2(dct2(v2) / denom)
-        return sol.ravel()
+        coef = dct2(v.reshape(grid.nx, grid.ny).astype(np.float32))
+        coef *= inv_denom
+        return idct2(coef).astype(np.float64).ravel()
 
     sol, info = spla.bicgstab(
         apply_j, rhs.ravel(), rtol=rtol, atol=0.0, M=apply_pinv, maxiter=400

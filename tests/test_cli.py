@@ -494,8 +494,10 @@ def test_cli_leaves_scipy_linalg_unloaded_until_sparse_lu(tmp_path):
 
 
 def test_run_output_does_not_depend_on_blas_threads(tmp_path):
-    # the cosine transform is a BLAS dgemm; at 96^2 each product is large
-    # enough for OpenBLAS to split it over two threads
+    # the cosine transforms are BLAS products: dgemm in the dual norm and
+    # sgemm in the Cahn-Hilliard preconditioner.  At 96^2 each product has
+    # m n k = 884 736, above OpenBLAS's one-thread cut of 262 144 for both,
+    # so OpenBLAS splits it over two threads
     outputs = []
     for threads in ("1", "2"):
         out_dir = tmp_path / threads

@@ -212,14 +212,18 @@ def test_constant_mobility_matrix_is_the_cached_fill(value):
                                    (DENSE_DCT_MAX + 8, 12)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_dct_pair_matches_scipy(shape):
-    # dense matrix products up to DENSE_DCT_MAX, scipy.fft above it
+    # dense matrix products up to DENSE_DCT_MAX, scipy.fft above it; both
+    # compute in the input's dtype, against scipy's float64 transform
     f = random_field(Grid2D(*shape, 1.0, 1.0), seed=24)
     want = dctn(f, norm="ortho")
-    got = dct2(f)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    back = idct2(want)
-    assert np.max(np.abs(back - idctn(want, norm="ortho"))) <= (
-        1e-13 * np.max(np.abs(f)))
+    for dtype, rel in ((np.float64, 1e-13), (np.float32, 1e-5)):
+        got = dct2(f.astype(dtype))
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+        back = idct2(want.astype(dtype))
+        assert back.dtype == dtype
+        assert np.max(np.abs(back - idctn(want, norm="ortho"))) <= (
+            rel * np.max(np.abs(f)))
 
 
 def test_dct_matrix_is_cached_read_only():
@@ -227,6 +231,12 @@ def test_dct_matrix_is_cached_read_only():
     assert dct_matrix(12) is c
     assert not c.flags.writeable
     assert np.allclose(c @ c.T, np.eye(12), rtol=0.0, atol=1e-15)
+    # the float32 entry: its own cached object, the float64 matrix rounded
+    c32 = dct_matrix(12, np.float32)
+    assert dct_matrix(12, np.float32) is c32 is not c
+    assert c32.dtype == np.float32 and not c32.flags.writeable
+    assert np.array_equal(c32, c.astype(np.float32))
+    assert np.allclose(c32 @ c32.T, np.eye(12), rtol=0.0, atol=1e-6)
 
 
 def test_mean_and_integral():

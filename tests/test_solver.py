@@ -15,14 +15,19 @@ from _oracles import (
 import mchks.fields
 import mchks.solver
 import mchks.sources
+from mchks import spla
 from mchks.cli import band_limited_initial, build_initial_state, parse_config
 from mchks.diagnostics import DiagnosticsTracker
 from mchks.errors import ConvergenceError, InitialDataError, NewtonDivergence
 from mchks.fields import (
     Grid2D,
+    dct2,
     div_mob_grad_array,
     div_mob_grad_matrix,
+    idct2,
     lap_array,
+    laplacian_matrix,
+    neumann_eigenvalues,
 )
 from mchks.potentials import (
     ConvexEvaluation,
@@ -234,6 +239,55 @@ def test_krylov_and_direct_paths_solve_the_stencil_operator():
     bound = 10 * cfg.linear_tol * np.linalg.norm(rhs)
     for sol in (sol_k, sol_d):
         assert np.linalg.norm(apply_j(sol) - rhs) <= bound
+
+
+@pytest.mark.parametrize("mobility_m", [ConstantMobility(), KozenyCarman()],
+                         ids=["constant", "kozeny-carman"])
+def test_single_precision_preconditioner_keeps_accuracy(mobility_m):
+    # the float32 cosine-transform preconditioner against a float64 one on
+    # the Jacobian of a 128^2 Flory-Huggins spheroid at rtol = 1e-10
+    grid = Grid2D(128, 128, 12.8, 12.8)
+    params = replace(FH, mobility_m=mobility_m)
+    st = initialize_mu(spheroid_state(grid, phi_hi=0.9), params)
+    mob = params.mobility_m(st.phi, st.phi_a, st.n)
+    a_m = params.mobility_m.operator(grid, mob)
+    curv = st.convex.curvature
+    diag0 = 1e3 + params.m
+    rhs = np.random.default_rng(5).standard_normal(grid.shape)
+    cfg = SolverConfig(linear_tol=1e-10)
+    report = StepReport()
+    sol = mchks.solver._solve_ch_jacobian(
+        grid, a_m, float(mob.mean()), curv, diag0, rhs, cfg, report, 0.0,
+        cfg.linear_tol,
+    )
+    inner = -lap_array(sol, grid.dx, grid.dy) + curv * sol
+    jx = diag0 * sol - div_mob_grad_array(mob, inner, grid.dx, grid.dy)
+    assert not report.used_direct
+    assert np.linalg.norm(rhs - jx) <= 10 * cfg.linear_tol * np.linalg.norm(rhs)
+
+    lap = laplacian_matrix(grid)
+    lam = neumann_eigenvalues(grid)
+    denom = diag0 + mob.mean() * lam * (lam + curv.mean())
+    matvecs = 0
+
+    def apply_j(v):
+        nonlocal matvecs
+        matvecs += 1
+        return diag0 * v - a_m @ (curv.ravel() * v - lap @ v)
+
+    def apply_pinv(v):
+        return idct2(dct2(v.reshape(grid.shape)) / denom).ravel()
+
+    _, info = spla.bicgstab(apply_j, rhs.ravel(), rtol=cfg.linear_tol,
+                            M=apply_pinv, maxiter=400)
+    assert info == 0
+    f64_iters = (matvecs + 1) // 2
+    if isinstance(mobility_m, ConstantMobility):
+        assert report.linear_iters["ch"] <= f64_iters + 1
+    else:
+        # 80-160 iterations, a count that a 1e-15 relative change of the
+        # float64 preconditioner alone moves by -15 to +25
+        assert report.linear_iters["ch"] <= 2 * f64_iters
 
 
 @pytest.mark.parametrize("mobility_m, mobility_n, fills", [
