@@ -51,8 +51,8 @@ scipy's order), preconditioned by the cosine transform ``fields.dct2`` /
 ``fields.idct2`` in single precision; everything else is float64.  A step
 on a grid of up to ``fields.DENSE_DCT_MAX`` cells per axis imports no scipy
 module; a larger grid loads ``scipy.fft`` for its transforms, and the
-direct path loads ``scipy.sparse`` and scipy's sparse LU (``spla.splu``)
-the first time it runs.
+direct path loads ``scipy.sparse`` and scipy's sparse LU
+(``scipy.sparse.linalg.splu``) the first time it runs.
 The explicit chemotaxis flux, one application with its own coefficient,
 uses the face-flux stencil.
 
@@ -65,7 +65,6 @@ properties must emerge from the scheme and are monitored, not enforced.
 
 from __future__ import annotations
 
-import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -192,7 +191,6 @@ class StepReport:
     newton_residual: float = 0.0
     linear_iters: dict = field(default_factory=dict)
     used_direct: bool = False
-    wall_time: float = 0.0
 
 
 # ------------------------------------------------------------- utilities
@@ -233,7 +231,6 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
     A ConvergenceError from a linear solve or the resolvent is re-raised
     naming the substep and the new time.
     """
-    t0 = time.perf_counter()
     grid = state.grid
     dt = cfg.dt
     t_new = state.t + dt
@@ -336,8 +333,6 @@ def step(state: State, params: ModelParams, cfg: SolverConfig):
         report.newton_iters += 1
     report.newton_residual = rms
 
-    report.wall_time = time.perf_counter() - t0
-
     # the new phi is convex.r itself, so that the evaluation it carries is
     # reused; a phi accepted at phi_o itself is copied, and the next step solves
     phi = phi_o.copy() if convex.r is phi_o else convex.r
@@ -412,13 +407,15 @@ def _solve_ch_jacobian(grid, a_m, mob_bar, curv, diag0, rhs, cfg, report, t,
 
 def _solve_ch_direct(grid, a_m, curv, diag0, rhs):
     """Sparse-LU solve of diag0 I - A_m (diag(curv) - L), as in BiCGStab,
-    on the CSR matrices of the same stencils (imports ``scipy.sparse``)."""
+    on the CSR matrices of the same stencils (imports ``scipy.sparse`` and
+    ``scipy.sparse.linalg``)."""
     import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
 
     n = grid.nx * grid.ny
     inner = sp.diags(curv.ravel(), format="csr") - laplacian_matrix(grid).tocsr()
     j = sp.eye(n, format="csr") * diag0 - a_m.tocsr() @ inner
-    sol = spla.splu(j.tocsc()).solve(rhs.ravel())
+    sol = splu(j.tocsc()).solve(rhs.ravel())
     return sol.reshape(grid.nx, grid.ny)
 
 

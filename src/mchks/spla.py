@@ -1,4 +1,4 @@
-"""The two sparse linear solvers of the Cahn-Hilliard correction.
+"""The Krylov solver of the Cahn-Hilliard correction.
 
 ``bicgstab`` is preconditioned BiCGStab (van der Vorst, SISC 13, 1992) on
 plain callables, doing scipy 1.17's ``scipy.sparse.linalg.bicgstab``
@@ -6,11 +6,7 @@ arithmetic in scipy's order, so that a step gives the same bits as it did
 through scipy: the same absolute tolerance max(atol, rtol ||b||), the same
 rho and omega breakdown codes, the same exit at the half step, and
 ``info = maxiter`` when the iteration limit is reached.  It leaves out
-scipy's ``LinearOperator`` layer.
-
-``splu`` is scipy's sparse LU.  It imports ``scipy.sparse.linalg`` (and with
-it ``scipy.linalg`` and its LAPACK wrappers) on its first call, so a run
-that never falls back to the direct path never loads them.
+scipy's ``LinearOperator`` layer.  Importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -80,10 +76,3 @@ def bicgstab(A, b, *, rtol, atol=0.0, maxiter, M, callback=None):
         if callback:
             callback(x)
     return x, maxiter
-
-
-def splu(a):
-    """scipy's sparse LU factorization of the CSC matrix a."""
-    from scipy.sparse.linalg import splu as scipy_splu
-
-    return scipy_splu(a)

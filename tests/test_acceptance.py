@@ -26,8 +26,7 @@ from _oracles import (
 
 from mchks import diagnostics
 from mchks.fields import Grid2D
-from mchks.cli import band_limited_initial
-from mchks.galerkin import cross_errors, integrate_galerkin
+from mchks.cli import cross_validate
 from mchks.potentials import (
     DoubleObstacle,
     FloryHuggins,
@@ -73,13 +72,11 @@ def fd_vs_spectral():
     t_end = 0.1
 
     def level(nx, k, dt):
-        fd0, g0, basis = band_limited_initial(
-            band_limited_state(Grid2D(nx, nx, length, length)), k)
         cfg = SolverConfig(dt=dt, t_end=t_end, linear_tol=1e-12,
                            newton_tol=1e-11)
-        fd = run_states(fd0, params, cfg, cfg.steps)[-1]
-        gs = integrate_galerkin(g0, params, basis, t_end)[-1]
-        return max(cross_errors(fd, gs, basis).values())
+        return max(cross_validate(
+            band_limited_state(Grid2D(nx, nx, length, length)),
+            params, cfg, k).values())
 
     tic = time.perf_counter()
     errors = [level(16, 4, 2e-3), level(32, 8, 1e-3), level(64, 16, 5e-4)]

@@ -27,8 +27,6 @@ from mchks.potentials import FloryHuggins, Potential, SingleWellLJ
 from mchks.solver import SolverConfig, hypotheses, run, validate_initial_data
 from mchks.sources import ModelParams
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
 TINY = """
 [grid]
 nx = 8
@@ -512,12 +510,6 @@ def test_run_output_does_not_depend_on_blas_threads(tmp_path):
         outputs.append({name: (out_dir / name).read_bytes() for name in files})
     assert len(outputs[0]) > 1
     assert outputs[0] == outputs[1]
-
-
-def test_compare_fd_spectral_script_errors_decrease():
-    proc = _python(SCRIPTS / "compare_fd_spectral.py",
-                   "--levels", "2", "--t-end", "0.02")
-    assert proc.stdout.splitlines()[-1] == "monotone decrease: True"
 
 
 def _sets(*overrides):

@@ -1,8 +1,9 @@
 """Guards for the benchmark's per-layer metrics and columns, the README's
-tables, the one domain declaration of the potential variants and the start
-guess each of their resolvents takes, the one CG call of the solver, the
-operators the mobility laws supply, its one stepping loop, the states
-that loop yields, and a package that holds only what the program calls.
+tables and the paths it names, the one domain declaration of the potential
+variants and the start guess each of their resolvents takes, the one CG
+call of the solver, the operators the mobility laws supply, its one
+stepping loop, the states that loop yields, and a package that holds only
+what the program calls.
 
 ``perfbench/spans.py`` wraps program entry points named by
 ``"mchks.<module>:<attr.path>"`` site strings; a site that no longer
@@ -140,12 +141,10 @@ def _names(node):
 
 def test_src_holds_only_what_the_program_calls():
     # each public function or class of the package is referenced from
-    # another top-level statement of the package, from scripts/ or from
-    # perfbench/ (in code or as a span site); code that only tests call
-    # belongs in tests/
+    # another top-level statement of the package or from perfbench/ (in
+    # code or as a span site); code that only tests call belongs in tests/
     outside = set()
-    for path in [*(ROOT / "scripts").glob("*.py"),
-                 *(ROOT / "perfbench").glob("*.py")]:
+    for path in (ROOT / "perfbench").glob("*.py"):
         outside |= _names(ast.parse(path.read_text(encoding="utf-8")))
     sites = {(site.partition(":")[0], site.partition(":")[2].split(".")[0])
              for site in SITE.findall(SPANS.read_text(encoding="utf-8"))}
@@ -220,7 +219,10 @@ def test_readme_command_line_block_names_exactly_the_subcommands(capsys):
             == set(listed.split(",")))
 
 
-def test_readme_scripts_block_names_exactly_the_scripts():
-    block = _readme_block("## Scripts")
-    listed = set(re.findall(r"scripts/(\w+\.py)", block))
-    assert listed == {p.name for p in (ROOT / "scripts").glob("*.py")}
+def test_readme_names_only_paths_that_exist():
+    # a deleted or renamed file cannot stay documented
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {path.rstrip(".") for path in re.findall(
+        r"(?<![\w/.])(?:src|tests|perfbench|scripts)/[\w./-]*", text)}
+    assert "tests/test_acceptance.py" in named
+    assert {path for path in named if not (ROOT / path).exists()} == set()
