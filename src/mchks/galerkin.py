@@ -201,18 +201,25 @@ def initial_galerkin_state(basis: EigenBasis, grid: Grid2D, fields):
 def _etd_weights(lin, h):
     """exp(L h / 2), exp(L h) and the three Cox-Matthews ETDRK4 weights of
     the diagonal L, each a contour mean over 32 points on the unit circle
-    around L h (Kassam & Trefethen), which stays accurate as L h -> 0."""
-    z = (lin * h)[..., None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-    ez = np.exp(z)
+    around L h (Kassam & Trefethen), which stays accurate as L h -> 0.
 
-    def mean(num):
-        return h * np.mean(num.real, axis=-1)
-
-    q = mean((np.exp(z / 2) - 1) / z)
-    f1 = mean((-4 - z + ez * (4 - 3 * z + z * z)) / z**3)
-    f2 = mean((2 + z + ez * (z - 2)) / z**3)
-    f3 = mean((-4 - 3 * z - z * z + ez * (4 - z)) / z**3)
-    return np.exp(lin * h / 2), np.exp(lin * h), q, f1, f2, f3
+    The means are summed one contour point at a time, so every temporary
+    has the shape of ``lin``: the memory is O((k+1)^2), a small multiple
+    of ``lin.nbytes``.
+    """
+    lh = lin * h
+    q, f1, f2, f3 = (np.zeros_like(lh) for _ in range(4))
+    for j in range(32):
+        z = lh + np.exp(2j * np.pi * (j + 0.5) / 32)
+        ez = np.exp(z)
+        z3 = z**3
+        q += ((np.exp(z / 2) - 1) / z).real
+        f1 += ((-4 - z + ez * (4 - 3 * z + z * z)) / z3).real
+        f2 += ((2 + z + ez * (z - 2)) / z3).real
+        f3 += ((-4 - 3 * z - z * z + ez * (4 - z)) / z3).real
+    scale = h / 32
+    return (np.exp(lh / 2), np.exp(lh),
+            q * scale, f1 * scale, f2 * scale, f3 * scale)
 
 
 def integrate_galerkin(

@@ -18,8 +18,9 @@ One time step advances the five fields in four substeps:
    the state has no history.  It is an inexact Newton method with an
    unchanged stopping test rms(res) <= newton_tol * scale: correction k is
    solved to the relative residual max(linear_tol, min(FORCING_MAX,
-   FORCING_SAFETY * newton_tol * scale / rms_k)), loose while the residual
-   is large and tight near the end (Dembo, Eisenstat & Steihaug 1982;
+   FORCING_SAFETY * newton_tol * scale / rms_k)), the same absolute
+   residual for every unclamped correction: tight while the residual is
+   large and loose near the end (Dembo, Eisenstat & Steihaug 1982;
    Eisenstat & Walker 1996).  Each Newton iterate evaluates the convex part
    once: the residual, the Jacobian and the new chemical potential share
    that evaluation.  The first one of a step is ``ModelParams.convex_part``

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -271,6 +272,51 @@ def test_etd_oracle_matches_tight_rk45(monkeypatch):
     # 4x (7x measured; the order is not cleanly 4 there)
     monkeypatch.setattr(galerkin, "ETD_STEP", galerkin.ETD_STEP / 2)
     assert _etd_error(g0, params, basis, t_end, ref) <= err / 4
+
+
+def _block_etd_weights(lin, h):
+    # the reference: every contour point at once, on a trailing axis
+    z = (lin * h)[..., None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    ez = np.exp(z)
+
+    def mean(num):
+        return h * np.mean(num.real, axis=-1)
+
+    q = mean((np.exp(z / 2) - 1) / z)
+    f1 = mean((-4 - z + ez * (4 - 3 * z + z * z)) / z**3)
+    f2 = mean((2 + z + ez * (z - 2)) / z**3)
+    f3 = mean((-4 - 3 * z - z * z + ez * (4 - z)) / z**3)
+    return np.exp(lin * h / 2), np.exp(lin * h), q, f1, f2, f3
+
+
+def _oracle_lin(k, mbar_m):
+    # the linear part integrate_galerkin builds, with mbar_n = 0.8
+    alpha = EigenBasis(2 * np.pi, 2 * np.pi, k).alpha
+    return np.stack([-mbar_m * alpha**2, -0.8 * alpha, -alpha, -alpha])
+
+
+@pytest.mark.parametrize("k", [0, 4, 16, 48])
+@pytest.mark.parametrize("h", [1e-3, 5e-3])
+@pytest.mark.parametrize("mbar_m", [0.5, 1.0])
+def test_etd_weights_match_the_block_contour_means(k, h, mbar_m):
+    lin = _oracle_lin(k, mbar_m)
+    got = galerkin._etd_weights(lin, h)
+    for block, ref in zip(got, _block_etd_weights(lin, h), strict=True):
+        assert block.shape == lin.shape
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_etd_weights_memory_is_a_small_multiple_of_lin():
+    # summing point by point keeps every temporary at the shape of lin;
+    # the block form peaks at 321 x lin.nbytes
+    lin = _oracle_lin(48, 1.0)
+    tracemalloc.start()
+    try:
+        galerkin._etd_weights(lin, 5e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * lin.nbytes
 
 
 def test_mean_channel_respects_mass_corridor():

@@ -226,3 +226,9 @@ def test_readme_names_only_paths_that_exist():
         r"(?<![\w/.])(?:src|tests|perfbench|scripts)/[\w./-]*", text)}
     assert "tests/test_acceptance.py" in named
     assert {path for path in named if not (ROOT / path).exists()} == set()
+    # a bare file name must name a file of the package, tests or benchmark
+    bare = set(re.findall(r"(?<![\w/.])\w+\.py\b", text))
+    assert "galerkin.py" in bare
+    files = {path.name for top in ("src", "tests", "perfbench")
+             for path in (ROOT / top).rglob("*.py")}
+    assert bare - files == set()
